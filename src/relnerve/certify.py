@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .sset import TruncationError
+
 
 @dataclass
 class Certificate:
@@ -71,13 +73,6 @@ def check_simplicial_identities(X, subject="sset"):
                         return Certificate("identities", subject, "FAIL",
                                            witness=("ds", n, i, j, s))
     return Certificate("identities", subject, "PASS", bound=X.cap)
-
-
-def check_map(f, subject="map"):
-    bad = f.validate()
-    if bad:
-        return Certificate("simplicial-map", subject, "FAIL", witness=bad[0])
-    return Certificate("simplicial-map", subject, "PASS", bound=f.domain.cap)
 
 
 def verify_iso_map(f, g, subject="iso"):
@@ -219,7 +214,8 @@ def inner_horn_lifts(p, ncap, subject="inner-fibration"):
     """Exhaustive inner-horn lifting audit for p: X -> S up to ncap."""
     X, S = p.domain, p.codomain
     if ncap > X.cap:
-        raise ValueError("ncap exceeds the truncation")
+        raise TruncationError("ncap=%d exceeds the truncation cap=%d"
+                              % (ncap, X.cap))
     checked = 0
     for n in range(2, ncap + 1):
         x_index = _face_index(X, n)

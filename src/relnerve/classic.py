@@ -213,8 +213,8 @@ def classical_cocartesian(G, mi):
 def nerve_comparison(G, cap):
     """The mutually-inverse pair between N(total) and the relative nerve of
     the nerve-composed diagram."""
-    from .fincat import chain_arrow, nerve
-    from .pathspace import chain_object_of_key, lurie_grothendieck
+    from .fincat import chain_arrow, chain_object_of_key, nerve
+    from .pathspace import lurie_grothendieck
     from .sset import SimplicialMap
 
     F = G.double.diagram

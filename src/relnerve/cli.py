@@ -145,6 +145,8 @@ def cmd_verify(spec, what, cap, ncap, rep):
             emit(verify_iso_map(ff, gg, "fiber-%s" % spec.obj_names[c]))
     elif what == "fibration":
         _require_kind(spec, ("cat", "marked"))
+        if ncap > cap:
+            raise TruncationError("ncap=%d exceeds cap=%d" % (ncap, cap))
         if spec.kind == "cat":
             FM = mark_diagram(spec.diagram.nerve_diagram(cap), "natural")
         else:
@@ -173,13 +175,20 @@ def cmd_verify(spec, what, cap, ncap, rep):
     return fails
 
 
+def _max_degree(args, cap):
+    maxk = args.max_degree if args.max_degree is not None else cap - 1
+    if maxk > cap - 1:
+        raise TruncationError("homology trusted range is cap-1")
+    if maxk < 0:
+        raise TruncationError("max-degree must be >= 0, got %d" % maxk)
+    return maxk
+
+
 def cmd_compare(spec, args, cap, rep):
     fails = 0
     if args.thomason:
         _require_kind(spec, ("cat",))
-        maxk = args.max_degree if args.max_degree is not None else cap - 1
-        if maxk > cap - 1:
-            raise TruncationError("homology trusted range is cap-1")
+        maxk = _max_degree(args, cap)
         NF = spec.diagram.nerve_diagram(cap)
         bar = bar_hocolim(NF, cap)
         G = grothendieck_classic(spec.diagram)
@@ -196,9 +205,7 @@ def cmd_compare(spec, args, cap, rep):
             fails += 1
     elif args.homology:
         _require_kind(spec, ("sset", "marked"))
-        maxk = args.max_degree if args.max_degree is not None else cap - 1
-        if maxk > cap - 1:
-            raise TruncationError("homology trusted range is cap-1")
+        maxk = _max_degree(args, cap)
         F = _sset_diagram(spec)
         R = lurie_grothendieck(F, cap)
         bar = bar_hocolim(F, cap)
@@ -309,7 +316,6 @@ def build_parser():
         p.add_argument("--max-degree", type=int, default=None,
                        dest="max_degree")
         p.add_argument("--out", default=None)
-        p.add_argument("--format", default="text", choices=["text"])
 
     b = sub.add_parser("build", help="run a construction and report sizes")
     b.add_argument("target", choices=["relnerve", "relnerve-direct",
@@ -348,7 +354,7 @@ def main(argv=None):
     try:
         if args.command == "random-suite":
             bounds = SuiteBounds(args.max_objects, args.max_parallel,
-                                 args.max_nondeg, min(args.cap, 4))
+                                 args.max_nondeg, args.cap)
             try:
                 bounds.check()
             except ValueError as exc:

@@ -254,22 +254,35 @@ def nerve(C, cap):
                 strings.append(prefix + (m,) if n > 1 else (m,))
         keys.append(strings)
 
-    def face_key(n, i, k):
-        if n == 1:
-            return (C.tgt[k[0]],) if i == 0 else (C.src[k[0]],)
-        if i == 0:
-            return k[1:]
-        if i == n:
-            return k[:-1]
-        return k[:i - 1] + (C.table[(k[i], k[i - 1])],) + k[i + 1:]
+    return KeyedSSet(cap, keys,
+                     lambda n, i, k: nerve_face_key(C, k, n, i),
+                     lambda n, i, k: nerve_degen_key(C, k, n, i))
 
-    def deg_key(n, i, k):
-        if n == 0:
-            return (C.identity[k[0]],)
-        obj = C.src[k[0]] if i == 0 else C.tgt[k[i - 1]]
-        return k[:i] + (C.identity[obj],) + k[i:]
 
-    return KeyedSSet(cap, keys, face_key, deg_key)
+def nerve_face_key(C, key, n, i):
+    """Key of d_i of the degree-n nerve simplex ``key`` (n >= 1)."""
+    if n == 1:
+        return (C.tgt[key[0]],) if i == 0 else (C.src[key[0]],)
+    if i == 0:
+        return key[1:]
+    if i == n:
+        return key[:-1]
+    return key[:i - 1] + (C.table[(key[i], key[i - 1])],) + key[i + 1:]
+
+
+def nerve_degen_key(C, key, n, i):
+    """Key of s_i of the degree-n nerve simplex ``key``."""
+    if n == 0:
+        return (C.identity[key[0]],)
+    obj = chain_object_of_key(C, key, n, i)
+    return key[:i] + (C.identity[obj],) + key[i:]
+
+
+def chain_object_of_key(C, key, n, i):
+    """The i-th vertex (object of C) of a degree-n nerve simplex key."""
+    if n == 0:
+        return key[0]
+    return C.src[key[0]] if i == 0 else C.tgt[key[i - 1]]
 
 
 def nerve_map(F, cap, NC=None, ND=None):
@@ -283,22 +296,13 @@ def nerve_map(F, cap, NC=None, ND=None):
     return SimplicialMap(NC, ND, comp)
 
 
-def chain_object(NC, C, n, s, i):
-    """The i-th vertex (object of C) of an n-simplex of the nerve."""
-    k = NC.key_of(n, s)
-    if n == 0:
-        return k[0]
-    return C.src[k[0]] if i == 0 else C.tgt[k[i - 1]]
-
-
 def chain_arrow(C, key, n, i, j):
     """The composite arrow sigma(i,j) of a degree-n nerve simplex key,
     for 0 <= i <= j <= n."""
     if n == 0:
         return C.identity[key[0]]
     if i == j:
-        obj = C.src[key[0]] if i == 0 else C.tgt[key[i - 1]]
-        return C.identity[obj]
+        return C.identity[chain_object_of_key(C, key, n, i)]
     m = key[i]
     for t in range(i + 1, j):
         m = C.table[(key[t], m)]
@@ -382,6 +386,16 @@ class SSetDiagram:
     @property
     def cap(self):
         return self.values[0].cap
+
+    def transport_relations(self):
+        """The identifications ``(a, n, s, b, F(m)(s))``, one per morphism
+        m: a -> b and simplex s of F(a), whose quotient of the disjoint
+        union of the values is the degreewise colimit."""
+        C = self.shape
+        return [(C.src[m], n, s, C.tgt[m], self.maps[m].comp[n][s])
+                for m in range(C.n_morphisms)
+                for n in range(self.cap + 1)
+                for s in self.values[C.src[m]].simplices(n)]
 
     def validate(self):
         bad = []

@@ -7,12 +7,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fincat import chain_arrow, nerve
+from .fincat import (chain_arrow, chain_object_of_key, nerve,
+                     nerve_degen_key, nerve_face_key)
 from .marked import (MarkedDiagram, MarkedSSet, Localization,
                      OverMappingSpace, colim_marked, degenerate_edges,
                      extend_along_J, localize, mark_diagram,
                      marked_rel_nerve, rectify_right, under_nerve_sharp)
-from .pathspace import chain_object_of_key, lurie_grothendieck
+from .pathspace import lurie_grothendieck
 from .sset import (KeyedSSet, SimplicialMap, SSetError, TruncSSet,
                    coequalize_disjoint)
 
@@ -81,13 +82,11 @@ def bar_hocolim(F, cap):
 
 
 def _face_base(C, NC, n, sid, i):
-    from .pathspace import _nerve_face_key
-    return NC.id_of(n - 1, _nerve_face_key(C, NC.key_of(n, sid), n, i))
+    return NC.id_of(n - 1, nerve_face_key(C, NC.key_of(n, sid), n, i))
 
 
 def _degen_base(C, NC, n, sid, i):
-    from .pathspace import _nerve_degen_key
-    return NC.id_of(n + 1, _nerve_degen_key(C, NC.key_of(n, sid), n, i))
+    return NC.id_of(n + 1, nerve_degen_key(C, NC.key_of(n, sid), n, i))
 
 
 def iota(F, cap, bar=None, rel=None):
@@ -320,15 +319,7 @@ class ColimComparison:
 
 def direct_colim(F):
     """Degreewise colimit: coequalizer of the transport relations."""
-    C = F.shape
-    parts = list(F.values)
-    relations = []
-    for m in range(C.n_morphisms):
-        a, b = C.src[m], C.tgt[m]
-        for n in range(F.cap + 1):
-            for s in parts[a].simplices(n):
-                relations.append((a, n, s, b, F.maps[m].comp[n][s]))
-    return coequalize_disjoint(parts, relations)
+    return coequalize_disjoint(F.values, F.transport_relations())
 
 
 def colim_via_marked(F, cap=None):

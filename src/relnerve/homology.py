@@ -8,6 +8,8 @@ computing H_k needs boundaries out of degree k+1.
 
 from __future__ import annotations
 
+from .sset import _UnionFind
+
 
 class HomologyError(Exception):
     pass
@@ -140,21 +142,12 @@ def pi0(X):
     """Partition of the vertices into path components (sorted id lists)."""
     if X.cap < 1:
         raise HomologyError("pi0 needs cap >= 1")
-    parent = list(range(X.counts[0]))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    uf = _UnionFind(X.counts[0])
     for e in X.simplices(1):
-        a, b = find(X.faces[1][1][e]), find(X.faces[1][0][e])
-        if a != b:
-            parent[max(a, b)] = min(a, b)
+        uf.union(X.faces[1][1][e], X.faces[1][0][e])
     comps = {}
     for v in range(X.counts[0]):
-        comps.setdefault(find(v), []).append(v)
+        comps.setdefault(uf.find(v), []).append(v)
     return sorted(comps.values())
 
 

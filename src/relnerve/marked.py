@@ -7,12 +7,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fincat import (FinCategory, SSetDiagram, nerve, nerve_map,
-                     under_category)
-from .pathspace import chain_object_of_key, lurie_grothendieck
-from .sset import (SimplicialMap, SSetError, TruncationError, TruncSSet,
-                   classifying_map, disjoint_union, identity_map, product,
-                   product_map, standard_simplex, walking_iso)
+from .fincat import (FinCategory, SSetDiagram, chain_object_of_key, nerve,
+                     nerve_map, under_category)
+from .pathspace import lurie_grothendieck
+from .sset import (Exponential, SimplicialMap, SSetError, TruncSSet,
+                   classifying_map, coequalize_disjoint, disjoint_union,
+                   identity_map, precompose_table, product_map, pushout,
+                   standard_simplex, walking_iso)
 
 
 class MarkError(Exception):
@@ -161,7 +162,6 @@ def localize(M, cap=None):
                 g_comp[n][inj.comp[n][t]] = c_injs[c].comp[n][incl.comp[n][t]]
     f = SimplicialMap(A, S, f_comp)
     g = SimplicialMap(A, Cj, g_comp)
-    from .sset import pushout
     P, inj_s, inj_j = pushout(f, g)
     image = frozenset(inj_s.comp[1][e] for e in M.marked)
     return Localization(P, inj_s, image, glued, inj_j, (Cj, c_injs))
@@ -301,16 +301,8 @@ def mark_diagram(F, mode):
 def colim_marked(F):
     """Degreewise colimit of a marked diagram: quotient of the disjoint
     union by the transport relations, marking the images of marked edges."""
-    from .sset import coequalize_disjoint
-    C = F.shape
-    parts = [V.sset for V in F.values]
-    relations = []
-    for m in range(C.n_morphisms):
-        a, b = C.src[m], C.tgt[m]
-        for n in range(F.cap + 1):
-            for s in parts[a].simplices(n):
-                relations.append((a, n, s, b, F.maps[m].comp[n][s]))
-    Q, qmaps = coequalize_disjoint(parts, relations)
+    U = F.underlying()
+    Q, qmaps = coequalize_disjoint(U.values, U.transport_relations())
     marked = set()
     for o, V in enumerate(F.values):
         for e in V.marked:
@@ -360,88 +352,43 @@ def under_nerve_sharp(C, d, cap, NC=None):
 
 
 class OverMappingSpace:
-    """The marked mapping object over the base: degree-n simplices are maps
-    (Delta[n] flat) x X -> Y commuting with the projections and preserving
-    markings; an n-simplex is stored as its full value table on the prism.
+    """The marked mapping object over the base: the kernel's mapping object
+    [X => Y] restricted to the maps (Delta[n] flat) x X -> Y that commute
+    with the projections and preserve markings; an n-simplex is stored as
+    its full value table on the prism.
 
     The sharp part (simplices all of whose edges are marked) is available as
     a sub-simplicial set via ``sharp_ids``.
     """
 
     def __init__(self, X, Y, cap_out):
-        UX, UY = X.sset, Y.sset
-        if UX.cap != UY.cap:
-            raise SSetError("over mapping space requires equal caps")
-        if cap_out + UX.nondeg_dim() > UY.cap:
-            raise TruncationError(
-                "over mapping space cap_out=%d needs cap >= %d"
-                % (cap_out, cap_out + UX.nondeg_dim()))
         if X.base_nerve.counts != Y.base_nerve.counts:
             raise SSetError("different base nerves")
         self.X, self.Y = X, Y
         self.cap_out = cap_out
-        cap = UY.cap
-        self.deltas = [standard_simplex(n, cap) for n in range(cap_out + 1)]
-        self.prisms = [product(self.deltas[n], UX) for n in range(cap_out + 1)]
-        NC = Y.base_nerve
-        tables = []
-        for n in range(cap_out + 1):
-            P, pr1, pr2 = self.prisms[n]
-
-            def filt(m, s, b, pr2=pr2, pr1=pr1, n=n):
-                if Y.proj.comp[m][b] != X.proj.comp[m][pr2.comp[m][s]]:
-                    return False
-                if m == 1:
-                    a_e = pr1.comp[1][s]
-                    x_e = pr2.comp[1][s]
-                    a_deg = self.deltas[n].degenerate_flags(1)[a_e]
-                    if a_deg and X.marked.is_marked(x_e) \
-                            and not Y.marked.is_marked(b):
-                        return False
-                return True
-
-            from .sset import enumerate_maps
-            found = enumerate_maps(P, UY, candidate_filter=filt)
-            tables.append(sorted(tuple(tuple(v) for v in t) for t in found))
-        self._tables = tables
-        self.index = [{t: i for i, t in enumerate(tt)} for tt in tables]
-        counts = [len(t) for t in tables]
-
-        def op(n_from, n_to, vmap, key):
-            from .sset import _delta_map
-            u = _delta_map(self.deltas[n_to], self.deltas[n_from], vmap)
-            pm = product_map(u, identity_map(UX),
-                             self.prisms[n_to][0], self.prisms[n_from][0])
-            P_to = self.prisms[n_to][0]
-            return tuple(tuple(key[m][pm.comp[m][s]]
-                               for s in range(P_to.counts[m]))
-                         for m in range(cap + 1))
-
-        faces = [None]
-        for n in range(1, cap_out + 1):
-            faces.append([[self.index[n - 1][op(n, n - 1,
-                                                _coface_tuple(n, i), t)]
-                           for t in tables[n]] for i in range(n + 1)])
-        degens = []
-        for n in range(cap_out):
-            degens.append([[self.index[n + 1][op(n, n + 1,
-                                                 _codegen_tuple(n, i), t)]
-                            for t in tables[n]] for i in range(n + 1)])
-        self.sset = TruncSSet(cap_out, counts, faces, degens)
+        self.sset = Exponential(Y.sset, X.sset, cap_out,
+                                admissible=self._admissible)
+        self.deltas, self.prisms = self.sset.deltas, self.sset.prisms
+        self.table, self.id_of = self.sset.table, self.sset.id_of
         self.marked_set = frozenset(
-            e for e in range(counts[1]) if self._edge_marked(e)) \
+            e for e in range(self.sset.counts[1]) if self._edge_marked(e)) \
             if cap_out >= 1 else frozenset()
 
-    def table(self, n, s):
-        return self._tables[n][s]
-
-    def id_of(self, n, table):
-        return self.index[n][table]
+    def _admissible(self, prism, m, s, b):
+        """Over the base, and a marked X-edge paired with a degenerate
+        Delta-edge lands on a marked edge."""
+        _, pr1, pr2 = prism
+        if self.Y.proj.comp[m][b] != self.X.proj.comp[m][pr2.comp[m][s]]:
+            return False
+        return not (m == 1
+                    and pr1.codomain.degenerate_flags(1)[pr1.comp[1][s]]
+                    and self.X.marked.is_marked(pr2.comp[1][s])
+                    and not self.Y.marked.is_marked(b))
 
     def _edge_marked(self, e):
         """An edge is marked when it underlies a map from the sharp cylinder:
         every prism edge with marked X-part lands on a marked edge."""
-        table = self._tables[1][e]
+        table = self.table(1, e)
         P, pr1, pr2 = self.prisms[1]
         for s in P.simplices(1):
             if self.X.marked.is_marked(pr2.comp[1][s]) and \
@@ -477,14 +424,6 @@ def _all_edges(X, n, s):
         for j in range(i + 1, n + 1):
             edges.add(X.apply_vertex_map(n, s, (i, j)))
     return sorted(edges)
-
-
-def _coface_tuple(n, i):
-    return tuple(v for v in range(n + 1) if v != i)
-
-
-def _codegen_tuple(n, i):
-    return tuple(v if v <= i else v - 1 for v in range(n + 2))
 
 
 def over_mapping_space(X, Y, variant, cap_out):
@@ -604,15 +543,9 @@ def rectify_right(X, cap_out):
         for n in range(cap_out + 1):
             pm = product_map(identity_map(spaces[a].deltas[n]), nm,
                              spaces[b].prisms[n][0], spaces[a].prisms[n][0])
-            row = []
-            for s in spaces[a].sset.simplices(n):
-                t = spaces[a].table(n, s)
-                new = tuple(tuple(t[mm][pm.comp[mm][p]]
-                                  for p in range(
-                                      spaces[b].prisms[n][0].counts[mm]))
-                            for mm in range(cap + 1))
-                row.append(spaces[b].id_of(n, new))
-            comp.append(row)
+            comp.append([
+                spaces[b].id_of(n, precompose_table(spaces[a].table(n, s), pm))
+                for s in spaces[a].sset.simplices(n)])
         maps.append(SimplicialMap(spaces[a].sset, spaces[b].sset, comp))
     diagram = MarkedDiagram(C, values, maps)
     return Rectified(diagram, spaces, unders)

@@ -17,9 +17,11 @@ import itertools
 from dataclasses import dataclass
 
 from .bisset import BiTruncSSet
-from .fincat import chain_arrow, constant_chain, nerve
+from .fincat import (chain_arrow, chain_object_of_key, constant_chain, nerve,
+                     nerve_degen_key, nerve_face_key)
 from .sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
-                   TruncationError, TruncSSet, identity_map, product,
+                   TruncationError, TruncSSet, codegen_tuple, coface_tuple,
+                   delta_map, identity_map, precompose_table, product,
                    product_map, standard_simplex, sub_sset)
 
 
@@ -48,8 +50,7 @@ class _ExpCache:
     def restriction_to(self, m, j_from, j_to, vmap):
         key = (m, j_from, j_to, vmap)
         if key not in self.restrictions:
-            from .sset import _delta_map
-            u = _delta_map(self.delta(j_from), self.delta(j_to), vmap)
+            u = delta_map(self.delta(j_from), self.delta(j_to), vmap)
             P_from = product(self.delta(m), self.delta(j_from))[0]
             P_to = product(self.delta(m), self.delta(j_to))[0]
             self.restrictions[key] = product_map(
@@ -57,23 +58,9 @@ class _ExpCache:
         return self.restrictions[key]
 
 
-def _coface(n, i):
-    return tuple(v for v in range(n + 1) if v != i)
-
-
-def _codegen(n, i):
-    return tuple(v if v <= i else v - 1 for v in range(n + 2))
-
-
 def _table_postcompose(table, fmap):
     return tuple(tuple(fmap.comp[d][v] for v in row)
                  for d, row in enumerate(table))
-
-
-def _table_precompose(table, pm):
-    return tuple(tuple(table[d][pm.comp[d][s]]
-                       for s in range(len(pm.comp[d])))
-                 for d in range(len(table)))
 
 
 # -- path spaces -------------------------------------------------------------
@@ -116,12 +103,13 @@ class PathSpace:
         partial = [[(e,) for e in self.exps[0].simplices(m)]]
         for i in range(1, n + 1):
             fmap = F.maps[self.arrows[i - 1]]
-            rmap = self.cache.restriction_to(m, i - 1, i, _coface(i, i))
+            rmap = self.cache.restriction_to(m, i - 1, i,
+                                             coface_tuple(i, i))
             prev = partial[-1]
             # index candidates by their restricted table
             by_restriction = {}
             for e in self.exps[i].simplices(m):
-                rt = _table_precompose(self.exps[i].table(m, e), rmap)
+                rt = precompose_table(self.exps[i].table(m, e), rmap)
                 by_restriction.setdefault(rt, []).append(e)
             out = []
             for tup in prev:
@@ -131,12 +119,6 @@ class PathSpace:
                     out.append(tup + (e,))
             partial.append(out)
         return partial[-1]
-
-
-def chain_object_of_key(C, key, n, i):
-    if n == 0:
-        return key[0]
-    return C.src[key[0]] if i == 0 else C.tgt[key[i - 1]]
 
 
 def path_space(F, sigma_key, n, mcap, cache=None):
@@ -152,12 +134,12 @@ def path_structure_map(F, sigma_key, n, i, kind, mcap, cache=None):
     if kind == "face":
         if not 0 <= i <= n or n == 0:
             raise SSetError("face index out of range")
-        tgt_key = _nerve_face_key(F.shape, sigma_key, n, i)
+        tgt_key = nerve_face_key(F.shape, sigma_key, n, i)
         tgt = PathSpace(F, tgt_key, n - 1, mcap, cache)
     elif kind == "degeneracy":
         if not 0 <= i <= n:
             raise SSetError("degeneracy index out of range")
-        tgt_key = _nerve_degen_key(F.shape, sigma_key, n, i)
+        tgt_key = nerve_degen_key(F.shape, sigma_key, n, i)
         tgt = PathSpace(F, tgt_key, n + 1, mcap, cache)
     else:
         raise SSetError("unknown operator kind %r" % (kind,))
@@ -172,23 +154,6 @@ def path_structure_map(F, sigma_key, n, i, kind, mcap, cache=None):
     return SimplicialMap(src.sset, tgt.sset, comp), src, tgt
 
 
-def _nerve_face_key(C, key, n, i):
-    if n == 1:
-        return (C.tgt[key[0]],) if i == 0 else (C.src[key[0]],)
-    if i == 0:
-        return key[1:]
-    if i == n:
-        return key[:-1]
-    return key[:i - 1] + (C.table[(key[i], key[i - 1])],) + key[i + 1:]
-
-
-def _nerve_degen_key(C, key, n, i):
-    if n == 0:
-        return (C.identity[key[0]],)
-    obj = C.src[key[0]] if i == 0 else C.tgt[key[i - 1]]
-    return key[:i] + (C.identity[obj],) + key[i:]
-
-
 def _transport_tuple(src, tgt, tup, m, i, kind):
     """Coordinates of the image tuple under the i-th face/degeneracy."""
     n = src.n
@@ -198,8 +163,9 @@ def _transport_tuple(src, tgt, tup, m, i, kind):
             if j < i:
                 new.append(tgt.exps[j].id_of(m, src.exps[j].table(m, tup[j])))
             else:
-                rmap = src.cache.restriction_to(m, j, j + 1, _coface(j + 1, i))
-                table = _table_precompose(
+                rmap = src.cache.restriction_to(m, j, j + 1,
+                                                coface_tuple(j + 1, i))
+                table = precompose_table(
                     src.exps[j + 1].table(m, tup[j + 1]), rmap)
                 new.append(tgt.exps[j].id_of(m, table))
         return tuple(new)
@@ -208,8 +174,9 @@ def _transport_tuple(src, tgt, tup, m, i, kind):
         if j <= i:
             new.append(tgt.exps[j].id_of(m, src.exps[j].table(m, tup[j])))
         else:
-            rmap = src.cache.restriction_to(m, j, j - 1, _codegen(j - 1, i))
-            table = _table_precompose(
+            rmap = src.cache.restriction_to(m, j, j - 1,
+                                            codegen_tuple(j - 1, i))
+            table = precompose_table(
                 src.exps[j - 1].table(m, tup[j - 1]), rmap)
             new.append(tgt.exps[j].id_of(m, table))
     return tuple(new)
@@ -235,10 +202,10 @@ def path_space_zigzag(F, sigma_key, n, mcap, cache=None):
             ok = True
             for i in range(1, n + 1):
                 fmap = F.maps[arrows[i - 1]]
-                rmap = cache.restriction_to(m, i - 1, i, _coface(i, i))
+                rmap = cache.restriction_to(m, i - 1, i, coface_tuple(i, i))
                 lhs = _table_postcompose(exps[i - 1].table(m, tup[i - 1]),
                                          fmap)
-                rhs = _table_precompose(exps[i].table(m, tup[i]), rmap)
+                rhs = precompose_table(exps[i].table(m, tup[i]), rmap)
                 if lhs != rhs:
                     ok = False
                     break
@@ -296,10 +263,12 @@ def simplicial_space(F, ncap, mcap):
         src = spaces[n][sid]
         tup = src.sset.key_of(m, loc)
         if kind == "face":
-            tid = NC.id_of(n - 1, _nerve_face_key(C, NC.key_of(n, sid), n, i))
+            tid = NC.id_of(n - 1,
+                           nerve_face_key(C, NC.key_of(n, sid), n, i))
             tgt = spaces[n - 1][tid]
         else:
-            tid = NC.id_of(n + 1, _nerve_degen_key(C, NC.key_of(n, sid), n, i))
+            tid = NC.id_of(n + 1,
+                           nerve_degen_key(C, NC.key_of(n, sid), n, i))
             tgt = spaces[n + 1][tid]
         new = _transport_tuple(src, tgt, tup, m, i, kind)
         nn = n - 1 if kind == "face" else n + 1
@@ -410,7 +379,7 @@ def lurie_grothendieck(F, cap):
     def face_key(n, i, key):
         sid, t = key
         k = NC.key_of(n, sid)
-        new_sid = NC.id_of(n - 1, _nerve_face_key(C, k, n, i))
+        new_sid = NC.id_of(n - 1, nerve_face_key(C, k, n, i))
         objs = [chain_object_of_key(C, k, n, j) for j in range(n + 1)]
         new = tuple(t[j] if j < i
                     else F.values[objs[j + 1]].faces[j + 1][i][t[j + 1]]
@@ -420,7 +389,7 @@ def lurie_grothendieck(F, cap):
     def deg_key(n, i, key):
         sid, t = key
         k = NC.key_of(n, sid)
-        new_sid = NC.id_of(n + 1, _nerve_degen_key(C, k, n, i))
+        new_sid = NC.id_of(n + 1, nerve_degen_key(C, k, n, i))
         objs = [chain_object_of_key(C, k, n, j) for j in range(n + 1)]
         new = tuple(t[j] if j <= i
                     else F.values[objs[j - 1]].degens[j - 1][i][t[j - 1]]
@@ -489,11 +458,11 @@ def relative_nerve_direct(F, cap):
         k = NC.key_of(n_from, sid)
         if n_to == n_from - 1:
             i = next(v for v in range(n_from + 1) if v not in vmap)
-            new_sid = NC.id_of(n_to, _nerve_face_key(C, k, n_from, i))
+            new_sid = NC.id_of(n_to, nerve_face_key(C, k, n_from, i))
         else:
             i = next(v for v in range(n_from + 1)
                      if vmap.count(v) == 2)
-            new_sid = NC.id_of(n_to, _nerve_degen_key(C, k, n_from, i))
+            new_sid = NC.id_of(n_to, nerve_degen_key(C, k, n_from, i))
         new_k = NC.key_of(n_to, new_sid)
         objs_to = [chain_object_of_key(C, new_k, n_to, v)
                    for v in range(n_to + 1)]
@@ -509,8 +478,8 @@ def relative_nerve_direct(F, cap):
 
     total = KeyedSSet(
         cap, keys,
-        lambda n, i, key: act(n, n - 1, _coface(n, i), key),
-        lambda n, i, key: act(n, n + 1, _codegen(n, i), key))
+        lambda n, i, key: act(n, n - 1, coface_tuple(n, i), key),
+        lambda n, i, key: act(n, n + 1, codegen_tuple(n, i), key))
     proj = SimplicialMap(total, NC,
                          [[total.key_of(n, s)[0] for s in total.simplices(n)]
                           for n in range(cap + 1)])

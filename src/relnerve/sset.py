@@ -17,6 +17,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 
@@ -459,60 +460,6 @@ class _UnionFind:
                 self.parent[ra] = rb
 
 
-def pushout(f, g):
-    """Degreewise pushout of B <-f- A -g-> C with its two injections."""
-    A, B, C = f.domain, f.codomain, g.codomain
-    if g.domain is not A:
-        raise SSetError("pushout legs must share their domain")
-    cap = A.cap
-    uf = [_UnionFind(B.counts[n] + C.counts[n]) for n in range(cap + 1)]
-    for n in range(cap + 1):
-        for a in A.simplices(n):
-            uf[n].union(f.comp[n][a], B.counts[n] + g.comp[n][a])
-    reps = []
-    rep_index = []
-    for n in range(cap + 1):
-        seen = {}
-        order = []
-        for s in range(B.counts[n] + C.counts[n]):
-            r = uf[n].find(s)
-            if r not in seen:
-                seen[r] = len(order)
-                order.append(r)
-        reps.append(order)
-        rep_index.append(seen)
-
-    def cls(n, s):
-        return rep_index[n][uf[n].find(s)]
-
-    def glued_face(n, i, r):
-        if r < B.counts[n]:
-            return cls(n - 1, B.faces[n][i][r])
-        return cls(n - 1, B.counts[n - 1] + C.faces[n][i][r - B.counts[n]])
-
-    def glued_degen(n, i, r):
-        if r < B.counts[n]:
-            return cls(n + 1, B.degens[n][i][r])
-        return cls(n + 1, B.counts[n + 1] + C.degens[n][i][r - B.counts[n]])
-
-    counts = [len(reps[n]) for n in range(cap + 1)]
-    faces = [None]
-    for n in range(1, cap + 1):
-        faces.append([[glued_face(n, i, r) for r in reps[n]]
-                      for i in range(n + 1)])
-    degens = []
-    for n in range(cap):
-        degens.append([[glued_degen(n, i, r) for r in reps[n]]
-                       for i in range(n + 1)])
-    P = TruncSSet(cap, counts, faces, degens)
-    inj_b = SimplicialMap(B, P, [[cls(n, s) for s in range(B.counts[n])]
-                                 for n in range(cap + 1)])
-    inj_c = SimplicialMap(C, P, [[cls(n, B.counts[n] + s)
-                                  for s in range(C.counts[n])]
-                                 for n in range(cap + 1)])
-    return P, inj_b, inj_c
-
-
 def coequalize_disjoint(parts, relations):
     """Quotient of a disjoint union by generated identifications.
 
@@ -555,6 +502,18 @@ def coequalize_disjoint(parts, relations):
     return Q, maps
 
 
+def pushout(f, g):
+    """Degreewise pushout of B <-f- A -g-> C with its two injections."""
+    A = f.domain
+    if g.domain is not A:
+        raise SSetError("pushout legs must share their domain")
+    P, (inj_b, inj_c) = coequalize_disjoint(
+        [f.codomain, g.codomain],
+        ((0, n, f.comp[n][a], 1, g.comp[n][a])
+         for n in range(A.cap + 1) for a in A.simplices(n)))
+    return P, inj_b, inj_c
+
+
 def sub_sset(X, selected):
     """Subobject on the given per-degree id lists, with its inclusion.
 
@@ -582,11 +541,6 @@ def restrict(X, cap):
         raise TruncationError("cannot raise the cap of a truncated object")
     return TruncSSet(cap, X.counts[:cap + 1], X.faces[:cap + 1],
                      X.degens[:cap], labels=None)
-
-
-def restrict_map(f, cap):
-    return SimplicialMap(restrict(f.domain, cap), restrict(f.codomain, cap),
-                         f.comp[:cap + 1])
 
 
 # -- map enumeration and exponentials --------------------------------------
@@ -655,12 +609,17 @@ class Exponential(KeyedSSet):
     """Internal mapping object [X => Y]: degree-n simplices are simplicial
     maps Delta[n] x X -> Y, encoded by their full value tables.
 
+    ``admissible(prism, m, s, b)``, when given, keeps only the maps whose
+    value at every nondegenerate degree-m simplex ``s`` of the prism
+    ``(P, pr1, pr2) = product(Delta[n], X)`` is a ``b`` it accepts; the
+    admitted tables must be closed under the simplicial operators.
+
     Exact only under the truncation validity bound
     ``cap_out + nondeg_dim(X) <= cap(Y)``; violating it raises
     ``TruncationError`` rather than silently truncating.
     """
 
-    def __init__(self, Y, X, cap_out):
+    def __init__(self, Y, X, cap_out, admissible=None):
         if X.cap != Y.cap:
             raise SSetError("exponential requires equal caps")
         if cap_out + X.nondeg_dim() > Y.cap:
@@ -671,47 +630,54 @@ class Exponential(KeyedSSet):
         self.base = Y
         self.arg = X
         self.deltas = [standard_simplex(n, Y.cap) for n in range(cap_out + 1)]
-        self.prisms = []
-        for n in range(cap_out + 1):
-            P, pr1, pr2 = product(self.deltas[n], X)
-            self.prisms.append((P, pr1, pr2))
+        self.prisms = [product(D, X) for D in self.deltas]
         tables = []
-        for n in range(cap_out + 1):
-            tabs = enumerate_maps(self.prisms[n][0], Y)
+        for prism in self.prisms:
+            filt = None if admissible is None else \
+                functools.partial(admissible, prism)
+            tabs = enumerate_maps(prism[0], Y, candidate_filter=filt)
             tables.append(sorted(tuple(tuple(v) for v in t) for t in tabs))
-        self._tables = tables
+        id_x = identity_map(X)
 
-        def op_key(n_from, n_to, vmap, key):
-            # precompose the table with (Delta-map x id_X)
-            u = _delta_map(self.deltas[n_to], self.deltas[n_from], vmap)
-            pm = product_map(u, identity_map(X),
-                             self.prisms[n_to][0], self.prisms[n_from][0])
-            P = self.prisms[n_to][0]
-            return tuple(tuple(key[m][pm.comp[m][s]]
-                               for s in range(P.counts[m]))
-                         for m in range(Y.cap + 1))
+        def precomposition(n_from, n_to, vmap):
+            # (Delta-map x id_X): Delta[n_to] x X -> Delta[n_from] x X
+            u = delta_map(self.deltas[n_to], self.deltas[n_from], vmap)
+            return product_map(u, id_x, self.prisms[n_to][0],
+                               self.prisms[n_from][0])
 
+        face_pms = [None] + [
+            [precomposition(n, n - 1, coface_tuple(n, i))
+             for i in range(n + 1)] for n in range(1, cap_out + 1)]
+        degen_pms = [
+            [precomposition(n, n + 1, codegen_tuple(n, i))
+             for i in range(n + 1)] for n in range(cap_out)]
         super().__init__(
             cap_out,
             tables,
-            lambda n, i, k: op_key(n, n - 1, _coface_tuple(n, i), k),
-            lambda n, i, k: op_key(n, n + 1, _codegen_tuple(n, i), k))
+            lambda n, i, k: precompose_table(k, face_pms[n][i]),
+            lambda n, i, k: precompose_table(k, degen_pms[n][i]))
 
     def table(self, n, s):
         return self.keys[n][s]
 
 
-def _coface_tuple(n, i):
+def precompose_table(table, pm):
+    """The value table of ``f o pm`` from the value table of ``f``."""
+    return tuple(tuple(row[s] for s in comp)
+                 for row, comp in zip(table, pm.comp))
+
+
+def coface_tuple(n, i):
     """d^i: [n-1] -> [n] as a vertex tuple."""
     return tuple(v for v in range(n + 1) if v != i)
 
 
-def _codegen_tuple(n, i):
+def codegen_tuple(n, i):
     """s^i: [n+1] -> [n] as a vertex tuple."""
     return tuple(v if v <= i else v - 1 for v in range(n + 2))
 
 
-def _delta_map(D_from, D_to, vmap):
+def delta_map(D_from, D_to, vmap):
     """Map of standard simplices induced by a monotone vertex map."""
     comp = [[D_to.id_of(m, tuple(vmap[v] for v in D_from.key_of(m, t)))
              for t in D_from.simplices(m)]

@@ -117,17 +117,27 @@ def test_cli_missing_file_exit_2():
                  "2"]) == 2
 
 
-def test_cli_validity_bound_exit_3(tmp_path):
-    # homology beyond the trusted range refuses with exit 3
-    code = main(["compare", "--thomason", "--input",
-                 fixture("span_cat.rnspec"), "--cap", "2",
-                 "--max-degree", "2"])
-    assert code == 3
+def test_cli_validity_bound_exit_3():
+    # homology outside the trusted range 0..cap-1 refuses with exit 3
+    for mode, name, degree in (("--thomason", "span_cat.rnspec", "2"),
+                               ("--thomason", "span_cat.rnspec", "-1"),
+                               ("--homology", "span.rnspec", "-1")):
+        assert main(["compare", mode, "--input", fixture(name), "--cap", "2",
+                     "--max-degree", degree]) == 3
 
 
 def test_cli_bounds_refusal_exit_3():
-    assert main(["random-suite", "--seed", "0", "--count", "1",
-                 "--max-objects", "5"]) == 3
+    for bound in (["--max-objects", "5"], ["--cap", "9"]):
+        assert main(["random-suite", "--seed", "0", "--count", "1"]
+                    + bound) == 3
+
+
+def test_cli_ncap_beyond_cap_exit_3(capsys):
+    code = main(["verify", "fibration", "--input", fixture("span_cat.rnspec"),
+                 "--cap", "2", "--ncap", "3"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 def test_cli_verify_identities(tmp_path):

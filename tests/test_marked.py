@@ -13,8 +13,9 @@ from relnerve.marked import (MarkError, MarkedSSet, OverMarked,
                              marked_rel_nerve, over_mapping_space,
                              push_witness, rectify_right, under_nerve_sharp,
                              unstraighten_at, unstraighten_diagram)
-from relnerve.sset import (SimplicialMap, constant_map, identity_map,
-                           invert_bijection, standard_simplex, walking_iso)
+from relnerve.sset import (Exponential, SimplicialMap, constant_map,
+                           identity_map, invert_bijection, standard_simplex,
+                           sub_sset, walking_iso)
 
 
 def test_flat_marks_exactly_degenerate_edges():
@@ -231,6 +232,40 @@ def test_sharp_variant_keeps_marked_edge_simplices():
     sharp = over_mapping_space(over, OM, "sharp", 1)
     assert sharp.sset.counts[0] == plus.sset.counts[0]
     assert sharp.sset.counts[1] <= plus.sset.counts[1]
+
+
+def test_over_mapping_space_is_the_filtered_mapping_object():
+    # independent route: the unfiltered mapping object, cut down afterwards
+    # to the whole tables that lie over the base and send each marked X-edge
+    # paired with a degenerate Delta-edge to a marked edge
+    FM = mark_diagram(nerve_diagram_over_arrow(cap=3), "natural")
+    OM, R = marked_rel_nerve(FM, 3)
+    C = arrow_category()
+    for d in (0, 1):
+        over, *_ = under_nerve_sharp(C, d, 3, NC=R.base_nerve)
+        E = Exponential(OM.sset, over.sset, 1)
+
+        def kept(n, t):
+            P, pr1, pr2 = E.prisms[n]
+            degenerate = E.deltas[n].degenerate_flags(1)
+            return all(
+                OM.proj.comp[m][t[m][s]] == over.proj.comp[m][pr2.comp[m][s]]
+                for m in range(4) for s in P.simplices(m)) and all(
+                t[1][s] in OM.marked.marked for s in P.simplices(1)
+                if degenerate[pr1.comp[1][s]]
+                and pr2.comp[1][s] in over.marked.marked)
+
+        sub, inc = sub_sset(E, [[s for s in E.simplices(n)
+                                 if kept(n, E.table(n, s))]
+                                for n in range(2)])
+        space = OverMappingSpace(over, OM, 1)
+        assert sub.counts == space.sset.counts
+        assert sub.counts[1] < E.counts[1]
+        assert sub.faces == space.sset.faces
+        assert sub.degens == space.sset.degens
+        for n in range(2):
+            for s in sub.simplices(n):
+                assert E.table(n, inc.comp[n][s]) == space.table(n, s)
 
 
 def test_yoneda_vertices_are_natural_transformations():
