@@ -231,6 +231,7 @@ def cmd_compare(spec, args, cap, rep):
         if a != b:
             fails += 1
     else:
+        _require_kind(spec, ("sset", "marked"))
         cc = colim_via_marked(_sset_diagram(spec), cap)
         rep.add("colim-direct", *cc.direct.counts)
         rep.add("colim-composite", *cc.composite.counts)

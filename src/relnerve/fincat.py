@@ -7,7 +7,10 @@ symbol table used only for reports.
 
 from __future__ import annotations
 
-from .sset import KeyedSSet, SimplicialMap
+from dataclasses import dataclass
+
+from .sset import (KeyedSSet, SimplicialMap, TruncationError, TruncSSet,
+                   restrict, sub_sset)
 
 
 class CatError(Exception):
@@ -316,6 +319,77 @@ def constant_chain(NC, C, obj, n):
     return NC.id_of(n, (C.identity[obj],) * n)
 
 
+# -- total spaces over the nerve ---------------------------------------------
+
+@dataclass
+class RelNerveObject:
+    """A total space over the base nerve, keyed by pairs (sid, p) of a base
+    simplex id and its fiber data; ``proj`` sends a key to ``sid``."""
+    total: TruncSSet
+    proj: SimplicialMap
+    base_nerve: object
+    diagram: object             # SSetDiagram or MarkedDiagram
+    marked: object = None       # marked edges of a marked bar construction
+
+
+def over_nerve(NC, cap, fiber, face, degen):
+    """The KeyedSSet of keys (sid, p), p in ``fiber(n, key)`` for the chain
+    key of sid, with its projection to the nerve NC.
+
+    d_i and s_i move sid by the operators of NC, the nerve rule, and move p
+    by ``face(n, i, key, new_key, p)`` and ``degen(n, i, key, new_key, p)``,
+    given the chain keys before and after.
+    """
+    keys = [[(sid, p) for sid, k in enumerate(NC.keys[n]) for p in fiber(n, k)]
+            for n in range(cap + 1)]
+
+    def face_key(n, i, key):
+        sid, p = key
+        tid = NC.faces[n][i][sid]
+        return (tid, face(n, i, NC.keys[n][sid], NC.keys[n - 1][tid], p))
+
+    def degen_key(n, i, key):
+        sid, p = key
+        tid = NC.degens[n][i][sid]
+        return (tid, degen(n, i, NC.keys[n][sid], NC.keys[n + 1][tid], p))
+
+    total = KeyedSSet(cap, keys, face_key, degen_key)
+    proj = SimplicialMap(total, NC, [[key[0] for key in total.keys[n]]
+                                     for n in range(cap + 1)])
+    return total, proj
+
+
+def over_constant(R, c):
+    """Per degree, the ids of ``R.total`` over the constant chain at c."""
+    C, NC = R.diagram.shape, R.base_nerve
+    out = []
+    for n in range(R.total.cap + 1):
+        const = constant_chain(NC, C, c, n)
+        out.append([s for s in R.total.simplices(n)
+                    if R.proj.comp[n][s] == const])
+    return out
+
+
+def fiber_onto_value(R, c, X, to_value, from_value):
+    """The fiber of ``R.total`` over the constant chains at c, its
+    inclusion, and the mutually inverse pair onto the value X at c:
+    ``to_value(n, p)`` is the n-simplex of X named by fiber data p, and
+    ``from_value(n, x)`` the fiber data of x."""
+    C, NC, cap = R.diagram.shape, R.base_nerve, R.total.cap
+    selected = over_constant(R, c)
+    fib, inc = sub_sset(R.total, selected)
+    to = [[to_value(n, R.total.key_of(n, s)[1]) for s in selected[n]]
+          for n in range(cap + 1)]
+    fro = []
+    for n in range(cap + 1):
+        position = {s: p for p, s in enumerate(selected[n])}
+        const = constant_chain(NC, C, c, n)
+        fro.append([position[R.total.id_of(n, (const, from_value(n, x)))]
+                    for x in X.simplices(n)])
+    X = X if X.cap == cap else restrict(X, cap)
+    return fib, inc, SimplicialMap(fib, X, to), SimplicialMap(X, fib, fro)
+
+
 # -- slice categories --------------------------------------------------------
 
 def under_category(C, d):
@@ -386,6 +460,12 @@ class SSetDiagram:
     @property
     def cap(self):
         return self.values[0].cap
+
+    def require_cap(self, cap):
+        """Refuse a construction up to degree ``cap`` on shallower values."""
+        if self.cap < cap:
+            raise TruncationError("diagram values are too shallow for cap=%d"
+                                  % cap)
 
     def transport_relations(self):
         """The identifications ``(a, n, s, b, F(m)(s))``, one per morphism

@@ -7,24 +7,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fincat import (chain_arrow, chain_object_of_key, nerve,
-                     nerve_degen_key, nerve_face_key)
+from .fincat import (RelNerveObject, chain_arrow, chain_object_of_key,
+                     fiber_onto_value, nerve, over_constant, over_nerve)
 from .marked import (MarkedDiagram, MarkedSSet, Localization,
                      OverMappingSpace, colim_marked, degenerate_edges,
                      extend_along_J, localize, mark_diagram,
                      marked_rel_nerve, rectify_right, under_nerve_sharp)
 from .pathspace import lurie_grothendieck
-from .sset import (KeyedSSet, SimplicialMap, SSetError, TruncSSet,
+from .sset import (SimplicialMap, SSetError, TruncationError, TruncSSet,
                    coequalize_disjoint)
-
-
-@dataclass
-class BarObject:
-    total: TruncSSet            # keys (sigma_id, x)
-    proj: SimplicialMap
-    base_nerve: object
-    diagram: object             # SSetDiagram or MarkedDiagram
-    marked: object = None       # frozenset when the input was marked
 
 
 def bar_hocolim(F, cap):
@@ -34,59 +25,25 @@ def bar_hocolim(F, cap):
     marked_input = isinstance(F, MarkedDiagram)
     U = F.underlying() if marked_input else F
     C = U.shape
-    if U.cap < cap:
-        raise SSetError("diagram values are too shallow for cap=%d" % cap)
+    U.require_cap(cap)
     NC = nerve(C, cap)
-    keys = []
-    for n in range(cap + 1):
-        layer = []
-        for sid in NC.simplices(n):
-            k = NC.key_of(n, sid)
-            o0 = chain_object_of_key(C, k, n, 0)
-            layer.extend((sid, x) for x in U.values[o0].simplices(n))
-        keys.append(layer)
 
-    def face_key(n, i, key):
-        sid, x = key
-        k = NC.key_of(n, sid)
-        o0 = chain_object_of_key(C, k, n, 0)
-        V = U.values[o0]
-        if i == 0:
-            arrow = k[0] if n >= 1 else C.identity[k[0]]
-            nk = _face_base(C, NC, n, sid, 0)
-            return (nk, U.maps[arrow].comp[n - 1][V.faces[n][0][x]])
-        return (_face_base(C, NC, n, sid, i), V.faces[n][i][x])
+    def value(n, k):
+        return U.values[chain_object_of_key(C, k, n, 0)]
 
-    def deg_key(n, i, key):
-        sid, x = key
-        k = NC.key_of(n, sid)
-        o0 = chain_object_of_key(C, k, n, 0)
-        return (_degen_base(C, NC, n, sid, i),
-                U.values[o0].degens[n][i][x])
+    def face(n, i, k, nk, x):
+        y = value(n, k).faces[n][i][x]
+        return U.maps[k[0]].comp[n - 1][y] if i == 0 else y
 
-    total = KeyedSSet(cap, keys, face_key, deg_key)
-    proj = SimplicialMap(total, NC,
-                         [[total.key_of(n, s)[0] for s in total.simplices(n)]
-                          for n in range(cap + 1)])
+    total, proj = over_nerve(
+        NC, cap, lambda n, k: value(n, k).simplices(n), face,
+        lambda n, i, k, nk, x: value(n, k).degens[n][i][x])
     marked = None
     if marked_input:
-        marked = set()
-        for s in total.simplices(1):
-            sid, x = total.key_of(1, s)
-            k = NC.key_of(1, sid)
-            o0 = chain_object_of_key(C, k, 1, 0)
-            if x in F.values[o0].marked:
-                marked.add(s)
-        marked = frozenset(marked)
-    return BarObject(total, proj, NC, F, marked)
-
-
-def _face_base(C, NC, n, sid, i):
-    return NC.id_of(n - 1, nerve_face_key(C, NC.key_of(n, sid), n, i))
-
-
-def _degen_base(C, NC, n, sid, i):
-    return NC.id_of(n + 1, nerve_degen_key(C, NC.key_of(n, sid), n, i))
+        marked = frozenset(
+            s for s, (sid, x) in enumerate(total.keys[1])
+            if x in F.values[C.src[NC.keys[1][sid][0]]].marked)
+    return RelNerveObject(total, proj, NC, F, marked)
 
 
 def iota(F, cap, bar=None, rel=None):
@@ -118,19 +75,11 @@ def iota(F, cap, bar=None, rel=None):
 def iota_fiber_bijective(io, bar, rel, F):
     """The comparison restricted to each fiber is a bijection onto the
     corresponding relative-nerve fiber (its isomorphism content)."""
-    from .fincat import constant_chain
-    C = F.shape
-    NC = bar.base_nerve
-    cap = bar.total.cap
-    for c in range(C.n_objects):
-        for n in range(cap + 1):
-            const = constant_chain(NC, C, c, n)
-            bar_fib = [s for s in bar.total.simplices(n)
-                       if bar.proj.comp[n][s] == const]
-            rel_fib = set(s for s in rel.total.simplices(n)
-                          if rel.proj.comp[n][s] == const)
+    for c in range(F.shape.n_objects):
+        for n, (bar_fib, rel_fib) in enumerate(zip(over_constant(bar, c),
+                                                   over_constant(rel, c))):
             image = set(io.comp[n][s] for s in bar_fib)
-            if image != rel_fib or len(image) != len(bar_fib):
+            if image != set(rel_fib) or len(image) != len(bar_fib):
                 return False
     return True
 
@@ -138,27 +87,11 @@ def iota_fiber_bijective(io, bar, rel, F):
 def bar_fiber(bar, c):
     """Fiber of the bar construction over an object, with the inverse pair
     onto the value."""
-    from .fincat import constant_chain
-    from .sset import restrict, sub_sset
     U = bar.diagram.underlying() if isinstance(bar.diagram, MarkedDiagram) \
         else bar.diagram
-    C = U.shape
-    NC = bar.base_nerve
-    cap = bar.total.cap
-    selected = []
-    for n in range(cap + 1):
-        const = constant_chain(NC, C, c, n)
-        selected.append([s for s in bar.total.simplices(n)
-                         if bar.proj.comp[n][s] == const])
-    fib, inc = sub_sset(bar.total, selected)
-    X = U.values[c] if U.values[c].cap == cap else restrict(U.values[c], cap)
-    to_value = [[bar.total.key_of(n, inc.comp[n][s])[1]
-                 for s in fib.simplices(n)] for n in range(cap + 1)]
-    from_value = [[selected[n].index(bar.total.id_of(
-        n, (constant_chain(NC, C, c, n), x))) for x in X.simplices(n)]
-        for n in range(cap + 1)]
-    return fib, SimplicialMap(fib, X, to_value), \
-        SimplicialMap(X, fib, from_value)
+    fib, inc, f, g = fiber_onto_value(bar, c, U.values[c],
+                                      lambda n, x: x, lambda n, x: x)
+    return fib, f, g
 
 
 # -- unit and counit of the rectification adjunction --------------------------
@@ -290,7 +223,7 @@ def _canonical_lift(Ucat, C, objs, arrow_keys, base_key, n):
 class HocolimResult:
     total: TruncSSet
     localization: Localization
-    bar: BarObject
+    bar: RelNerveObject
     marked_total: MarkedSSet
 
 
@@ -299,7 +232,8 @@ def hocolim_qcat(F, cap):
     mark equivalences objectwise, take the bar construction with its marking,
     forget the base, and invert the marked edges."""
     if cap < 2:
-        raise SSetError("hocolim needs cap >= 2 for the equivalence marking")
+        raise TruncationError("hocolim needs cap >= 2 for the equivalence "
+                              "marking")
     FM = mark_diagram(F, "natural")
     bar = bar_hocolim(FM, cap)
     M = MarkedSSet(bar.total, bar.marked | degenerate_edges(bar.total))
@@ -335,7 +269,7 @@ def colim_via_marked(F, cap=None):
     """
     cap = F.cap if cap is None else cap
     if cap < 2:
-        raise SSetError("the natural marking needs cap >= 2")
+        raise TruncationError("the natural marking needs cap >= 2")
     Q, qmaps = direct_colim(F)
     FM = mark_diagram(F, "natural")
     QM, qmaps_m = colim_marked(FM)

@@ -39,18 +39,6 @@ def normalized_chains(X):
     return ranks, boundaries
 
 
-def matmul(A, B):
-    if not A or not B:
-        return []
-    rows, inner, cols = len(A), len(B), len(B[0])
-    return [[sum(A[r][k] * B[k][c] for k in range(inner)) for c in range(cols)]
-            for r in range(rows)]
-
-
-def is_zero(A):
-    return all(all(v == 0 for v in row) for row in A)
-
-
 def smith_normal_form(mat):
     """Diagonal invariant factors d_1 | d_2 | ... of an integer matrix."""
     A = [row[:] for row in mat]

@@ -17,12 +17,13 @@ import itertools
 from dataclasses import dataclass
 
 from .bisset import BiTruncSSet
-from .fincat import (chain_arrow, chain_object_of_key, constant_chain, nerve,
-                     nerve_degen_key, nerve_face_key)
+from .fincat import (RelNerveObject, SSetDiagram, chain_arrow,
+                     chain_object_of_key, fiber_onto_value, nerve,
+                     nerve_degen_key, nerve_face_key, over_nerve)
 from .sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
-                   TruncationError, TruncSSet, codegen_tuple, coface_tuple,
+                   TruncationError, codegen_tuple, coface_tuple,
                    delta_map, identity_map, precompose_table, product,
-                   product_map, standard_simplex, sub_sset)
+                   product_map, standard_simplex)
 
 
 # -- shared caches within one construction ----------------------------------
@@ -155,30 +156,20 @@ def path_structure_map(F, sigma_key, n, i, kind, mcap, cache=None):
 
 
 def _transport_tuple(src, tgt, tup, m, i, kind):
-    """Coordinates of the image tuple under the i-th face/degeneracy."""
-    n = src.n
-    if kind == "face":
-        new = []
-        for j in range(n):
-            if j < i:
-                new.append(tgt.exps[j].id_of(m, src.exps[j].table(m, tup[j])))
-            else:
-                rmap = src.cache.restriction_to(m, j, j + 1,
-                                                coface_tuple(j + 1, i))
-                table = precompose_table(
-                    src.exps[j + 1].table(m, tup[j + 1]), rmap)
-                new.append(tgt.exps[j].id_of(m, table))
-        return tuple(new)
+    """Coordinates of the image tuple under the i-th face/degeneracy: the
+    coordinates before i are kept, the others are restricted from the
+    neighbouring coordinate along a coface/codegeneracy."""
+    face = kind == "face"
     new = []
-    for j in range(n + 2):
-        if j <= i:
-            new.append(tgt.exps[j].id_of(m, src.exps[j].table(m, tup[j])))
+    for j in range(src.n if face else src.n + 2):
+        if j < i or (j == i and not face):
+            table = src.exps[j].table(m, tup[j])
         else:
-            rmap = src.cache.restriction_to(m, j, j - 1,
-                                            codegen_tuple(j - 1, i))
-            table = precompose_table(
-                src.exps[j - 1].table(m, tup[j - 1]), rmap)
-            new.append(tgt.exps[j].id_of(m, table))
+            k = j + 1 if face else j - 1
+            vmap = coface_tuple(k, i) if face else codegen_tuple(k, i)
+            table = precompose_table(src.exps[k].table(m, tup[k]),
+                                     src.cache.restriction_to(m, j, k, vmap))
+        new.append(tgt.exps[j].id_of(m, table))
     return tuple(new)
 
 
@@ -223,183 +214,118 @@ class SimplicialSpace:
     base_nerve: object
     proj: list                      # proj[n][m][s] -> base simplex id
     spaces: list                    # spaces[n][sigma_id] -> PathSpace
+    rows: list                      # rows[m]: KeyedSSet of (sigma_id, tuple)
 
 
 def simplicial_space(F, ncap, mcap):
-    """Columns are disjoint unions of path spaces over the base simplices;
-    horizontal operators act by the path-space face/degeneracy formulas."""
-    C = F.shape
-    NC = nerve(C, max(ncap, 1))
+    """Row m is the total space over the base nerve of the degree-m path
+    space simplices, with the path-space face/degeneracy formulas as its
+    horizontal operators; the vertical operators are those of each path
+    space."""
+    NC = nerve(F.shape, ncap)
     cache = _ExpCache(F.cap)
-    spaces = []
-    for n in range(ncap + 1):
-        spaces.append([PathSpace(F, NC.key_of(n, s), n, mcap, cache)
-                       for s in NC.simplices(n)])
-    counts = [[sum(ps.sset.counts[m] for ps in spaces[n])
-               for m in range(mcap + 1)] for n in range(ncap + 1)]
-    offsets = []
-    where = []
-    for n in range(ncap + 1):
-        offs = []
-        run = [0] * (mcap + 1)
-        for ps in spaces[n]:
-            offs.append(list(run))
-            for m in range(mcap + 1):
-                run[m] += ps.sset.counts[m]
-        offsets.append(offs)
-        where.append([[(sid, loc)
-                       for sid, ps in enumerate(spaces[n])
-                       for loc in range(ps.sset.counts[m])]
-                      for m in range(mcap + 1)])
+    spaces = [[PathSpace(F, k, n, mcap, cache) for k in NC.keys[n]]
+              for n in range(ncap + 1)]
 
-    def locate(n, m, s):
-        return where[n][m][s]
+    def space(n, k):
+        return spaces[n][NC.id_of(n, k)]
 
-    proj = [[[where[n][m][s][0] for s in range(counts[n][m])]
-             for m in range(mcap + 1)] for n in range(ncap + 1)]
+    def row(m):
+        return over_nerve(
+            NC, ncap, lambda n, k: space(n, k).sset.keys[m],
+            lambda n, i, k, nk, tup: _transport_tuple(
+                space(n, k), space(n - 1, nk), tup, m, i, "face"),
+            lambda n, i, k, nk, tup: _transport_tuple(
+                space(n, k), space(n + 1, nk), tup, m, i, "degeneracy"))
 
-    def hop(n, m, i, s, kind):
-        sid, loc = locate(n, m, s)
-        src = spaces[n][sid]
-        tup = src.sset.key_of(m, loc)
-        if kind == "face":
-            tid = NC.id_of(n - 1,
-                           nerve_face_key(C, NC.key_of(n, sid), n, i))
-            tgt = spaces[n - 1][tid]
-        else:
-            tid = NC.id_of(n + 1,
-                           nerve_degen_key(C, NC.key_of(n, sid), n, i))
-            tgt = spaces[n + 1][tid]
-        new = _transport_tuple(src, tgt, tup, m, i, kind)
-        nn = n - 1 if kind == "face" else n + 1
-        return offsets[nn][tid][m] + tgt.sset.id_of(m, new)
+    rows, projs = zip(*[row(m) for m in range(mcap + 1)])
 
-    hfaces = [None] + [
-        [[[hop(n, m, i, s, "face") for s in range(counts[n][m])]
-          for i in range(n + 1)] for m in range(mcap + 1)]
-        for n in range(1, ncap + 1)]
-    hdegens = [
-        [[[hop(n, m, i, s, "degeneracy") for s in range(counts[n][m])]
-          for i in range(n + 1)] for m in range(mcap + 1)]
-        for n in range(ncap)]
-    vfaces = []
-    vdegens = []
-    for n in range(ncap + 1):
-        vf = [None]
-        for m in range(1, mcap + 1):
-            vf.append([[offsets[n][locate(n, m, s)[0]][m - 1]
-                        + spaces[n][locate(n, m, s)[0]].sset.faces[m][j][
-                            locate(n, m, s)[1]]
-                        for s in range(counts[n][m])] for j in range(m + 1)])
-        vfaces.append(vf)
-        vd = []
-        for m in range(mcap):
-            vd.append([[offsets[n][locate(n, m, s)[0]][m + 1]
-                        + spaces[n][locate(n, m, s)[0]].sset.degens[m][j][
-                            locate(n, m, s)[1]]
-                        for s in range(counts[n][m])] for j in range(m + 1)])
-        vdegens.append(vd)
+    def vertical(n, m, j, to, ops):
+        out = []
+        for sid, tup in rows[m].keys[n]:
+            X = spaces[n][sid].sset
+            y = ops(X)[m][j][X.id_of(m, tup)]
+            out.append(rows[to].id_of(n, (sid, X.key_of(to, y))))
+        return out
+
+    ms = range(mcap + 1)
+    counts = [[rows[m].counts[n] for m in ms] for n in range(ncap + 1)]
+    hfaces = [None] + [[rows[m].faces[n] for m in ms]
+                       for n in range(1, ncap + 1)]
+    hdegens = [[rows[m].degens[n] for m in ms] for n in range(ncap)]
+    vfaces = [[None] + [[vertical(n, m, j, m - 1, lambda X: X.faces)
+                         for j in range(m + 1)] for m in range(1, mcap + 1)]
+              for n in range(ncap + 1)]
+    vdegens = [[[vertical(n, m, j, m + 1, lambda X: X.degens)
+                 for j in range(m + 1)] for m in range(mcap)]
+               for n in range(ncap + 1)]
     B = BiTruncSSet(ncap, mcap, counts, hfaces, hdegens, vfaces, vdegens)
-    return SimplicialSpace(B, NC, proj, spaces)
+    proj = [[projs[m].comp[n] for m in ms] for n in range(ncap + 1)]
+    return SimplicialSpace(B, NC, proj, spaces, list(rows))
 
 
 def space_projection_ok(S):
     """The map to Delta[0] box N(D) commutes with all four operator families."""
-    B, NC = S.bisset, S.base_nerve
-    for n in range(1, B.hcap + 1):
-        for m in range(B.vcap + 1):
-            for i in range(n + 1):
-                for s in range(B.counts[n][m]):
-                    if S.proj[n - 1][m][B.hface(n, m, i, s)] != \
-                            NC.faces[n][i][S.proj[n][m][s]]:
-                        return False
-    for n in range(B.hcap):
-        for m in range(B.vcap + 1):
-            for i in range(n + 1):
-                for s in range(B.counts[n][m]):
-                    if S.proj[n + 1][m][B.hdegen(n, m, i, s)] != \
-                            NC.degens[n][i][S.proj[n][m][s]]:
-                        return False
+    B, NC, P = S.bisset, S.base_nerve, S.proj
     for n in range(B.hcap + 1):
-        for m in range(1, B.vcap + 1):
-            for j in range(m + 1):
-                for s in range(B.counts[n][m]):
-                    if S.proj[n][m - 1][B.vface(n, m, j, s)] != \
-                            S.proj[n][m][s]:
+        for m in range(B.vcap + 1):
+            for s in range(B.counts[n][m]):
+                base = P[n][m][s]
+                for i in range(n + 1):
+                    if n > 0 and P[n - 1][m][B.hface(n, m, i, s)] != \
+                            NC.faces[n][i][base]:
                         return False
-    for n in range(B.hcap + 1):
-        for m in range(B.vcap):
-            for j in range(m + 1):
-                for s in range(B.counts[n][m]):
-                    if S.proj[n][m + 1][B.vdegen(n, m, j, s)] != \
-                            S.proj[n][m][s]:
+                    if n < B.hcap and P[n + 1][m][B.hdegen(n, m, i, s)] != \
+                            NC.degens[n][i][base]:
+                        return False
+                for j in range(m + 1):
+                    if m > 0 and P[n][m - 1][B.vface(n, m, j, s)] != base:
+                        return False
+                    if m < B.vcap and P[n][m + 1][B.vdegen(n, m, j, s)] != \
+                            base:
                         return False
     return True
 
 
 # -- the relative nerve (two constructions) ----------------------------------
 
-@dataclass
-class RelNerveObject:
-    total: TruncSSet
-    proj: SimplicialMap
-    base_nerve: object
-    diagram: object
-
-
 def lurie_grothendieck(F, cap):
     """The zeroth-row construction: n-simplices are pairs (sigma, beta) with
     beta_i an i-simplex of the value at sigma(i), each beta_{i-1} transported
     onto the i-th face of beta_i."""
     C = F.shape
-    if F.cap < cap:
-        raise TruncationError("diagram values are too shallow for cap=%d"
-                              % cap)
+    F.require_cap(cap)
     NC = nerve(C, cap)
-    keys = []
-    for n in range(cap + 1):
-        layer = []
-        for sid in NC.simplices(n):
-            k = NC.key_of(n, sid)
-            objs = [chain_object_of_key(C, k, n, i) for i in range(n + 1)]
-            tuples = [(b,) for b in F.values[objs[0]].simplices(0)]
-            for i in range(1, n + 1):
-                arrow = k[i - 1]
-                fmap = F.maps[arrow]
-                Xi = F.values[objs[i]]
-                by_face = {}
-                for y in Xi.simplices(i):
-                    by_face.setdefault(Xi.faces[i][i][y], []).append(y)
-                tuples = [t + (y,)
-                          for t in tuples
-                          for y in by_face.get(fmap.comp[i - 1][t[-1]], ())]
-            layer.extend((sid, t) for t in tuples)
-        keys.append(layer)
 
-    def face_key(n, i, key):
-        sid, t = key
-        k = NC.key_of(n, sid)
-        new_sid = NC.id_of(n - 1, nerve_face_key(C, k, n, i))
-        objs = [chain_object_of_key(C, k, n, j) for j in range(n + 1)]
-        new = tuple(t[j] if j < i
-                    else F.values[objs[j + 1]].faces[j + 1][i][t[j + 1]]
-                    for j in range(n))
-        return (new_sid, new)
+    def values(n, k):
+        return [F.values[chain_object_of_key(C, k, n, j)]
+                for j in range(n + 1)]
 
-    def deg_key(n, i, key):
-        sid, t = key
-        k = NC.key_of(n, sid)
-        new_sid = NC.id_of(n + 1, nerve_degen_key(C, k, n, i))
-        objs = [chain_object_of_key(C, k, n, j) for j in range(n + 1)]
-        new = tuple(t[j] if j <= i
-                    else F.values[objs[j - 1]].degens[j - 1][i][t[j - 1]]
-                    for j in range(n + 2))
-        return (new_sid, new)
+    def fiber(n, k):
+        Xs = values(n, k)
+        tuples = [(b,) for b in Xs[0].simplices(0)]
+        for i in range(1, n + 1):
+            fmap = F.maps[k[i - 1]]
+            Xi = Xs[i]
+            by_face = {}
+            for y in Xi.simplices(i):
+                by_face.setdefault(Xi.faces[i][i][y], []).append(y)
+            tuples = [t + (y,)
+                      for t in tuples
+                      for y in by_face.get(fmap.comp[i - 1][t[-1]], ())]
+        return tuples
 
-    total = KeyedSSet(cap, keys, face_key, deg_key)
-    proj = SimplicialMap(total, NC,
-                         [[total.key_of(n, s)[0] for s in total.simplices(n)]
-                          for n in range(cap + 1)])
+    def face(n, i, k, nk, t):
+        Xs = values(n, k)
+        return tuple(t[j] if j < i else Xs[j + 1].faces[j + 1][i][t[j + 1]]
+                     for j in range(n))
+
+    def degen(n, i, k, nk, t):
+        Xs = values(n, k)
+        return tuple(t[j] if j <= i else Xs[j - 1].degens[j - 1][i][t[j - 1]]
+                     for j in range(n + 2))
+
+    total, proj = over_nerve(NC, cap, fiber, face, degen)
     return RelNerveObject(total, proj, NC, F)
 
 
@@ -415,17 +341,14 @@ def relative_nerve_direct(F, cap):
     """The subposet-indexed construction: an n-simplex is a base chain plus a
     compatible family of simplices, one for each nonempty subposet of [n]."""
     C = F.shape
-    if F.cap < cap:
-        raise TruncationError("diagram values are too shallow for cap=%d"
-                              % cap)
+    F.require_cap(cap)
     NC = nerve(C, cap)
     subs = [_subsets(n) for n in range(cap + 1)]
     sub_index = [{J: p for p, J in enumerate(ss)} for ss in subs]
 
-    def enumerate_tau(n, sid):
-        k = NC.key_of(n, sid)
+    def families(n, k):
         objs = [chain_object_of_key(C, k, n, i) for i in range(n + 1)]
-        families = [()]
+        fams = [()]
         for J in subs[n]:
             j = J[-1]
             Xj = F.values[objs[j]]
@@ -443,27 +366,16 @@ def relative_nerve_direct(F, cap):
                  F.maps[chain_arrow(C, k, n, I[-1], j)].comp[len(I) - 1])
                 for I in cofaces]
             grown = []
-            for fam in families:
+            for fam in fams:
                 want = tuple(t[fam[p]] for (p, t) in transports)
                 for y in by_profile.get(want, ()):
                     grown.append(fam + (y,))
-            families = grown
-        return [(sid, fam) for fam in families]
+            fams = grown
+        return fams
 
-    keys = [[kk for sid in NC.simplices(n)
-             for kk in enumerate_tau(n, sid)] for n in range(cap + 1)]
-
-    def act(n_from, n_to, vmap, key):
-        sid, fam = key
-        k = NC.key_of(n_from, sid)
-        if n_to == n_from - 1:
-            i = next(v for v in range(n_from + 1) if v not in vmap)
-            new_sid = NC.id_of(n_to, nerve_face_key(C, k, n_from, i))
-        else:
-            i = next(v for v in range(n_from + 1)
-                     if vmap.count(v) == 2)
-            new_sid = NC.id_of(n_to, nerve_degen_key(C, k, n_from, i))
-        new_k = NC.key_of(n_to, new_sid)
+    def act(n_from, n_to, vmap, new_k, fam):
+        """The family over the chain ``new_k`` that ``vmap`` restricts
+        ``fam`` to."""
         objs_to = [chain_object_of_key(C, new_k, n_to, v)
                    for v in range(n_to + 1)]
         new_fam = []
@@ -474,15 +386,12 @@ def relative_nerve_direct(F, cap):
             positions = tuple(image.index(vmap[v]) for v in J)
             new_fam.append(Xj.apply_vertex_map(len(image) - 1, tau,
                                                positions))
-        return (new_sid, tuple(new_fam))
+        return tuple(new_fam)
 
-    total = KeyedSSet(
-        cap, keys,
-        lambda n, i, key: act(n, n - 1, coface_tuple(n, i), key),
-        lambda n, i, key: act(n, n + 1, codegen_tuple(n, i), key))
-    proj = SimplicialMap(total, NC,
-                         [[total.key_of(n, s)[0] for s in total.simplices(n)]
-                          for n in range(cap + 1)])
+    total, proj = over_nerve(
+        NC, cap, families,
+        lambda n, i, k, nk, fam: act(n, n - 1, coface_tuple(n, i), nk, fam),
+        lambda n, i, k, nk, fam: act(n, n + 1, codegen_tuple(n, i), nk, fam))
     return RelNerveObject(total, proj, NC, F)
 
 
@@ -526,37 +435,11 @@ def compare_relnerve_iso(F, cap):
 def fiber_at(R, c):
     """The sub-simplicial set over the constant simplices at an object, with
     the mutually-inverse pair onto the diagram value."""
-    F = R.diagram
-    C = F.shape
-    NC = R.base_nerve
-    cap = R.total.cap
-    selected = []
-    for n in range(cap + 1):
-        const = constant_chain(NC, C, c, n)
-        selected.append([s for s in R.total.simplices(n)
-                         if R.proj.comp[n][s] == const])
-    fib, inc = sub_sset(R.total, selected)
-    X = F.values[c]
-    to_value = []
-    from_value = []
-    for n in range(cap + 1):
-        const = constant_chain(NC, C, c, n)
-        row_to = [R.total.key_of(n, inc.comp[n][s])[1][n]
-                  for s in fib.simplices(n)]
-        to_value.append(row_to)
-        row_from = []
-        for x in X.simplices(n):
-            beta = tuple(X.apply_vertex_map(n, x, tuple(range(i + 1)))
-                         for i in range(n + 1))
-            row_from.append(selected[n].index(
-                R.total.id_of(n, (const, beta))))
-        from_value.append(row_from)
-    if X.cap != cap:
-        from .sset import restrict
-        X = restrict(X, cap)
-    f = SimplicialMap(fib, X, to_value)
-    g = SimplicialMap(X, fib, from_value)
-    return fib, inc, f, g
+    X = R.diagram.values[c]
+    return fiber_onto_value(
+        R, c, X, lambda n, beta: beta[n],
+        lambda n, x: tuple(X.apply_vertex_map(n, x, tuple(range(i + 1)))
+                           for i in range(n + 1)))
 
 
 def row_cotensor_diagram(F, t, cap_out):
@@ -571,7 +454,6 @@ def row_cotensor_diagram(F, t, cap_out):
             values[a].table(mm, e), F.maps[m]))
             for e in values[a].simplices(mm)] for mm in range(cap_out + 1)]
         maps.append(SimplicialMap(values[a], values[b], comp))
-    from .fincat import SSetDiagram
     return SSetDiagram(F.shape, values, maps), cache
 
 
@@ -585,30 +467,23 @@ def row_identification(S, F, t, ncap):
     G, cache = row_cotensor_diagram(F, t, ncap)
     target = lurie_grothendieck(G, ncap)
     row = S.bisset.row(t)
-    NC = S.base_nerve
-    # iteration order matches the disjoint-union layout of the columns
+    keyed = S.rows[t]
     fwd = []
     for n in range(ncap + 1):
         rowmap = []
-        for sid, ps in enumerate(S.spaces[n]):
-            for loc in ps.sset.simplices(t):
-                tup = ps.sset.key_of(t, loc)
-                gamma = []
-                for j in range(n + 1):
-                    table = ps.exps[j].table(t, tup[j])
-                    swapped = _swap_prism_table(table, cache.delta(t),
-                                                cache.delta(j))
-                    gamma.append(G.values[ps.objects[j]].id_of(j, swapped))
-                rowmap.append(target.total.id_of(n, (sid, tuple(gamma))))
+        for sid, tup in keyed.keys[n]:
+            ps = S.spaces[n][sid]
+            gamma = []
+            for j in range(n + 1):
+                table = ps.exps[j].table(t, tup[j])
+                swapped = _swap_prism_table(table, cache.delta(t),
+                                            cache.delta(j))
+                gamma.append(G.values[ps.objects[j]].id_of(j, swapped))
+            rowmap.append(target.total.id_of(n, (sid, tuple(gamma))))
         fwd.append(rowmap)
     bwd = []
     for n in range(ncap + 1):
         rowmap = []
-        offsets = []
-        run = 0
-        for ps in S.spaces[n]:
-            offsets.append(run)
-            run += ps.sset.counts[t]
         for s in target.total.simplices(n):
             sid, gamma = target.total.key_of(n, s)
             ps = S.spaces[n][sid]
@@ -618,7 +493,7 @@ def row_identification(S, F, t, ncap):
                 swapped = _swap_prism_table(table, cache.delta(j),
                                             cache.delta(t))
                 tup.append(ps.exps[j].id_of(t, swapped))
-            rowmap.append(offsets[sid] + ps.sset.id_of(t, tuple(tup)))
+            rowmap.append(keyed.id_of(n, (sid, tuple(tup))))
         bwd.append(rowmap)
     f = SimplicialMap(row, target.total, fwd)
     g = SimplicialMap(target.total, row, bwd)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 from .fincat import CatDiagram, CatFunctor, FinCategory, SSetDiagram
 from .marked import MarkedDiagram, MarkedSSet, mark
-from .sset import (SimplicialMap, TruncSSet, build_generated, constant_map,
-                   identity_map)
+from .sset import (SimplicialMap, SSetError, TruncSSet, build_generated,
+                   constant_map, identity_map)
 
 
 class SpecParseError(Exception):
@@ -48,6 +48,15 @@ def _to_int(tok, ln, what):
                              ln)
 
 
+def _arity(toks, ln, size, exact=True):
+    """Refuse a directive line with too few tokens, or, if ``exact``, with
+    any number other than ``size``."""
+    if len(toks) < size or (exact and len(toks) > size):
+        raise SpecParseError("%r takes %s%d argument(s), got %d"
+                             % (toks[0], "" if exact else "at least ",
+                                size - 1, len(toks) - 1), ln)
+
+
 class _Cursor:
     def __init__(self, rows):
         self.rows = rows
@@ -73,14 +82,17 @@ def _parse_sset_block(cur, cap):
         if toks[0] == "end":
             break
         if toks[0] == "count":
+            _arity(toks, ln, 3)
             counts[_to_int(toks[1], ln, "degree")] = \
                 _to_int(toks[2], ln, "count")
         elif toks[0] == "face":
+            _arity(toks, ln, 3, exact=False)
             n = _to_int(toks[1], ln, "degree")
             i = _to_int(toks[2], ln, "face index")
             faces[(n, i)] = ([_to_int(t, ln, "face entry")
                               for t in toks[3:]], ln)
         elif toks[0] == "degen":
+            _arity(toks, ln, 3, exact=False)
             n = _to_int(toks[1], ln, "degree")
             i = _to_int(toks[2], ln, "degeneracy index")
             degens[(n, i)] = ([_to_int(t, ln, "degeneracy entry")
@@ -134,10 +146,10 @@ def _parse_category_block(cur):
             break
         if toks[0] == "object":
             objs.extend(toks[1:])
-        elif toks[0] == "arrow":
-            arrows.append((toks[1], toks[2], toks[3], ln))
-        elif toks[0] == "compose":
-            composes.append((toks[1], toks[2], toks[3], ln))
+        elif toks[0] in ("arrow", "compose"):
+            _arity(toks, ln, 4)
+            (arrows if toks[0] == "arrow" else composes).append(
+                (toks[1], toks[2], toks[3], ln))
         else:
             raise SpecParseError("unknown directive %r in category block"
                                  % toks[0], ln)
@@ -176,6 +188,16 @@ def _build_category(objs, arrows, composes):
     return C, obj_index, mor_index
 
 
+# directive -> (token count, exact); the count includes the directive
+_ARITY = {"diagram": (2,), "cap": (2,), "arrow": (4,), "compose": (4,),
+          "value": (3, False), "map": (3, False), "marking": (3,),
+          "marked": (2, False)}
+
+# generator -> the names of its integer parameters, in order
+_GENERATORS = {"point": (), "J": (), "delta": ("n",), "boundary": ("n",),
+               "discrete": ("n",), "horn": ("n", "k")}
+
+
 def parse_spec(text):
     """Parse and validate a diagram spec; raises SpecParseError on any
     defect, including category and functoriality violations."""
@@ -190,6 +212,8 @@ def parse_spec(text):
     while cur.peek() is not None:
         ln, toks = cur.take()
         head = toks[0]
+        if head in _ARITY:
+            _arity(toks, ln, *_ARITY[head])
         if head == "diagram":
             kind = toks[1]
             if kind not in ("sset", "cat", "marked"):
@@ -198,14 +222,13 @@ def parse_spec(text):
             cap = _to_int(toks[1], ln, "cap")
         elif head == "object":
             objs.extend(toks[1:])
-        elif head == "arrow":
-            arrows.append((toks[1], toks[2], toks[3], ln))
-        elif head == "compose":
-            composes.append((toks[1], toks[2], toks[3], ln))
+        elif head in ("arrow", "compose"):
+            (arrows if head == "arrow" else composes).append(
+                (toks[1], toks[2], toks[3], ln))
         elif head == "value":
             name = toks[1]
             spec = toks[2:]
-            if spec and spec[0] in ("explicit", "category"):
+            if spec[0] in ("explicit", "category"):
                 block = _parse_sset_block(cur, cap) if spec[0] == "explicit" \
                     else _parse_category_block(cur)
                 value_defs[name] = (spec[0], block, ln)
@@ -214,7 +237,7 @@ def parse_spec(text):
         elif head == "map":
             name = toks[1]
             spec = toks[2:]
-            if spec and spec[0] in ("explicit", "functor"):
+            if spec[0] in ("explicit", "functor"):
                 rows = []
                 while True:
                     ln2, t2 = cur.take()
@@ -264,28 +287,23 @@ def _value_sset(defn, cap, name):
     tag, payload, ln = defn
     if tag == "explicit":
         return payload
-    if tag == "generator":
-        toks = payload
-        if not toks:
-            raise SpecParseError("empty value for %r" % name, ln)
-        gkind = toks[0]
-        if gkind == "delta":
-            return build_generated("delta", cap, n=int(toks[1]))
-        if gkind == "boundary":
-            return build_generated("boundary", cap, n=int(toks[1]))
-        if gkind == "horn":
-            return build_generated("horn", cap, n=int(toks[1]),
-                                   k=int(toks[2]))
-        if gkind == "J":
-            return build_generated("J", cap)
-        if gkind == "point":
-            return build_generated("point", cap)
-        if gkind == "discrete":
-            return build_generated("discrete", cap, n=int(toks[1]))
-        if gkind == "nerve":
-            raise SpecParseError("nerve values need a category block", ln)
+    if tag != "generator":
+        raise SpecParseError("value %r is not a simplicial set" % name, ln)
+    gkind, args = payload[0], payload[1:]
+    if gkind == "nerve":
+        raise SpecParseError("nerve values need a category block", ln)
+    if gkind not in _GENERATORS:
         raise SpecParseError("unknown generator %r" % gkind, ln)
-    raise SpecParseError("value %r is not a simplicial set" % name, ln)
+    params = _GENERATORS[gkind]
+    if len(args) != len(params):
+        raise SpecParseError("generator %r takes %d argument(s), got %d"
+                             % (gkind, len(params), len(args)), ln)
+    try:
+        return build_generated(gkind, cap, **{
+            p: _to_int(a, ln, p) for p, a in zip(params, args)})
+    except SSetError as exc:
+        raise SpecParseError("bad %s value for %r: %s" % (gkind, name, exc),
+                             ln)
 
 
 def _assemble_sset(C, obj_index, mor_index, value_defs, map_defs, objs, cap):
@@ -306,9 +324,11 @@ def _assemble_sset(C, obj_index, mor_index, value_defs, map_defs, objs, cap):
         tag, payload, ln = map_defs[name]
         if tag == "short":
             if payload[0] == "constant":
+                _arity(payload, ln, 2)
                 maps.append(constant_map(values[a], values[b],
-                                         int(payload[1])))
+                                         _to_int(payload[1], ln, "vertex")))
             elif payload[0] == "identity":
+                _arity(payload, ln, 1)
                 maps.append(SimplicialMap(
                     values[a], values[b],
                     [list(range(values[a].counts[n]))
@@ -321,6 +341,7 @@ def _assemble_sset(C, obj_index, mor_index, value_defs, map_defs, objs, cap):
             for ln2, t2 in payload:
                 if t2[0] != "row":
                     raise SpecParseError("expected 'row' in map block", ln2)
+                _arity(t2, ln2, 2, exact=False)
                 rows[_to_int(t2[1], ln2, "degree")] = [
                     _to_int(v, ln2, "entry") for v in t2[2:]]
             comp = []
@@ -360,12 +381,13 @@ def _assemble_cat(C, obj_index, mor_index, value_defs, map_defs, objs):
         obj_map = [None] * values[a].n_objects
         mor_map = [None] * values[a].n_morphisms
         for ln2, t2 in rows:
+            if t2[0] not in ("obj", "mor"):
+                raise SpecParseError("expected obj/mor rows", ln2)
+            _arity(t2, ln2, 3)
             if t2[0] == "obj":
                 obj_map[oi_a[t2[1]]] = oi_b[t2[2]]
-            elif t2[0] == "mor":
-                mor_map[mi_a[t2[1]]] = mi_b[t2[2]]
             else:
-                raise SpecParseError("expected obj/mor rows", ln2)
+                mor_map[mi_a[t2[1]]] = mi_b[t2[2]]
         for o in range(values[a].n_objects):
             if obj_map[o] is None:
                 raise SpecParseError("functor %r misses object %s"
@@ -424,14 +446,12 @@ def deserialize_sset(text):
     if head[0] != "value" or head[-1] != "explicit":
         raise SpecParseError("expected a 'value NAME explicit' block", ln)
     cap = 0
-    probe = cur.pos
-    while probe < len(rows):
-        toks = rows[probe][1]
-        if toks[0] == "count":
-            cap = max(cap, int(toks[1]))
+    for ln, toks in rows[cur.pos:]:
         if toks[0] == "end":
             break
-        probe += 1
+        if toks[0] == "count":
+            _arity(toks, ln, 3)
+            cap = max(cap, _to_int(toks[1], ln, "degree"))
     return _parse_sset_block(cur, cap)
 
 

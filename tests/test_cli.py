@@ -105,11 +105,22 @@ def test_cli_build_exit_codes(tmp_path):
     assert text.startswith("# relnerve report v1")
 
 
-def test_cli_parse_error_exit_2(tmp_path):
-    bad = tmp_path / "bad.rnspec"
-    bad.write_text("diagram sset\ncap 2\nobject a\nvalue a wibble 3\n")
-    code = main(["build", "relnerve", "--input", str(bad), "--cap", "2"])
-    assert code == 2
+def test_cli_parse_error_exit_2(tmp_path, capsys):
+    one = "diagram sset\ncap 2\nobject a\n"
+    two = "diagram sset\ncap 2\nobject a b\nvalue a point\nvalue b point\n"
+    for body in (one + "value a wibble 3\n",
+                 one + "value a delta x\n",
+                 one + "value a horn 2 5\n",
+                 "diagram\ncap 2\nobject a\nvalue a point\n",
+                 two + "arrow f a\nmap f constant 0\n",
+                 two + "arrow f a b\nmap f constant z\n"):
+        bad = tmp_path / "bad.rnspec"
+        bad.write_text(body)
+        code = main(["build", "relnerve", "--input", str(bad), "--cap", "2"])
+        err = capsys.readouterr().err
+        assert code == 2, body
+        assert err.startswith("parse error:") and \
+            len(err.splitlines()) == 1, body
 
 
 def test_cli_missing_file_exit_2():
@@ -130,6 +141,29 @@ def test_cli_bounds_refusal_exit_3():
     for bound in (["--max-objects", "5"], ["--cap", "9"]):
         assert main(["random-suite", "--seed", "0", "--count", "1"]
                     + bound) == 3
+
+
+def test_cli_shallow_or_low_cap_exit_3(capsys):
+    # caps the bar construction or the natural marking cannot serve
+    for argv in (["verify", "iota", "--cap", "4"],
+                 ["build", "hocolim", "--cap", "4"],
+                 ["build", "hocolim", "--cap", "1"],
+                 ["compare", "--cap", "1"]):
+        code = main(argv + ["--input", fixture("span.rnspec")])
+        err = capsys.readouterr().err
+        assert code == 3, argv
+        assert err.startswith("validity bound:") and \
+            len(err.splitlines()) == 1, argv
+
+
+def test_cli_colimit_of_cat_diagram_exit_2(capsys):
+    for mode in ([], ["--colimit"]):
+        code = main(["compare"] + mode + ["--input",
+                                          fixture("span_cat.rnspec")])
+        err = capsys.readouterr().err
+        assert code == 2, mode
+        assert err.startswith("parse error:") and \
+            len(err.splitlines()) == 1, mode
 
 
 def test_cli_ncap_beyond_cap_exit_3(capsys):

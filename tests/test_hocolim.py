@@ -55,10 +55,12 @@ def test_bar_marking_rule():
 
 
 def test_bar_fibers_are_values(span3):
-    bar = bar_hocolim(span3, 3)
-    for c in range(3):
-        fib, f, g = bar_fiber(bar, c)
-        assert verify_iso_map(f, g).ok
+    for bar in (bar_hocolim(span3, 3),
+                bar_hocolim(mark_diagram(span3, "natural"), 3)):
+        for c in range(3):
+            fib, f, g = bar_fiber(bar, c)
+            assert verify_iso_map(f, g).ok
+            assert f.codomain.counts == span3.values[c].counts
 
 
 def test_iota_vertexwise_is_identity_pairing(span3):

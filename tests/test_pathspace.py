@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import (arrow_diagram, identity_arrow_diagram, span_diagram,
@@ -13,8 +15,9 @@ from relnerve.pathspace import (compare_relnerve_iso, fiber_at,
                                 path_space_zigzag, path_structure_map,
                                 relative_nerve_direct, row_identification,
                                 simplicial_space, space_projection_ok)
+from relnerve.randomgen import SuiteBounds, random_sset_diagram
 from relnerve.sset import (TruncationError, boundary, constant_map,
-                           exponential, standard_simplex)
+                           disjoint_union, exponential, standard_simplex)
 
 
 # -- path spaces ---------------------------------------------------------------
@@ -158,6 +161,23 @@ def test_row_identification_with_cotensor(span3):
     S = simplicial_space(span3, 2, 1)
     f, g, target = row_identification(S, span3, 1, 2)
     assert verify_iso_map(f, g).ok
+
+
+def test_columns_are_disjoint_unions_of_path_spaces():
+    # an independent route to the id layout: column n is the blockwise
+    # disjoint union of the path spaces over the base n-simplices
+    rng = random.Random(5)
+    for F in (span_diagram(4), random_sset_diagram(rng, SuiteBounds())):
+        S = simplicial_space(F, 2, 2)
+        for n in range(3):
+            col = S.bisset.column(n)
+            U, _ = disjoint_union([ps.sset for ps in S.spaces[n]])
+            assert col.counts == U.counts
+            assert col.faces == U.faces and col.degens == U.degens
+            for m in range(3):
+                assert S.proj[n][m] == [sid for sid, ps
+                                        in enumerate(S.spaces[n])
+                                        for _ in ps.sset.simplices(m)]
 
 
 def test_constant_point_space_is_boxed_base():
