@@ -148,6 +148,8 @@ def cmd_verify(spec, what, cap, ncap, rep):
         if ncap > cap:
             raise TruncationError("ncap=%d exceeds cap=%d" % (ncap, cap))
         if spec.kind == "cat":
+            if cap < 2:
+                raise TruncationError("the natural marking needs cap >= 2")
             FM = mark_diagram(spec.diagram.nerve_diagram(cap), "natural")
         else:
             FM = spec.diagram

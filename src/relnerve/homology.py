@@ -2,17 +2,21 @@
 
 Normalized chains (degenerate simplices killed) with arbitrary-precision
 integer Smith normal form; this matches classifying-space homology and never
-overflows.  The trusted range of ``homology_groups`` is ``k <= cap - 1``:
-computing H_k needs boundaries out of degree k+1.
+overflows.  Each table builds the chain complex once and reduces each
+boundary it needs once.  A reduction first eliminates the +-1 pivots of the
+sparse boundary columns (each gives an invariant factor 1), then runs a dense
+Smith normal form on the core that remains, which carries the torsion.  The
+trusted range of ``homology_groups`` is ``k <= cap - 1``: computing H_k needs
+boundaries out of degree k+1.
 """
 
 from __future__ import annotations
 
-from .sset import _UnionFind
+from .sset import TruncationError, _UnionFind
 
 
-class HomologyError(Exception):
-    pass
+class HomologyError(TruncationError):
+    """A degree outside the trusted range, or a cap too low for pi0."""
 
 
 def normalized_chains(X):
@@ -40,8 +44,60 @@ def normalized_chains(X):
 
 
 def smith_normal_form(mat):
-    """Diagonal invariant factors d_1 | d_2 | ... of an integer matrix."""
-    A = [row[:] for row in mat]
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix given
+    as a list of rows."""
+    units, core = _eliminate_unit_pivots(mat)
+    return [1] * units + _dense_invariants(core)
+
+
+def _eliminate_unit_pivots(mat):
+    """Remove every +-1 pivot by a Schur-complement update.
+
+    Works on sparse columns, one pass in column order; within a column the
+    unit entry whose row has the fewest entries is the pivot, which keeps
+    fill-in low.  Returns the number of pivots removed and the remaining
+    core as dense rows; a unit left in the core is found by the dense pass.
+    """
+    cols = [{} for _ in range(len(mat[0]) if mat else 0)]
+    rows = [set() for _ in mat]
+    for r, row in enumerate(mat):
+        for c, v in enumerate(row):
+            if v:
+                cols[c][r] = v
+                rows[r].add(c)
+    units = 0
+    for c, col in enumerate(cols):
+        unit_rows = [r for r, v in col.items() if v == 1 or v == -1]
+        if not unit_rows:
+            continue
+        pr = min(unit_rows, key=lambda r: len(rows[r]))
+        p = col[pr]
+        for c2 in list(rows[pr]):
+            if c2 == c:
+                continue
+            col2 = cols[c2]
+            f = col2[pr] * p           # p is its own inverse
+            for r, v in col.items():
+                w = col2.get(r, 0) - f * v
+                if w:
+                    if r not in col2:
+                        rows[r].add(c2)
+                    col2[r] = w
+                else:
+                    del col2[r]
+                    rows[r].discard(c2)
+        for r in col:
+            rows[r].discard(c)
+        col.clear()
+        units += 1
+    live = [c for c in range(len(cols)) if cols[c]]
+    core = [[cols[c].get(r, 0) for c in live]
+            for r in range(len(rows)) if rows[r]]
+    return units, core
+
+
+def _dense_invariants(A):
+    """Smith normal form of dense rows ``A`` (reduced in place)."""
     m = len(A)
     n = len(A[0]) if m else 0
     diag = []
@@ -99,8 +155,22 @@ def smith_normal_form(mat):
     return diag
 
 
-def rank_of(mat):
-    return len([d for d in smith_normal_form(mat) if d])
+def _homology(X, degrees):
+    """(betti, torsion) of H_k for each k in ``degrees``, from one chain
+    complex whose boundaries are each reduced at most once."""
+    for k in degrees:
+        if k < 0 or k > X.cap - 1:
+            raise HomologyError(
+                "H_%d is outside the trusted range (cap=%d needs k <= %d)"
+                % (k, X.cap, X.cap - 1))
+    ranks, boundaries = normalized_chains(X)
+    invariants = {0: []}
+    for k in degrees:
+        for n in (k, k + 1):
+            if n not in invariants:
+                invariants[n] = smith_normal_form(boundaries[n])
+    return [(ranks[k] - len(invariants[k]) - len(invariants[k + 1]),
+             [d for d in invariants[k + 1] if d > 1]) for k in degrees]
 
 
 def homology_groups(X, k):
@@ -108,22 +178,13 @@ def homology_groups(X, k):
 
     Requires k <= cap - 1 so that the degree-(k+1) boundary is available.
     """
-    if k < 0 or k > X.cap - 1:
-        raise HomologyError(
-            "H_%d is outside the trusted range (cap=%d needs k <= %d)"
-            % (k, X.cap, X.cap - 1))
-    ranks, boundaries = normalized_chains(X)
-    rank_in = rank_of(boundaries[k]) if k >= 1 else 0
-    d_out = boundaries[k + 1]
-    invariants = smith_normal_form(d_out)
-    rank_out = len([d for d in invariants if d])
-    betti = ranks[k] - rank_in - rank_out
-    torsion = sorted(d for d in invariants if d > 1)
-    return betti, torsion
+    return _homology(X, [k])[0]
 
 
 def homology_table(X, max_degree):
-    return [homology_groups(X, k) for k in range(max_degree + 1)]
+    """``homology_groups(X, k)`` for k = 0 .. max_degree, reducing each
+    boundary d_1 .. d_{max_degree+1} once."""
+    return _homology(X, range(max_degree + 1))
 
 
 def pi0(X):

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 from .fincat import (FinCategory, SSetDiagram, chain_object_of_key, nerve,
                      nerve_map, under_category)
 from .pathspace import lurie_grothendieck
-from .sset import (Exponential, SimplicialMap, SSetError, TruncSSet,
-                   classifying_map, coequalize_disjoint, disjoint_union,
-                   identity_map, precompose_table, product_map, pushout,
-                   standard_simplex, walking_iso)
+from .sset import (Exponential, SimplicialMap, SSetError, TruncationError,
+                   TruncSSet, classifying_map, coequalize_disjoint,
+                   disjoint_union, identity_map, precompose_table,
+                   product_map, pushout, standard_simplex, walking_iso)
 
 
 class MarkError(Exception):
@@ -329,6 +329,9 @@ def marked_rel_nerve(F, cap):
     """The relative nerve of the underlying diagram, with an edge (e, h)
     marked exactly when its fiber component h is marked in the value at the
     target of e."""
+    if cap < 1:
+        raise TruncationError("the marked relative nerve needs cap >= 1 "
+                              "for its edges")
     R = lurie_grothendieck(F.underlying(), cap)
     C = F.shape
     NC = R.base_nerve

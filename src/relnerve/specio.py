@@ -228,6 +228,9 @@ def parse_spec(text):
         elif head == "value":
             name = toks[1]
             spec = toks[2:]
+            if spec[0] == "explicit" and cap is None:
+                raise SpecParseError("an explicit value needs the 'cap' "
+                                     "line before it", ln)
             if spec[0] in ("explicit", "category"):
                 block = _parse_sset_block(cur, cap) if spec[0] == "explicit" \
                     else _parse_category_block(cur)
@@ -298,9 +301,13 @@ def _value_sset(defn, cap, name):
     if len(args) != len(params):
         raise SpecParseError("generator %r takes %d argument(s), got %d"
                              % (gkind, len(params), len(args)), ln)
+    sizes = {p: _to_int(a, ln, p) for p, a in zip(params, args)}
+    for p, v in sizes.items():
+        if v < 0:
+            raise SpecParseError("generator %r needs %s >= 0, got %d"
+                                 % (gkind, p, v), ln)
     try:
-        return build_generated(gkind, cap, **{
-            p: _to_int(a, ln, p) for p, a in zip(params, args)})
+        return build_generated(gkind, cap, **sizes)
     except SSetError as exc:
         raise SpecParseError("bad %s value for %r: %s" % (gkind, name, exc),
                              ln)

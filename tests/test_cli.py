@@ -113,7 +113,11 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
                  one + "value a horn 2 5\n",
                  "diagram\ncap 2\nobject a\nvalue a point\n",
                  two + "arrow f a\nmap f constant 0\n",
-                 two + "arrow f a b\nmap f constant z\n"):
+                 two + "arrow f a b\nmap f constant z\n",
+                 "diagram sset\nobject a\nvalue a explicit\ncount 0 1\nend\n"
+                 "cap 2\n",
+                 one + "value a delta -1\n",
+                 one + "value a discrete -2\n"):
         bad = tmp_path / "bad.rnspec"
         bad.write_text(body)
         code = main(["build", "relnerve", "--input", str(bad), "--cap", "2"])
@@ -144,16 +148,28 @@ def test_cli_bounds_refusal_exit_3():
 
 
 def test_cli_shallow_or_low_cap_exit_3(capsys):
-    # caps the bar construction or the natural marking cannot serve
-    for argv in (["verify", "iota", "--cap", "4"],
-                 ["build", "hocolim", "--cap", "4"],
-                 ["build", "hocolim", "--cap", "1"],
-                 ["compare", "--cap", "1"]):
-        code = main(argv + ["--input", fixture("span.rnspec")])
+    # caps the bar construction, the natural marking, the marked relative
+    # nerve or pi0 cannot serve
+    sset_like = ("span.rnspec", "interval_sharp.rnspec",
+                 "interval_diagram_sharp.rnspec")
+    intervals = sset_like[1:]
+    cases = [(["verify", "iota", "--cap", "4"], "span.rnspec"),
+             (["build", "hocolim", "--cap", "4"], "span.rnspec"),
+             (["build", "hocolim", "--cap", "1"], "span.rnspec"),
+             (["compare", "--cap", "1"], "span.rnspec"),
+             (["verify", "fibration", "--cap", "1", "--ncap", "1"],
+              "span_cat.rnspec")]
+    cases += [(["compare", "--pi0", "--cap", "0"], name) for name in sset_like]
+    cases += [(argv, name) for name in intervals
+              for argv in (["build", "marked-relnerve", "--cap", "0"],
+                           ["verify", "fibration", "--cap", "0", "--ncap",
+                            "0"])]
+    for argv, name in cases:
+        code = main(argv + ["--input", fixture(name)])
         err = capsys.readouterr().err
-        assert code == 3, argv
+        assert code == 3, (argv, name)
         assert err.startswith("validity bound:") and \
-            len(err.splitlines()) == 1, argv
+            len(err.splitlines()) == 1, (argv, name)
 
 
 def test_cli_colimit_of_cat_diagram_exit_2(capsys):

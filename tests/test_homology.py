@@ -1,8 +1,14 @@
-import pytest
+import random
+from math import gcd
 
-from relnerve.homology import (HomologyError, format_homology,
-                               homology_groups, homology_table,
-                               normalized_chains, pi0, smith_normal_form)
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from relnerve.homology import (HomologyError, _dense_invariants,
+                               format_homology, homology_groups,
+                               homology_table, normalized_chains, pi0,
+                               smith_normal_form)
 from relnerve.sset import (boundary, discrete, disjoint_union,
                            standard_simplex, walking_iso)
 
@@ -50,6 +56,70 @@ def test_smith_normal_form_hand_cases():
     assert smith_normal_form([[2, 4], [4, 8]]) == [2]
     assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
     assert smith_normal_form([[6, 4], [4, 6]]) == [2, 10]
+
+
+@st.composite
+def _unimodular(draw, size):
+    """A product of elementary integer row operations on the identity."""
+    M = [[int(r == c) for c in range(size)] for r in range(size)]
+    if size < 2:
+        return M
+    index = st.integers(0, size - 1)
+    for op, i, j, k in draw(st.lists(st.tuples(
+            st.sampled_from("asn"), index, index, st.integers(-3, 3)),
+            max_size=8)):
+        if op == "a" and i != j:
+            M[i] = [x + k * y for x, y in zip(M[i], M[j])]
+        elif op == "s":
+            M[i], M[j] = M[j], M[i]
+        elif op == "n":
+            M[i] = [-x for x in M[i]]
+    return M
+
+
+@st.composite
+def _matrix_with_known_factors(draw):
+    """``(U D V, diagonal of D)`` for unimodular U, V."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    diag = draw(st.lists(st.integers(0, 12), min_size=min(m, n),
+                         max_size=min(m, n)))
+    D = [[diag[r] if r == c else 0 for c in range(n)] for r in range(m)]
+    return matmul(matmul(draw(_unimodular(m)), D), draw(_unimodular(n))), diag
+
+
+def _divisibility_chain(diag):
+    """Nonzero entries of a diagonal, made a divisibility chain by
+    gcd/lcm exchanges (prime by prime, this sorts the valuations)."""
+    d = [x for x in diag if x]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrix_with_known_factors())
+def test_smith_normal_form_matches_dense_oracle(case):
+    A, diag = case
+    assume(any(x > 1 for x in diag))          # the matrix has torsion
+    factors = smith_normal_form(A)
+    assert factors == _dense_invariants([row[:] for row in A])
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    assert factors == _divisibility_chain(diag)
+
+
+def test_table_equals_groups_degree_by_degree(span3):
+    from relnerve.fincat import cyclic_group_category, nerve
+    from relnerve.hocolim import bar_hocolim
+    from relnerve.pathspace import lurie_grothendieck
+    from relnerve.randomgen import SuiteBounds, random_cat_diagram
+    G = random_cat_diagram(random.Random(5), SuiteBounds())
+    for X, k in ((lurie_grothendieck(span3, 3).total, 2),
+                 (nerve(cyclic_group_category(2), 4), 3),
+                 (bar_hocolim(G.nerve_diagram(4), 4).total, 3)):
+        assert homology_table(X, k) == \
+            [homology_groups(X, j) for j in range(k + 1)]
 
 
 def test_simplex_is_acyclic():
