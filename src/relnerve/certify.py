@@ -97,7 +97,9 @@ def verify_iso_map(f, g, subject="iso"):
 
 
 def check_bisimplicial(B, subject="bisset"):
-    """Identity audit in both directions plus commutation of the two."""
+    """Identity audit in both directions plus the mixed identities: faces
+    commute with faces, faces with degeneracies and degeneracies with
+    degeneracies across the two directions."""
     rows = [check_simplicial_identities(B.row(m), "%s-row%d" % (subject, m))
             for m in range(B.vcap + 1)]
     cols = [check_simplicial_identities(B.column(n), "%s-col%d" % (subject, n))
@@ -105,17 +107,27 @@ def check_bisimplicial(B, subject="bisset"):
     for c in rows + cols:
         if not c.ok:
             return c
-    for n in range(1, B.hcap + 1):
-        for m in range(1, B.vcap + 1):
-            for i in range(n + 1):
-                for j in range(m + 1):
-                    for s in range(B.counts[n][m]):
-                        a = B.vface(n - 1, m, j, B.hface(n, m, i, s))
-                        b = B.hface(n, m - 1, i, B.vface(n, m, j, s))
-                        if a != b:
-                            return Certificate("bi-identities", subject,
-                                               "FAIL",
-                                               witness=(n, m, i, j, s))
+    # every horizontal operator commutes with every vertical one; the
+    # face/face family keeps its bare (n, m, i, j, s) witness
+    families = [((), B.hfaces, B.vfaces), (("dh-sv",), B.hfaces, B.vdegens),
+                (("dv-sh",), B.hdegens, B.vfaces),
+                (("sh-sv",), B.hdegens, B.vdegens)]
+    for prefix, hops, vops in families:
+        dn = -1 if hops is B.hfaces else 1
+        dm = -1 if vops is B.vfaces else 1
+        for n in range(B.hcap + 1):
+            for m in range(B.vcap + 1):
+                if not (0 <= n + dn <= B.hcap and 0 <= m + dm <= B.vcap):
+                    continue
+                for i in range(n + 1):
+                    for j in range(m + 1):
+                        h, v = hops[n][m][i], vops[n][m][j]
+                        h2, v2 = hops[n][m + dm][i], vops[n + dn][m][j]
+                        for s in range(B.counts[n][m]):
+                            if h2[v[s]] != v2[h[s]]:
+                                return Certificate(
+                                    "bi-identities", subject, "FAIL",
+                                    witness=prefix + (n, m, i, j, s))
     return Certificate("bi-identities", subject, "PASS",
                        bound=max(B.hcap, B.vcap))
 
@@ -132,12 +144,7 @@ def _horn_maps(X, n, skip, fixed_edge=None):
     idxs = [i for i in range(n + 1) if i != skip]
     results = []
     partial = {}
-    face_index = []
-    for i in range(n):
-        idx = {}
-        for y in X.simplices(n - 1):
-            idx.setdefault(X.faces[n - 1][i][y], []).append(y)
-        face_index.append(idx)
+    face_index = X.face_index(n - 1)
     if fixed_edge is not None:
         def edge01(y):
             cur, d = y, n - 1
@@ -148,32 +155,23 @@ def _horn_maps(X, n, skip, fixed_edge=None):
         edge_ok = [edge01(y) == fixed_edge for y in X.simplices(n - 1)]
 
     def candidates(j, chosen):
-        """Simplices y with d_i(y) = d_{j-1}(partial[i]) for chosen i < j
-        and d_{b-1}(y) = d_j... handled via the smaller-index constraint."""
+        """Simplices y with d_i(y) = d_{j-1}(partial[i]) for every chosen
+        i (all below j), read from the shortest face-index bucket."""
+        faces = X.faces[n - 1]
+        wants = [(i, faces[j - 1][partial[i]]) for i in chosen]
         best = None
-        for i in chosen:
-            if i < j:
-                want = X.faces[n - 1][j - 1][partial[i]]
-                lst = face_index[i].get(want, [])
-            else:
-                continue
+        for i, want in wants:
+            lst = face_index[i].get(want, [])
             if best is None or len(lst) < len(best):
                 best = lst
-        if best is None:
-            best = list(X.simplices(n - 1))
         out = []
-        for y in best:
+        for y in X.simplices(n - 1) if best is None else best:
             if fixed_edge is not None and j >= 2 and not edge_ok[y]:
                 continue
-            ok = True
-            for i in chosen:
-                a, b = (i, j) if i < j else (j, i)
-                ya = partial[i] if i < j else y
-                yb = y if i < j else partial[i]
-                if X.faces[n - 1][b - 1][ya] != X.faces[n - 1][a][yb]:
-                    ok = False
+            for i, want in wants:
+                if faces[i][y] != want:
                     break
-            if ok:
+            else:
                 out.append(y)
         return out
 
@@ -189,16 +187,6 @@ def _horn_maps(X, n, skip, fixed_edge=None):
 
     choose(0)
     return results
-
-
-def _face_index(X, n):
-    out = []
-    for i in range(n + 1):
-        idx = {}
-        for x in X.simplices(n):
-            idx.setdefault(X.faces[n][i][x], []).append(x)
-        out.append(idx)
-    return out
 
 
 def _matches(X, n, facets, skip, index):
@@ -218,8 +206,8 @@ def inner_horn_lifts(p, ncap, subject="inner-fibration"):
                               % (ncap, X.cap))
     checked = 0
     for n in range(2, ncap + 1):
-        x_index = _face_index(X, n)
-        s_index = _face_index(S, n)
+        x_index = X.face_index(n)
+        s_index = S.face_index(n)
         for k in range(1, n):
             for facets in _horn_maps(X, n, k):
                 base_facets = {i: p.comp[n - 1][y] for i, y in facets.items()}
@@ -243,8 +231,8 @@ def cocartesian_edge(p, e, ncap, subject=None):
     subject = subject or ("edge-%d" % e)
     checked = 0
     for n in range(2, ncap + 1):
-        x_index = _face_index(X, n)
-        s_index = _face_index(S, n)
+        x_index = X.face_index(n)
+        s_index = S.face_index(n)
         for facets in _horn_maps(X, n, 0, fixed_edge=e):
             base_facets = {i: p.comp[n - 1][y] for i, y in facets.items()}
             for b in _matches(S, n, base_facets, 0, s_index):

@@ -11,11 +11,12 @@ from .fincat import (RelNerveObject, chain_arrow, chain_object_of_key,
                      fiber_onto_value, nerve, over_constant, over_nerve)
 from .marked import (MarkedDiagram, MarkedSSet, Localization,
                      OverMappingSpace, colim_marked, degenerate_edges,
-                     extend_along_J, localize, mark_diagram,
-                     marked_rel_nerve, rectify_right, under_nerve_sharp)
+                     extend_along_J, localization_mediator, localize,
+                     mark_diagram, marked_rel_nerve, rectify_right,
+                     under_nerve_sharp)
 from .pathspace import lurie_grothendieck
 from .sset import (SimplicialMap, SSetError, TruncationError, TruncSSet,
-                   coequalize_disjoint)
+                   coequalize_disjoint, identity_map)
 
 
 def bar_hocolim(F, cap):
@@ -47,8 +48,11 @@ def bar_hocolim(F, cap):
 
 
 def iota(F, cap, bar=None, rel=None):
-    """The inclusion comparison h!(F) -> relative nerve over the base:
-    (sigma, x) goes to the tuple of transported front faces of x."""
+    """The comparison h!(F) -> relative nerve over the base: (sigma, x)
+    goes to the tuple of transported front faces of x.  It is fiberwise
+    bijective, and injective when every transition map is mono (the last
+    coordinate is x transported along the whole chain); with a non-mono
+    map it is in general not injective."""
     U = F.underlying() if isinstance(F, MarkedDiagram) else F
     C = U.shape
     bar = bar if bar is not None else bar_hocolim(F, cap)
@@ -234,6 +238,7 @@ def hocolim_qcat(F, cap):
     if cap < 2:
         raise TruncationError("hocolim needs cap >= 2 for the equivalence "
                               "marking")
+    F.require_cap(cap)
     FM = mark_diagram(F, "natural")
     bar = bar_hocolim(FM, cap)
     M = MarkedSSet(bar.total, bar.marked | degenerate_edges(bar.total))
@@ -265,10 +270,10 @@ def colim_via_marked(F, cap=None):
     walking isomorphisms along edges that are already invertible; the
     certificate is then the retraction built from J-extensions (the
     "collapse the glued isomorphisms" comparison), which restricts to the
-    identity on the direct colimit.
+    identity on the direct colimit.  Everything is built at the diagram's
+    own cap; the natural marking needs it, and ``cap``, to be >= 2.
     """
-    cap = F.cap if cap is None else cap
-    if cap < 2:
+    if F.cap < 2 or (cap is not None and cap < 2):
         raise TruncationError("the natural marking needs cap >= 2")
     Q, qmaps = direct_colim(F)
     FM = mark_diagram(F, "natural")
@@ -284,31 +289,23 @@ def colim_via_marked(F, cap=None):
                                loc.total.counts == Q.counts,
                                "no marked edges to invert")
     # retraction: extend each glued walking iso into the colimit itself
-    p = loc.proj
-    retr = [[None] * loc.total.counts[n] for n in range(cap + 1)]
-    for n in range(cap + 1):
-        for s in Q.simplices(n):
-            retr[n][p.comp[n][s]] = s
-    Cj, c_injs = loc.j_copies
-    for idx, e in enumerate(loc.glued_edges):
-        ext = extend_along_J(Q, e)
+    extensions = []
+    for e in loc.glued_edges:
+        ext = extend_along_J(QM.sset, e)
         if ext is None:
             return ColimComparison(Q, loc.total, loc, "retract", False,
                                    "no J-extension for glued edge %d" % e)
-        J = ext.domain
-        for n in range(cap + 1):
-            for t in J.simplices(n):
-                tot = loc.j_leg.comp[n][c_injs[idx].comp[n][t]]
-                if retr[n][tot] is None:
-                    retr[n][tot] = ext.comp[n][t]
-    if any(v is None for row in retr for v in row):
+        extensions.append(ext)
+    try:
+        U = localization_mediator(loc, identity_map(QM.sset), extensions)
+    except SSetError:
         return ColimComparison(Q, loc.total, loc, "retract", False,
                                "retraction incomplete")
-    U = SimplicialMap(loc.total, Q, retr)
     if U.validate():
         return ColimComparison(Q, loc.total, loc, "retract", False,
                                "retraction not simplicial")
-    if any(U.comp[n][p.comp[n][s]] != s for n in range(cap + 1)
+    p = loc.proj
+    if any(U.comp[n][p.comp[n][s]] != s for n in range(Q.cap + 1)
            for s in Q.simplices(n)):
         return ColimComparison(Q, loc.total, loc, "retract", False,
                                "U o p is not the identity")

@@ -12,8 +12,9 @@ from .fincat import (FinCategory, SSetDiagram, chain_object_of_key, nerve,
 from .pathspace import lurie_grothendieck
 from .sset import (Exponential, SimplicialMap, SSetError, TruncationError,
                    TruncSSet, classifying_map, coequalize_disjoint,
-                   disjoint_union, identity_map, precompose_table,
-                   product_map, pushout, standard_simplex, walking_iso)
+                   delta_map, disjoint_union, first_map, identity_map,
+                   precompose_table, product_map, pushout, standard_simplex,
+                   walking_iso)
 
 
 class MarkError(Exception):
@@ -73,9 +74,7 @@ def equivalences(X):
     """
     if X.cap < 2:
         raise MarkError("equivalence search needs cap >= 2")
-    by_d2 = {}
-    for t in X.simplices(2):
-        by_d2.setdefault(X.faces[2][2][t], []).append(t)
+    by_d2 = X.face_index(2)[2]
     out = {}
     for y in X.simplices(1):
         a = X.faces[1][1][y]
@@ -152,9 +151,7 @@ def localize(M, cap=None):
     edge_maps = [classifying_map(S, 1, e, D1) for e in glued]
     f_comp = [[None] * A.counts[n] for n in range(cap + 1)]
     g_comp = [[None] * A.counts[n] for n in range(cap + 1)]
-    incl = SimplicialMap(D1, J, [[J.id_of(n, D1.key_of(n, t))
-                                  for t in D1.simplices(n)]
-                                 for n in range(cap + 1)])
+    incl = delta_map(D1, J, (0, 1))
     for c, inj in enumerate(a_injs):
         for n in range(cap + 1):
             for t in D1.simplices(n):
@@ -167,65 +164,18 @@ def localize(M, cap=None):
     return Localization(P, inj_s, image, glued, inj_j, (Cj, c_injs))
 
 
-def extend_along_J(S, y, cap=None, witnesses=None):
-    """Bounded search for a simplicial map J -> S sending the generator edge
-    to y.  Returns the map, or None when no extension exists below the cap
-    (reported, not fatal: the extension claim is not constructive in general).
+def extend_along_J(S, y):
+    """A simplicial map J -> S sending the generator edge to y: the first
+    map the kernel's search finds with both vertices and the generator edge
+    pinned.  Returns None when no extension exists below the cap (reported,
+    not fatal: the extension claim is not constructive in general).
     """
-    cap = S.cap if cap is None else cap
-    J = walking_iso(cap)
-    a = S.faces[1][1][y]
-    b = S.faces[1][0][y]
-    val = [[None] * J.counts[n] for n in range(cap + 1)]
-
-    def fill(n):
-        if n > cap:
-            return True
-        forced = []
-        free = []
-        for s in J.simplices(n):
-            word, m, base = J.ez_decompose(n, s)
-            if word:
-                forced.append((s, word, m, base))
-            else:
-                free.append(s)
-        for s, word, m, base in forced:
-            val[n][s] = S.apply_word(m, val[m][base], word)
-        if n == 0:
-            val[0][J.id_of(0, (0,))] = a
-            val[0][J.id_of(0, (1,))] = b
-            if fill(1):
-                return True
-            val[0] = [None] * J.counts[0]
-            return False
-
-        def choose(idx):
-            if idx == len(free):
-                return fill(n + 1)
-            s = free[idx]
-            want = [val[n - 1][J.faces[n][i][s]] for i in range(n + 1)]
-            if n == 1 and s == J.id_of(1, (0, 1)):
-                cands = [y]
-            else:
-                cands = [x for x in S.simplices(n)
-                         if all(S.faces[n][i][x] == want[i]
-                                for i in range(n + 1))]
-            for x in cands:
-                val[n][s] = x
-                if choose(idx + 1):
-                    return True
-            val[n][s] = None
-            return False
-
-        if choose(0):
-            return True
-        for s in J.simplices(n):
-            val[n][s] = None
-        return False
-
-    if not fill(0):
-        return None
-    return SimplicialMap(J, S, val)
+    J = walking_iso(S.cap)
+    pins = {(0, J.id_of(0, (0,))): S.faces[1][1][y],
+            (0, J.id_of(0, (1,))): S.faces[1][0][y],
+            (1, J.id_of(1, (0, 1))): y}
+    table = first_map(J, S, lambda n, s, b: pins.get((n, s), b) == b)
+    return None if table is None else SimplicialMap(J, S, table)
 
 
 def localization_mediator(loc, G, extensions=None):

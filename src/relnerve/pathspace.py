@@ -306,10 +306,7 @@ def lurie_grothendieck(F, cap):
         tuples = [(b,) for b in Xs[0].simplices(0)]
         for i in range(1, n + 1):
             fmap = F.maps[k[i - 1]]
-            Xi = Xs[i]
-            by_face = {}
-            for y in Xi.simplices(i):
-                by_face.setdefault(Xi.faces[i][i][y], []).append(y)
+            by_face = Xs[i].face_index(i)[i]
             tuples = [t + (y,)
                       for t in tuples
                       for y in by_face.get(fmap.comp[i - 1][t[-1]], ())]

@@ -15,7 +15,7 @@ from .fincat import (CatDiagram, CatFunctor, SSetDiagram,
                      category_from_generators, compose_functors,
                      cyclic_group_category, identity_functor,
                      indiscrete_groupoid)
-from .sset import KeyedSSet, SimplicialMap, compose, identity_map
+from .sset import compose, delta_map, identity_map, tuple_sset
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,8 @@ def random_sub_delta(rng, bounds, cap):
     def member(t):
         return tuple(sorted(set(t))) in supports
 
-    keys = [[t for t in itertools.combinations_with_replacement(
-        range(N + 1), m + 1) if member(t)] for m in range(cap + 1)]
-    X = KeyedSSet(cap, keys,
-                  lambda m, i, k: k[:i] + k[i + 1:],
-                  lambda m, i, k: k[:i] + (k[i],) + k[i:])
+    X = tuple_sset(cap, [[t for t in itertools.combinations_with_replacement(
+        range(N + 1), m + 1) if member(t)] for m in range(cap + 1)])
     X.vertex_span = N
     X.supports = supports
     return X
@@ -90,10 +87,7 @@ def random_sub_delta_map(rng, A, B):
         if all(tuple(sorted(set(u[v] for v in s))) in B.supports
                for s in A.supports):
             candidates.append(u)
-    u = rng.choice(candidates)
-    comp = [[B.id_of(m, tuple(u[v] for v in A.key_of(m, t)))
-             for t in A.simplices(m)] for m in range(A.cap + 1)]
-    return SimplicialMap(A, B, comp)
+    return delta_map(A, B, rng.choice(candidates))
 
 
 def random_sset_diagram(rng, bounds, cap=None):

@@ -83,8 +83,11 @@ def _parse_sset_block(cur, cap):
             break
         if toks[0] == "count":
             _arity(toks, ln, 3)
-            counts[_to_int(toks[1], ln, "degree")] = \
-                _to_int(toks[2], ln, "count")
+            n = _to_int(toks[1], ln, "degree")
+            counts[n] = _to_int(toks[2], ln, "count")
+            if counts[n] < 0:
+                raise SpecParseError("count must be >= 0, got %d"
+                                     % counts[n], ln)
         elif toks[0] == "face":
             _arity(toks, ln, 3, exact=False)
             n = _to_int(toks[1], ln, "degree")

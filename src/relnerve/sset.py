@@ -42,6 +42,8 @@ class TruncSSet:
         self.labels = labels    # optional per-degree label lists
         self._nondeg_cache = {}
         self._degflag_cache = {}
+        self._by_faces_cache = {}
+        self._face_index_cache = {}
 
     # -- basic access ------------------------------------------------------
 
@@ -85,6 +87,22 @@ class TruncSSet:
             self._nondeg_cache[n] = [s for s in range(self.counts[n])
                                      if not flags[s]]
         return self._nondeg_cache[n]
+
+    # -- face lookups (cached: the tables must not change after first use) ---
+
+    def by_faces(self, n):
+        """Degree-n simplices (n >= 1) grouped by their whole boundary
+        ``(d_0 s, .., d_n s)``."""
+        if n not in self._by_faces_cache:
+            self._by_faces_cache[n] = _group(zip(*self.faces[n]))
+        return self._by_faces_cache[n]
+
+    def face_index(self, n):
+        """For each ``i``, the degree-n simplices (n >= 1) grouped by
+        ``d_i s``."""
+        if n not in self._face_index_cache:
+            self._face_index_cache[n] = [_group(t) for t in self.faces[n]]
+        return self._face_index_cache[n]
 
     def nondeg_dim(self):
         """Largest degree carrying a nondegenerate simplex."""
@@ -164,6 +182,14 @@ class TruncSSet:
                 cur = self.degens[d][k - 1][cur]
                 d += 1
         return cur
+
+
+def _group(keys):
+    """Positions grouped by their key, each group in increasing order."""
+    out = {}
+    for s, key in enumerate(keys):
+        out.setdefault(key, []).append(s)
+    return out
 
 
 class SimplicialMap:
@@ -293,23 +319,23 @@ def _monotone_tuples(m, n):
             itertools.combinations_with_replacement(range(n + 1), m + 1)]
 
 
+def tuple_sset(cap, keys):
+    """Simplices are the vertex tuples ``keys[m]``; ``d_i`` drops entry
+    ``i`` and ``s_i`` repeats it, so each list must be closed under both."""
+    return KeyedSSet(cap, keys,
+                     lambda m, i, k: k[:i] + k[i + 1:],
+                     lambda m, i, k: k[:i] + (k[i],) + k[i:])
+
+
 def standard_simplex(n, cap):
     """Delta[n] truncated at cap; simplices are monotone vertex tuples."""
-    keys = [_monotone_tuples(m, n) for m in range(cap + 1)]
-    return KeyedSSet(
-        cap, keys,
-        lambda m, i, k: k[:i] + k[i + 1:],
-        lambda m, i, k: k[:i] + (k[i],) + k[i:])
+    return tuple_sset(cap, [_monotone_tuples(m, n) for m in range(cap + 1)])
 
 
 def boundary(n, cap):
     """The boundary of Delta[n]: tuples missing at least one vertex."""
-    keys = [[t for t in _monotone_tuples(m, n) if len(set(t)) <= n]
-            for m in range(cap + 1)]
-    return KeyedSSet(
-        cap, keys,
-        lambda m, i, k: k[:i] + k[i + 1:],
-        lambda m, i, k: k[:i] + (k[i],) + k[i:])
+    return tuple_sset(cap, [[t for t in _monotone_tuples(m, n)
+                             if len(set(t)) <= n] for m in range(cap + 1)])
 
 
 def horn(n, k, cap):
@@ -317,21 +343,14 @@ def horn(n, k, cap):
     if not 0 <= k <= n:
         raise SSetError("horn index out of range")
     full = set(range(n + 1)) - {k}
-    keys = [[t for t in _monotone_tuples(m, n) if not full <= set(t)]
-            for m in range(cap + 1)]
-    return KeyedSSet(
-        cap, keys,
-        lambda m, i, kk: kk[:i] + kk[i + 1:],
-        lambda m, i, kk: kk[:i] + (kk[i],) + kk[i:])
+    return tuple_sset(cap, [[t for t in _monotone_tuples(m, n)
+                             if not full <= set(t)] for m in range(cap + 1)])
 
 
 def discrete(points, cap):
     """The discrete simplicial set on a finite set of points."""
-    keys = [[(p,) * (m + 1) for p in range(points)] for m in range(cap + 1)]
-    return KeyedSSet(
-        cap, keys,
-        lambda m, i, k: k[:-1],
-        lambda m, i, k: k + (k[0],))
+    return tuple_sset(cap, [[(p,) * (m + 1) for p in range(points)]
+                            for m in range(cap + 1)])
 
 
 def walking_iso(cap):
@@ -341,12 +360,8 @@ def walking_iso(cap):
     vertex sequences in {0,1}; the two alternating sequences are the only
     nondegenerate simplices in each positive degree.
     """
-    keys = [[t for t in itertools.product((0, 1), repeat=m + 1)]
-            for m in range(cap + 1)]
-    return KeyedSSet(
-        cap, keys,
-        lambda m, i, k: k[:i] + k[i + 1:],
-        lambda m, i, k: k[:i] + (k[i],) + k[i:])
+    return tuple_sset(cap, [list(itertools.product((0, 1), repeat=m + 1))
+                            for m in range(cap + 1)])
 
 
 def build_generated(kind, cap, n=None, k=None):
@@ -545,64 +560,76 @@ def restrict(X, cap):
 
 # -- map enumeration and exponentials --------------------------------------
 
-def enumerate_maps(A, B, candidate_filter=None):
-    """All simplicial maps A -> B, as full per-degree value tables.
+def _search(A, B, candidate_filter=None, limit=None):
+    """Depth-first search for the simplicial maps A -> B, as full per-degree
+    value tables; it stops once ``limit`` tables are found.
 
     A map is determined by its values on nondegenerate simplices; values on
-    degenerate ones are forced through the EZ decomposition.  The optional
-    ``candidate_filter(n, s, b)`` restricts admissible images of the
-    nondegenerate simplex ``s``.
+    degenerate ones are forced through the EZ decomposition.  Degrees are
+    filled in order, the nondegenerate simplices of a degree in id order,
+    each trying the simplices of ``B`` with the required faces in id order.
+    The optional ``candidate_filter(n, s, b)`` restricts admissible images
+    of the nondegenerate simplex ``s``.
     """
     cap = A.cap
     results = []
     val = [[None] * A.counts[n] for n in range(cap + 1)]
-    # branch-independent structure, computed once
     ez = [[A.ez_decompose(n, s) for s in A.simplices(n)]
           for n in range(cap + 1)]
     pending = [[s for s in A.simplices(n) if not ez[n][s][0]]
                for n in range(cap + 1)]
-    profile_index = [None]
-    for n in range(1, cap + 1):
-        idx = {}
-        for b in B.simplices(n):
-            key = tuple(B.faces[n][i][b] for i in range(n + 1))
-            idx.setdefault(key, []).append(b)
-        profile_index.append(idx)
 
     def fill_degree(n):
+        """Fill degree n and above; True once the limit is reached."""
         if n > cap:
             results.append([list(v) for v in val])
-            return
+            return len(results) == limit
         for s in A.simplices(n):
             word, m, y = ez[n][s]
             if word:
                 val[n][s] = B.apply_word(m, val[m][y], word)
+        profile = B.by_faces(n) if n else None
 
         def choose(idx):
             if idx == len(pending[n]):
-                fill_degree(n + 1)
-                return
+                return fill_degree(n + 1)
             s = pending[n][idx]
             if n == 0:
                 cands = range(B.counts[0])
             else:
                 want = tuple(val[n - 1][A.faces[n][i][s]]
                              for i in range(n + 1))
-                cands = profile_index[n].get(want, ())
+                cands = profile.get(want, ())
             for b in cands:
                 if candidate_filter is not None \
                         and not candidate_filter(n, s, b):
                     continue
                 val[n][s] = b
-                choose(idx + 1)
+                if choose(idx + 1):
+                    return True
             val[n][s] = None
+            return False
 
-        choose(0)
+        if choose(0):
+            return True
         for s in A.simplices(n):
             val[n][s] = None
+        return False
 
     fill_degree(0)
     return results
+
+
+def enumerate_maps(A, B, candidate_filter=None):
+    """All simplicial maps A -> B, in the order of ``_search``."""
+    return _search(A, B, candidate_filter)
+
+
+def first_map(A, B, candidate_filter=None):
+    """The first table ``enumerate_maps`` would list, or None; the search
+    stops there."""
+    found = _search(A, B, candidate_filter, limit=1)
+    return found[0] if found else None
 
 
 class Exponential(KeyedSSet):
@@ -678,7 +705,8 @@ def codegen_tuple(n, i):
 
 
 def delta_map(D_from, D_to, vmap):
-    """Map of standard simplices induced by a monotone vertex map."""
+    """Map of tuple-keyed objects (see ``tuple_sset``) induced by a vertex
+    map."""
     comp = [[D_to.id_of(m, tuple(vmap[v] for v in D_from.key_of(m, t)))
              for t in D_from.simplices(m)]
             for m in range(D_from.cap + 1)]

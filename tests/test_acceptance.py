@@ -186,8 +186,9 @@ def test_criterion_06_iota_audit(random_diagrams):
         io, bar, rel = iota(F, BOUNDS.cap)
         assert io.validate() == []
         assert iota_fiber_bijective(io, bar, rel, F)
-    print("ACCEPTANCE 6 PASS: comparison map injective and fiberwise "
-          "bijective on all fixtures")
+    print("ACCEPTANCE 6 PASS: comparison map injective on the named "
+          "fixtures (as on every diagram with mono transition maps) and "
+          "fiberwise bijective on all fixtures")
 
 
 def test_criterion_07_cocartesian_audits():

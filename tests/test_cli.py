@@ -117,7 +117,9 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
                  "diagram sset\nobject a\nvalue a explicit\ncount 0 1\nend\n"
                  "cap 2\n",
                  one + "value a delta -1\n",
-                 one + "value a discrete -2\n"):
+                 one + "value a discrete -2\n",
+                 "diagram sset\ncap 0\nobject a\nvalue a explicit\n"
+                 "count 0 -1\nend\n"):
         bad = tmp_path / "bad.rnspec"
         bad.write_text(body)
         code = main(["build", "relnerve", "--input", str(bad), "--cap", "2"])
@@ -147,18 +149,22 @@ def test_cli_bounds_refusal_exit_3():
                     + bound) == 3
 
 
-def test_cli_shallow_or_low_cap_exit_3(capsys):
+def test_cli_shallow_or_low_cap_exit_3(tmp_path, capsys):
     # caps the bar construction, the natural marking, the marked relative
     # nerve or pi0 cannot serve
     sset_like = ("span.rnspec", "interval_sharp.rnspec",
                  "interval_diagram_sharp.rnspec")
+    shallow = tmp_path / "cap1.rnspec"
+    shallow.write_text("diagram sset\ncap 1\nobject a\nvalue a point\n")
     intervals = sset_like[1:]
     cases = [(["verify", "iota", "--cap", "4"], "span.rnspec"),
              (["build", "hocolim", "--cap", "4"], "span.rnspec"),
              (["build", "hocolim", "--cap", "1"], "span.rnspec"),
              (["compare", "--cap", "1"], "span.rnspec"),
              (["verify", "fibration", "--cap", "1", "--ncap", "1"],
-              "span_cat.rnspec")]
+              "span_cat.rnspec"),
+             (["compare", "--cap", "2"], str(shallow)),
+             (["build", "hocolim", "--cap", "2"], str(shallow))]
     cases += [(["compare", "--pi0", "--cap", "0"], name) for name in sset_like]
     cases += [(argv, name) for name in intervals
               for argv in (["build", "marked-relnerve", "--cap", "0"],
@@ -232,6 +238,20 @@ def test_cli_compare_pi0_and_colimit(tmp_path):
     code, text = run(["compare", "--colimit", "--input",
                       fixture("span.rnspec"), "--cap", "3"], tmp_path)
     assert code == 0 and "PASS colimit-composite" in text
+
+
+def test_cli_colimit_retraction_at_any_cap(tmp_path, capsys):
+    # the natural marking glues an edge of J; the retraction covers the
+    # colimit's own degrees whatever --cap says
+    spec = tmp_path / "j.rnspec"
+    spec.write_text("diagram sset\ncap 3\nobject a\nvalue a J\n")
+    for cap in ("2", "3", "4"):
+        code, text = run(["compare", "--input", str(spec), "--cap", cap],
+                         tmp_path)
+        err = capsys.readouterr().err
+        assert code == 0, cap
+        assert "PASS colimit-composite mode=retract" in text, cap
+        assert "Traceback" not in err, cap
 
 
 def test_cli_build_localize(tmp_path):

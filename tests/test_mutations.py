@@ -1,0 +1,119 @@
+"""Each audit FAILs with a witness when one table entry of a freshly built
+object is corrupted.  The corruption comes before the first audit: face
+lookups are cached from the tables on first use."""
+
+import random
+
+from relnerve.bisset import box_product
+from relnerve.certify import (check_bisimplicial, cocartesian_edge,
+                              cocartesian_fibration, inner_horn_lifts,
+                              verify_iso_map)
+from relnerve.fincat import (CatDiagram, arrow_category, constant_diagram,
+                             cyclic_group_category, identity_functor,
+                             indiscrete_groupoid, nerve, span_category)
+from relnerve.hocolim import hocolim_qcat, iota, iota_fiber_bijective
+from relnerve.marked import extend_along_J
+from relnerve.pathspace import (compare_relnerve_iso, fiber_at,
+                                lurie_grothendieck)
+from relnerve.randomgen import SuiteBounds, random_cat_diagram
+from relnerve.sset import (TruncSSet, constant_map, enumerate_maps,
+                           standard_simplex, walking_iso)
+
+from conftest import span_diagram
+
+
+def _circle():
+    """One vertex, its degenerate edge 0 and a loop 1, at cap 1."""
+    return TruncSSet(1, [1, 2], [None, [[0, 0], [0, 0]]], [[[0]]])
+
+
+def test_verify_iso_map_fails_on_corrupted_comparison():
+    f, g, L, R = compare_relnerve_iso(span_diagram(3), 3)
+    f.comp[2][0] = (f.comp[2][0] + 1) % R.total.counts[2]
+    cert = verify_iso_map(f, g)
+    assert not cert.ok and cert.witness is not None
+
+
+def test_fiber_isomorphism_fails_on_corrupted_entry():
+    F = span_diagram(3)
+    fib, inc, to_value, from_value = fiber_at(lurie_grothendieck(F, 3), 2)
+    assert to_value.comp[0] == [0, 1]
+    to_value.comp[0][0] = 1
+    cert = verify_iso_map(to_value, from_value)
+    assert not cert.ok and cert.witness is not None
+
+
+def test_iota_audit_fails_on_corrupted_entry():
+    F = span_diagram(3)
+    io, bar, rel = iota(F, 3)
+    assert bar.proj.comp[0][2] == bar.proj.comp[0][3]
+    io.comp[0][3] = io.comp[0][2]        # two vertices of one fiber collide
+    assert io.validate()
+    assert not io.is_injective()
+    assert not iota_fiber_bijective(io, bar, rel, F)
+
+
+def test_bisimplicial_audit_fails_on_each_mixed_family():
+    # rows and columns stay simplicial: a vertical s_0 (resp. horizontal
+    # s_0) of the circle's vertex is sent to the loop in one column (row)
+    B = box_product(standard_simplex(1, 1), _circle())
+    B.vdegens[1][0][0][0] = 1
+    cert = check_bisimplicial(B)
+    assert not cert.ok and cert.witness[0] == "dh-sv"
+    B = box_product(_circle(), standard_simplex(1, 1))
+    B.hdegens[0][1][0][1] = 4
+    cert = check_bisimplicial(B)
+    assert not cert.ok and cert.witness[0] == "dv-sh"
+
+
+def test_inner_horn_audit_fails_on_corrupted_face():
+    N = nerve(cyclic_group_category(2), 3)
+    N.faces[2][0][0] = (N.faces[2][0][0] + 1) % N.counts[1]
+    cert = inner_horn_lifts(constant_map(N, standard_simplex(0, 3), 0), 2)
+    assert not cert.ok and cert.witness[:2] == (2, 1)
+
+
+def test_cocartesian_edge_audit_fails_on_corrupted_face():
+    V = cyclic_group_category(2)
+    F = CatDiagram(arrow_category(), [V, V], [identity_functor(V)] * 3)
+    R = lurie_grothendieck(F.nerve_diagram(3), 3)
+    X = R.total
+    e = X.degens[0][0][0]
+    x = X.degens[1][0][e]                # the only filler of the (e, e) horn
+    X.faces[2][1][x] = (X.faces[2][1][x] + 1) % X.counts[1]
+    cert = cocartesian_edge(R.proj, e, 2)
+    assert not cert.ok and cert.witness is not None
+
+
+def test_cocartesian_fibration_audit_fails_on_corrupted_face():
+    R = lurie_grothendieck(
+        constant_diagram(span_category(), standard_simplex(0, 3)), 3)
+    X = R.total
+    ebar = X.nondegenerate(1)[0]
+    X.faces[1][1][ebar] = X.faces[1][0][ebar]   # its source moves away
+    cert = cocartesian_fibration(R.proj, 3)
+    assert not cert.ok and cert.witness[0] == "no-lift"
+
+
+def test_extension_is_the_first_pinned_map():
+    G = random_cat_diagram(random.Random(5), SuiteBounds())
+    objects = [standard_simplex(1, 2), walking_iso(3),
+               nerve(cyclic_group_category(2), 3),
+               nerve(indiscrete_groupoid(2), 3),
+               hocolim_qcat(G.nerve_diagram(3), 3).total]
+    found = 0
+    for S in objects:
+        J = walking_iso(S.cap)
+        for y in S.simplices(1):
+            pins = {(0, J.id_of(0, (0,))): S.faces[1][1][y],
+                    (0, J.id_of(0, (1,))): S.faces[1][0][y],
+                    (1, J.id_of(1, (0, 1))): y}
+            maps = enumerate_maps(
+                J, S, lambda n, s, b: pins.get((n, s), b) == b)
+            ext = extend_along_J(S, y)
+            if not maps:
+                assert ext is None
+            else:
+                assert ext.comp == maps[0]
+                found += 1
+    assert found > 0
