@@ -30,8 +30,8 @@ class Certificate:
         extra = "" if self.bound is None else " bound=%d" % self.bound
         w = "" if self.witness is None or self.ok else \
             " witness=%r" % (self.witness,)
-        return "%s %s %s%s%s" % (self.verdict, self.kind, self.subject,
-                                 extra, w)
+        subject = " " + self.subject if self.subject else ""
+        return "%s %s%s%s%s" % (self.verdict, self.kind, subject, extra, w)
 
 
 def check_simplicial_identities(X, subject="sset"):
@@ -146,13 +146,7 @@ def _horn_maps(X, n, skip, fixed_edge=None):
     partial = {}
     face_index = X.face_index(n - 1)
     if fixed_edge is not None:
-        def edge01(y):
-            cur, d = y, n - 1
-            for i in range(n - 1, 1, -1):
-                cur = X.faces[d][i][cur]
-                d -= 1
-            return cur
-        edge_ok = [edge01(y) == fixed_edge for y in X.simplices(n - 1)]
+        edge_ok = [e == fixed_edge for e in X.op_table(n - 1, (0, 1))]
 
     def candidates(j, chosen):
         """Simplices y with d_i(y) = d_{j-1}(partial[i]) for every chosen

@@ -11,13 +11,14 @@ import argparse
 import random
 import sys
 import time
+from dataclasses import replace
 
 from .certify import (check_bisimplicial, check_simplicial_identities,
                       cocartesian_edge, cocartesian_fibration, verify_iso_map)
 from .classic import grothendieck_classic
 from .fincat import nerve
 from .hocolim import (bar_hocolim, colim_via_marked, hocolim_qcat, iota,
-                      iota_fiber_bijective)
+                      iota_audit)
 from .homology import format_homology, homology_table, pi0
 from .marked import MarkedDiagram, localize, mark_diagram, marked_rel_nerve
 from .pathspace import (compare_relnerve_iso, fiber_at, lurie_grothendieck,
@@ -163,15 +164,7 @@ def cmd_verify(spec, what, cap, ncap, rep):
     elif what == "iota":
         _require_kind(spec, ("sset", "marked"))
         F = _sset_diagram(spec)
-        io, bar, rel = iota(F, cap)
-        ok = io.validate() == [] and io.is_injective()
-        ok = ok and all(rel.proj.comp[n][io.comp[n][s]] == bar.proj.comp[n][s]
-                        for n in range(cap + 1)
-                        for s in bar.total.simplices(n))
-        ok = ok and iota_fiber_bijective(io, bar, rel, F)
-        rep.add("PASS" if ok else "FAIL", "iota-audit", "bound=%d" % cap)
-        if not ok:
-            fails += 1
+        emit(iota_audit(*iota(F, cap), F))
     else:
         raise SpecParseError("unknown verify target %r" % what)
     return fails
@@ -268,19 +261,13 @@ def run_random_suite(seed, count, bounds, rep):
         for c in range(F.shape.n_objects):
             fib, inc, ff, gg = fiber_at(R, c)
             certs.append(verify_iso_map(ff, gg, "fiber-%d" % c))
-        io, _, _ = iota(F, bounds.cap, bar=bar, rel=R)
-        ok = io.validate() == []
-        ok = ok and all(R.proj.comp[n][io.comp[n][s]] == bar.proj.comp[n][s]
-                        for n in range(bounds.cap + 1)
-                        for s in bar.total.simplices(n))
-        ok = ok and iota_fiber_bijective(io, bar, R, F)
+        # the suite's iota line has always left out the bound
+        certs.append(replace(iota_audit(*iota(F, bounds.cap, bar=bar, rel=R),
+                                        F), bound=None))
         for cert in certs:
             rep.add("item", item, cert.line())
             if not cert.ok:
                 fails += 1
-        rep.add("item", item, "PASS" if ok else "FAIL", "iota-audit")
-        if not ok:
-            fails += 1
 
         G = random_cat_diagram(rng, bounds)
         NF = G.nerve_diagram(bounds.cap)

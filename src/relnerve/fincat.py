@@ -243,20 +243,14 @@ def compose_functors(G, F):
 
 def nerve(C, cap):
     """N(C): degree-n simplices are length-n composable morphism strings."""
-    keys = [[(o,) for o in range(C.n_objects)]]
-    for n in range(1, cap + 1):
-        strings = []
-        for prefix in keys[n - 1]:
-            if n == 1:
-                starts = [m for m in range(C.n_morphisms)
-                          if C.src[m] == prefix[0]]
-            else:
-                starts = [m for m in range(C.n_morphisms)
-                          if C.src[m] == C.tgt[prefix[-1]]]
-            for m in starts:
-                strings.append(prefix + (m,) if n > 1 else (m,))
-        keys.append(strings)
-
+    out_of = [[] for _ in range(C.n_objects)]
+    for m in range(C.n_morphisms):
+        out_of[C.src[m]].append(m)
+    keys = [[(o,) for o in range(C.n_objects)],
+            [(m,) for m in range(C.n_morphisms)]][:cap + 1]
+    for n in range(2, cap + 1):
+        keys.append([k + (m,) for k in keys[n - 1]
+                     for m in out_of[C.tgt[k[-1]]]])
     return KeyedSSet(cap, keys,
                      lambda n, i, k: nerve_face_key(C, k, n, i),
                      lambda n, i, k: nerve_degen_key(C, k, n, i))

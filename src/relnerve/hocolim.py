@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .certify import Certificate
 from .fincat import (RelNerveObject, chain_arrow, chain_object_of_key,
                      fiber_onto_value, nerve, over_constant, over_nerve)
 from .marked import (MarkedDiagram, MarkedSSet, Localization,
@@ -64,28 +65,65 @@ def iota(F, cap, bar=None, rel=None):
         for s in bar.total.simplices(n):
             sid, x = bar.total.key_of(n, s)
             k = NC.key_of(n, sid)
-            o0 = chain_object_of_key(C, k, n, 0)
-            V0 = U.values[o0]
-            beta = []
-            for i in range(n + 1):
-                front = V0.apply_vertex_map(n, x, tuple(range(i + 1)))
-                arrow = chain_arrow(C, k, n, 0, i)
-                beta.append(U.maps[arrow].comp[i][front])
-            row.append(rel.total.id_of(n, (sid, tuple(beta))))
+            beta = _transported_fronts(
+                U, U.values[chain_object_of_key(C, k, n, 0)], n, x,
+                [chain_arrow(C, k, n, 0, i) for i in range(n + 1)])
+            row.append(rel.total.id_of(n, (sid, beta)))
         comp.append(row)
     return SimplicialMap(bar.total, rel.total, comp), bar, rel
 
 
-def iota_fiber_bijective(io, bar, rel, F):
-    """The comparison restricted to each fiber is a bijection onto the
-    corresponding relative-nerve fiber (its isomorphism content)."""
+def _transported_fronts(U, X, n, x, arrows):
+    """The front faces of the n-simplex x of X, the i-th transported along
+    the map of ``arrows[i]``."""
+    return tuple(U.maps[a].comp[i][X.op_table(n, tuple(range(i + 1)))[x]]
+                 for i, a in enumerate(arrows))
+
+
+def _fiber_defect(io, bar, rel, F):
+    """The first (object, degree) whose bar fiber ``io`` does not map
+    bijectively onto the relative-nerve fiber, or None."""
     for c in range(F.shape.n_objects):
         for n, (bar_fib, rel_fib) in enumerate(zip(over_constant(bar, c),
                                                    over_constant(rel, c))):
             image = set(io.comp[n][s] for s in bar_fib)
             if image != set(rel_fib) or len(image) != len(bar_fib):
-                return False
-    return True
+                return c, n
+    return None
+
+
+def iota_fiber_bijective(io, bar, rel, F):
+    """The comparison restricted to each fiber is a bijection onto the
+    corresponding relative-nerve fiber (its isomorphism content)."""
+    return _fiber_defect(io, bar, rel, F) is None
+
+
+def iota_audit(io, bar, rel, F):
+    """Certify the comparison ``io, bar, rel = iota(F, cap)``: it is
+    simplicial, lies over the base, is a bijection on every fiber and, when
+    every transition map of F is injective, is injective (the only case in
+    which ``iota`` promises it).  A FAIL witness starts with the name of the
+    check that failed."""
+    U = F.underlying() if isinstance(F, MarkedDiagram) else F
+
+    def fail(*witness):
+        return Certificate("iota-audit", "", "FAIL", witness=witness)
+
+    bad = io.validate()
+    if bad:
+        return fail("simplicial", *bad[0])
+    for n, row in enumerate(io.comp):
+        for s, t in enumerate(row):
+            if rel.proj.comp[n][t] != bar.proj.comp[n][s]:
+                return fail("over-base", n, s)
+    defect = _fiber_defect(io, bar, rel, U)
+    if defect is not None:
+        return fail("fiber-bijective", *defect)
+    if all(f.is_injective() for f in U.maps):
+        for n, row in enumerate(io.comp):
+            if len(set(row)) != len(row):
+                return fail("injective", n)
+    return Certificate("iota-audit", "", "PASS", bound=io.domain.cap)
 
 
 def bar_fiber(bar, c):
@@ -157,14 +195,12 @@ def _eta_table(FM, d, n, x, space, NU, forget, objs, NC):
                 base_key = (forget.obj_map[slice_key[0]],)
             else:
                 base_key = tuple(forget.mor_map[mm] for mm in slice_key)
-            xa = Xd.apply_vertex_map(n, x, alpha)
-            beta = []
-            for i in range(m + 1):
-                front = Xd.apply_vertex_map(m, xa, tuple(range(i + 1)))
-                leg = objs[chain_object_of_key(Ucat, slice_key, m, i)]
-                beta.append(U.maps[leg].comp[i][front])
+            beta = _transported_fronts(
+                U, Xd, m, Xd.op_table(n, alpha)[x],
+                [objs[chain_object_of_key(Ucat, slice_key, m, i)]
+                 for i in range(m + 1)])
             sid = NC.id_of(m, base_key)
-            row.append(space.Y.sset.id_of(m, (sid, tuple(beta))))
+            row.append(space.Y.sset.id_of(m, (sid, beta)))
         out.append(tuple(row))
     return tuple(out)
 

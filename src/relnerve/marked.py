@@ -5,6 +5,7 @@ the base nerve."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .fincat import (FinCategory, SSetDiagram, chain_object_of_key, nerve,
@@ -357,26 +358,15 @@ class OverMappingSpace:
 
     def sharp_ids(self):
         """Per-degree ids of simplices all of whose edges are marked."""
-        out = [list(self.sset.simplices(0))]
-        for n in range(1, self.cap_out + 1):
-            keep = []
-            for s in self.sset.simplices(n):
-                edges = _all_edges(self.sset, n, s)
-                if all(e in self.marked_set or
-                       self.sset.degenerate_flags(1)[e] for e in edges):
-                    keep.append(s)
-            out.append(keep)
+        X = self.sset
+        marked = self.marked_set | degenerate_edges(X)
+        out = []
+        for n in range(self.cap_out + 1):
+            edges = [X.op_table(n, e)
+                     for e in itertools.combinations(range(n + 1), 2)]
+            out.append([s for s in X.simplices(n)
+                        if all(t[s] in marked for t in edges)])
         return out
-
-
-def _all_edges(X, n, s):
-    if n == 1:
-        return [s]
-    edges = set()
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            edges.add(X.apply_vertex_map(n, s, (i, j)))
-    return sorted(edges)
 
 
 def over_mapping_space(X, Y, variant, cap_out):

@@ -350,14 +350,10 @@ def relative_nerve_direct(F, cap):
             j = J[-1]
             Xj = F.values[objs[j]]
             r = len(J) - 1
-            cofaces = [J[:drop] + J[drop + 1:] for drop in range(len(J))
-                       if len(J) > 1]
-            by_profile = {}
-            for y in Xj.simplices(r):
-                prof = tuple(
-                    Xj.apply_vertex_map(r, y, tuple(J.index(v) for v in I))
-                    for I in cofaces)
-                by_profile.setdefault(prof, []).append(y)
+            # d_drop of the simplex at J sits at J minus its drop-th entry
+            cofaces = [J[:drop] + J[drop + 1:] for drop in range(r + 1)
+                       if r]
+            by_profile = Xj.by_faces(r) if r else {(): Xj.simplices(0)}
             transports = [
                 (sub_index[n][I],
                  F.maps[chain_arrow(C, k, n, I[-1], j)].comp[len(I) - 1])
@@ -370,25 +366,32 @@ def relative_nerve_direct(F, cap):
             fams = grown
         return fams
 
-    def act(n_from, n_to, vmap, new_k, fam):
-        """The family over the chain ``new_k`` that ``vmap`` restricts
-        ``fam`` to."""
-        objs_to = [chain_object_of_key(C, new_k, n_to, v)
-                   for v in range(n_to + 1)]
-        new_fam = []
+    def restriction(n_from, n_to, vmap):
+        """Per subposet J of [n_to]: its last vertex, the position of its
+        image under ``vmap`` among the subposets of [n_from], and the
+        vertex map from J onto that image."""
+        plan = []
         for J in subs[n_to]:
             image = tuple(sorted(set(vmap[v] for v in J)))
-            tau = fam[sub_index[n_from][image]]
-            Xj = F.values[objs_to[J[-1]]]
-            positions = tuple(image.index(vmap[v]) for v in J)
-            new_fam.append(Xj.apply_vertex_map(len(image) - 1, tau,
-                                               positions))
-        return tuple(new_fam)
+            plan.append((J[-1], sub_index[n_from][image], len(image) - 1,
+                         tuple(image.index(vmap[v]) for v in J)))
+        return plan
+
+    face_plans = [None] + [[restriction(n, n - 1, coface_tuple(n, i))
+                            for i in range(n + 1)] for n in range(1, cap + 1)]
+    degen_plans = [[restriction(n, n + 1, codegen_tuple(n, i))
+                    for i in range(n + 1)] for n in range(cap)]
+
+    def act(plan, n_to, new_k, fam):
+        """The family over the chain ``new_k`` that ``fam`` restricts to."""
+        return tuple(
+            F.values[chain_object_of_key(C, new_k, n_to, j)].op_table(r, u)[
+                fam[p]] for j, p, r, u in plan)
 
     total, proj = over_nerve(
         NC, cap, families,
-        lambda n, i, k, nk, fam: act(n, n - 1, coface_tuple(n, i), nk, fam),
-        lambda n, i, k, nk, fam: act(n, n + 1, codegen_tuple(n, i), nk, fam))
+        lambda n, i, k, nk, fam: act(face_plans[n][i], n - 1, nk, fam),
+        lambda n, i, k, nk, fam: act(degen_plans[n][i], n + 1, nk, fam))
     return RelNerveObject(total, proj, NC, F)
 
 
@@ -407,12 +410,10 @@ def compare_relnerve_iso(F, cap):
         for s in L.total.simplices(n):
             sid, beta = L.total.key_of(n, s)
             k = NC.key_of(n, sid)
-            objs = [chain_object_of_key(C, k, n, i) for i in range(n + 1)]
-            fam = []
-            for J in subs[n]:
-                j = J[-1]
-                fam.append(F.values[objs[j]].apply_vertex_map(j, beta[j], J))
-            row.append(R.total.id_of(n, (sid, tuple(fam))))
+            fam = tuple(
+                F.values[chain_object_of_key(C, k, n, J[-1])].op_table(
+                    J[-1], J)[beta[J[-1]]] for J in subs[n])
+            row.append(R.total.id_of(n, (sid, fam)))
         fwd.append(row)
     bwd = []
     for n in range(cap + 1):
@@ -435,7 +436,7 @@ def fiber_at(R, c):
     X = R.diagram.values[c]
     return fiber_onto_value(
         R, c, X, lambda n, beta: beta[n],
-        lambda n, x: tuple(X.apply_vertex_map(n, x, tuple(range(i + 1)))
+        lambda n, x: tuple(X.op_table(n, tuple(range(i + 1)))[x]
                            for i in range(n + 1)))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .certify import check_simplicial_identities
 from .fincat import CatDiagram, CatFunctor, FinCategory, SSetDiagram
 from .marked import MarkedDiagram, MarkedSSet, mark
 from .sset import (SimplicialMap, SSetError, TruncSSet, build_generated,
@@ -73,7 +74,15 @@ class _Cursor:
         return row
 
 
-def _parse_sset_block(cur, cap):
+def _in_range(v, lo, hi, what, ln):
+    if not lo <= v <= hi:
+        raise SpecParseError("%s %d outside %d..%d" % (what, v, lo, hi), ln)
+    return v
+
+
+def _parse_sset_block(cur, cap, head_ln):
+    """The explicit block after a ``value NAME explicit`` line (line
+    ``head_ln``), checked against the simplicial identities."""
     counts = {}
     faces = {}
     degens = {}
@@ -83,23 +92,22 @@ def _parse_sset_block(cur, cap):
             break
         if toks[0] == "count":
             _arity(toks, ln, 3)
-            n = _to_int(toks[1], ln, "degree")
+            n = _in_range(_to_int(toks[1], ln, "degree"), 0, cap, "degree",
+                          ln)
             counts[n] = _to_int(toks[2], ln, "count")
             if counts[n] < 0:
                 raise SpecParseError("count must be >= 0, got %d"
                                      % counts[n], ln)
-        elif toks[0] == "face":
+        elif toks[0] in ("face", "degen"):
             _arity(toks, ln, 3, exact=False)
-            n = _to_int(toks[1], ln, "degree")
-            i = _to_int(toks[2], ln, "face index")
-            faces[(n, i)] = ([_to_int(t, ln, "face entry")
-                              for t in toks[3:]], ln)
-        elif toks[0] == "degen":
-            _arity(toks, ln, 3, exact=False)
-            n = _to_int(toks[1], ln, "degree")
-            i = _to_int(toks[2], ln, "degeneracy index")
-            degens[(n, i)] = ([_to_int(t, ln, "degeneracy entry")
-                               for t in toks[3:]], ln)
+            # d_i acts on degrees 1..cap, s_i on degrees 0..cap-1
+            lo = 1 if toks[0] == "face" else 0
+            n = _in_range(_to_int(toks[1], ln, "degree"), lo, cap - 1 + lo,
+                          "%s degree" % toks[0], ln)
+            i = _in_range(_to_int(toks[2], ln, "index"), 0, n,
+                          "%s index" % toks[0], ln)
+            (faces if lo else degens)[(n, i)] = (
+                [_to_int(t, ln, "entry") for t in toks[3:]], ln)
         else:
             raise SpecParseError("unknown directive %r in sset block"
                                  % toks[0], ln)
@@ -136,7 +144,13 @@ def _parse_sset_block(cur, cap):
                                      ln)
             tabs.append(row)
         dtabs.append(tabs)
-    return TruncSSet(cap, clist, ftabs, dtabs)
+    X = TruncSSet(cap, clist, ftabs, dtabs)
+    cert = check_simplicial_identities(X, "explicit")
+    if not cert.ok:
+        raise SpecParseError("explicit value breaks the simplicial "
+                             "identities: witness %r" % (cert.witness,),
+                             head_ln)
+    return X
 
 
 def _parse_category_block(cur):
@@ -223,6 +237,8 @@ def parse_spec(text):
                 raise SpecParseError("unknown diagram kind %r" % kind, ln)
         elif head == "cap":
             cap = _to_int(toks[1], ln, "cap")
+            if cap < 0:
+                raise SpecParseError("cap must be >= 0, got %d" % cap, ln)
         elif head == "object":
             objs.extend(toks[1:])
         elif head in ("arrow", "compose"):
@@ -235,7 +251,8 @@ def parse_spec(text):
                 raise SpecParseError("an explicit value needs the 'cap' "
                                      "line before it", ln)
             if spec[0] in ("explicit", "category"):
-                block = _parse_sset_block(cur, cap) if spec[0] == "explicit" \
+                block = _parse_sset_block(cur, cap, ln) \
+                    if spec[0] == "explicit" \
                     else _parse_category_block(cur)
                 value_defs[name] = (spec[0], block, ln)
             else:
@@ -264,6 +281,8 @@ def parse_spec(text):
         raise SpecParseError("missing 'diagram' line")
     if cap is None:
         raise SpecParseError("missing 'cap' line")
+    if not objs:
+        raise SpecParseError("missing 'object' line")
     C, obj_index, mor_index = _build_category(objs, arrows, composes)
     from .fincat import CatError, validate_category
     from .marked import MarkError
@@ -332,36 +351,39 @@ def _assemble_sset(C, obj_index, mor_index, value_defs, map_defs, objs, cap):
         if name not in map_defs:
             raise SpecParseError("missing map for arrow %r" % name)
         tag, payload, ln = map_defs[name]
+        rows = {}
         if tag == "short":
             if payload[0] == "constant":
                 _arity(payload, ln, 2)
-                maps.append(constant_map(values[a], values[b],
-                                         _to_int(payload[1], ln, "vertex")))
+                v = _in_range(_to_int(payload[1], ln, "vertex"), 0,
+                              values[b].counts[0] - 1, "vertex", ln)
+                rows = {n: (row, ln) for n, row in enumerate(
+                    constant_map(values[a], values[b], v).comp)}
             elif payload[0] == "identity":
                 _arity(payload, ln, 1)
-                maps.append(SimplicialMap(
-                    values[a], values[b],
-                    [list(range(values[a].counts[n]))
-                     for n in range(cap + 1)]))
+                rows = {n: (list(values[a].simplices(n)), ln)
+                        for n in range(cap + 1)}
             else:
                 raise SpecParseError("unknown map shorthand %r"
                                      % payload[0], ln)
         else:
-            rows = {}
             for ln2, t2 in payload:
                 if t2[0] != "row":
                     raise SpecParseError("expected 'row' in map block", ln2)
                 _arity(t2, ln2, 2, exact=False)
-                rows[_to_int(t2[1], ln2, "degree")] = [
-                    _to_int(v, ln2, "entry") for v in t2[2:]]
-            comp = []
-            for n in range(cap + 1):
-                row = rows.get(n, [])
-                if len(row) != values[a].counts[n]:
-                    raise SpecParseError(
-                        "map %r row %d has wrong length" % (name, n), ln)
-                comp.append(row)
-            maps.append(SimplicialMap(values[a], values[b], comp))
+                n = _in_range(_to_int(t2[1], ln2, "degree"), 0, cap,
+                              "row degree", ln2)
+                rows[n] = ([_to_int(v, ln2, "entry") for v in t2[2:]], ln2)
+        for n in range(cap + 1):
+            row, ln2 = rows.get(n, ([], ln))
+            if len(row) != values[a].counts[n]:
+                raise SpecParseError(
+                    "map %r row %d has wrong length" % (name, n), ln2)
+            if any(not 0 <= v < values[b].counts[n] for v in row):
+                raise SpecParseError("map %r row %d leaves its codomain"
+                                     % (name, n), ln2)
+        maps.append(SimplicialMap(values[a], values[b],
+                                  [rows[n][0] for n in range(cap + 1)]))
     return SSetDiagram(C, values, maps)
 
 
@@ -452,9 +474,10 @@ def deserialize_sset(text):
     """Inverse of ``serialize_sset`` (single block, any leading name)."""
     rows = _tokenize(text)
     cur = _Cursor(rows)
-    ln, head = cur.take()
+    head_ln, head = cur.take()
     if head[0] != "value" or head[-1] != "explicit":
-        raise SpecParseError("expected a 'value NAME explicit' block", ln)
+        raise SpecParseError("expected a 'value NAME explicit' block",
+                             head_ln)
     cap = 0
     for ln, toks in rows[cur.pos:]:
         if toks[0] == "end":
@@ -462,7 +485,7 @@ def deserialize_sset(text):
         if toks[0] == "count":
             _arity(toks, ln, 3)
             cap = max(cap, _to_int(toks[1], ln, "degree"))
-    return _parse_sset_block(cur, cap)
+    return _parse_sset_block(cur, cap, head_ln)
 
 
 # -- reports -----------------------------------------------------------------

@@ -44,6 +44,7 @@ class TruncSSet:
         self._degflag_cache = {}
         self._by_faces_cache = {}
         self._face_index_cache = {}
+        self._op_cache = {}
 
     # -- basic access ------------------------------------------------------
 
@@ -67,19 +68,15 @@ class TruncSSet:
     # -- degeneracy structure ----------------------------------------------
 
     def degenerate_flags(self, n):
-        """Boolean list: flags[s] iff the degree-n simplex s is degenerate."""
-        if n in self._degflag_cache:
-            return self._degflag_cache[n]
-        if n == 0:
-            flags = [False] * self.counts[0]
-        else:
-            flags = []
-            for s in range(self.counts[n]):
-                flags.append(any(
-                    self.degens[n - 1][i][self.faces[n][i][s]] == s
-                    for i in range(n)))
-        self._degflag_cache[n] = flags
-        return flags
+        """Boolean list: flags[s] iff the degree-n simplex s is degenerate,
+        i.e. in the image of some ``s_i``."""
+        if n not in self._degflag_cache:
+            flags = [False] * self.counts[n]
+            for table in self.degens[n - 1] if n else ():
+                for s in table:
+                    flags[s] = True
+            self._degflag_cache[n] = flags
+        return self._degflag_cache[n]
 
     def nondegenerate(self, n):
         if n not in self._nondeg_cache:
@@ -147,41 +144,33 @@ class TruncSSet:
         return cur
 
     def vertex_tuple(self, n, s):
-        """The n+1 vertices of a simplex, via iterated faces."""
-        verts = []
-        for k in range(n + 1):
-            cur, d = s, n
-            for i in range(n, k, -1):
-                cur = self.faces[d][i][cur]
-                d -= 1
-            for i in range(k, 0, -1):
-                cur = self.faces[d][i - 1][cur]
-                d -= 1
-            verts.append(cur)
-        return tuple(verts)
+        """The n+1 vertices of a simplex."""
+        return tuple(self.op_table(n, (k,))[s] for k in range(n + 1))
+
+    def op_table(self, n, u):
+        """``X(u)`` on every degree-n simplex (cached; do not modify), for
+        ``u: [l] -> [n]`` a nondecreasing tuple: the faces dropping the
+        vertices outside its image, highest first, so each face index is the
+        vertex itself, then ``s_{k-1}`` for each ``u[k] == u[k-1]``."""
+        key = (n, u)
+        if key not in self._op_cache:
+            if any(u[k] > u[k + 1] for k in range(len(u) - 1)):
+                raise SSetError("vertex map must be monotone")
+            table, d = range(self.counts[n]), n
+            for v in range(n, -1, -1):
+                if v not in u:
+                    table = [self.faces[d][v][s] for s in table]
+                    d -= 1
+            for k in range(1, len(u)):
+                if u[k] == u[k - 1]:
+                    table = [self.degens[d][k - 1][s] for s in table]
+                    d += 1
+            self._op_cache[key] = list(table)
+        return self._op_cache[key]
 
     def apply_vertex_map(self, n, s, u):
-        """Compute ``X(u)(s)`` for a monotone map ``u: [l] -> [n]``.
-
-        ``u`` is given as a nondecreasing tuple of length ``l+1`` with values
-        in ``0..n``.  Factors ``u`` as a surjection followed by an injection
-        and applies the corresponding face and degeneracy operators.
-        """
-        if any(u[k] > u[k + 1] for k in range(len(u) - 1)):
-            raise SSetError("vertex map must be monotone")
-        image = sorted(set(u))
-        cur, d = s, n
-        kept = list(range(n + 1))
-        for v in range(n, -1, -1):
-            if v not in image:
-                cur = self.faces[d][kept.index(v)][cur]
-                d -= 1
-                kept.remove(v)
-        for k in range(1, len(u)):
-            if u[k] == u[k - 1]:
-                cur = self.degens[d][k - 1][cur]
-                d += 1
-        return cur
+        """``X(u)(s)``; see ``op_table``."""
+        return self.op_table(n, tuple(u))[s]
 
 
 def _group(keys):
@@ -265,21 +254,15 @@ def compose(g, f):
 
 def constant_map(X, Y, vertex):
     """The map collapsing X to (iterated degeneracies of) a vertex of Y."""
-    comp = []
-    for n in range(X.cap + 1):
-        cur, d = vertex, 0
-        while d < n:
-            cur = Y.degens[d][0][cur]
-            d += 1
-        comp.append([cur] * X.counts[n])
-    return SimplicialMap(X, Y, comp)
+    return SimplicialMap(X, Y, [[Y.op_table(0, (0,) * (n + 1))[vertex]]
+                                * X.counts[n] for n in range(X.cap + 1)])
 
 
 def classifying_map(X, n, s, delta_n=None):
     """The map Delta[n] -> X picking out the simplex s."""
     D = delta_n if delta_n is not None else standard_simplex(n, X.cap)
-    comp = [[X.apply_vertex_map(n, s, D.key_of(m, t))
-             for t in D.simplices(m)] for m in range(X.cap + 1)]
+    comp = [[X.op_table(n, D.key_of(m, t))[s] for t in D.simplices(m)]
+            for m in range(X.cap + 1)]
     return SimplicialMap(D, X, comp)
 
 

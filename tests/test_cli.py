@@ -1,6 +1,8 @@
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from relnerve.cli import main
 from relnerve.specio import SpecParseError, parse_spec
@@ -105,6 +107,23 @@ def test_cli_build_exit_codes(tmp_path):
     assert text.startswith("# relnerve report v1")
 
 
+# the explicit block shown in the README
+_README_SPEC = """diagram sset
+cap 1
+object a
+value a explicit
+  count 0 2
+  count 1 3
+  face 1 0 0 1 1
+  face 1 1 0 1 0
+  degen 0 0 0 1
+end
+"""
+
+_TWO_POINTS = ("diagram sset\ncap 2\nobject a b\narrow f a b\n"
+               "value a discrete 2\nvalue b discrete 2\n")
+
+
 def test_cli_parse_error_exit_2(tmp_path, capsys):
     one = "diagram sset\ncap 2\nobject a\n"
     two = "diagram sset\ncap 2\nobject a b\nvalue a point\nvalue b point\n"
@@ -119,7 +138,26 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
                  one + "value a delta -1\n",
                  one + "value a discrete -2\n",
                  "diagram sset\ncap 0\nobject a\nvalue a explicit\n"
-                 "count 0 -1\nend\n"):
+                 "count 0 -1\nend\n",
+                 # map entries outside the codomain
+                 _TWO_POINTS + "map f explicit\nrow 0 0 5\nrow 1 0 1\n"
+                 "row 2 0 1\nend\n",
+                 "diagram sset\ncap 2\nobject a b\narrow f a b\n"
+                 "value a delta 2\nvalue b delta 1\nmap f identity\n",
+                 _TWO_POINTS + "map f constant -1\n",
+                 # an explicit block breaking the simplicial identities
+                 _README_SPEC.replace("degen 0 0 0 1", "degen 0 0 0 2"),
+                 _README_SPEC.replace("cap 1", "cap -1"),
+                 "diagram sset\ncap 2\n",
+                 # lines for degrees or indices the block does not have
+                 _README_SPEC.replace("end", "count 5 3\nend"),
+                 _README_SPEC.replace("end", "count -1 2\nend"),
+                 _README_SPEC.replace("end", "face 2 0 0\nend"),
+                 _README_SPEC.replace("end", "face 1 2 0 1 1\nend"),
+                 _README_SPEC.replace("end", "degen 1 0 0\nend"),
+                 _README_SPEC.replace("end", "degen 0 1 0 1\nend"),
+                 _TWO_POINTS + "map f explicit\nrow 0 0 1\nrow 1 0 1\n"
+                 "row 2 0 1\nrow 3 0 1\nend\n"):
         bad = tmp_path / "bad.rnspec"
         bad.write_text(body)
         code = main(["build", "relnerve", "--input", str(bad), "--cap", "2"])
@@ -127,6 +165,53 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
         assert code == 2, body
         assert err.startswith("parse error:") and \
             len(err.splitlines()) == 1, body
+
+
+def _mutants(text):
+    """The single-line mutations of a spec: drop a line, duplicate a line,
+    or replace one integer token with -1, 0, 5 or 99.  A generator size of
+    99 is left out: ``value t delta 99`` at cap 3 is a valid value with
+    4.4 million simplices, which only measures memory."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        yield lines[:i] + lines[i + 1:]
+        yield lines[:i + 1] + lines[i:]
+        toks = line.split()
+        big = () if toks[:1] == ["value"] else ("99",)
+        for j, tok in enumerate(toks):
+            if tok.lstrip("-").isdigit():
+                for v in ("-1", "0", "5") + big:
+                    yield lines[:i] + [" ".join(
+                        toks[:j] + [v] + toks[j + 1:])] + lines[i + 1:]
+
+
+def _fuzz_specs():
+    texts = [_README_SPEC] + [open(fixture(name)).read()
+                              for name in sorted(os.listdir(FIXTURES))]
+    return ["\n".join(m) + "\n" for t in texts for m in _mutants(t)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.sampled_from(_fuzz_specs()), cap=st.integers(0, 2))
+def test_cli_mutated_specs_exit_cleanly(tmp_path, text, cap):
+    spec = tmp_path / "mutant.rnspec"
+    spec.write_text(text)
+    out = tmp_path / "out.txt"
+    assert main(["build", "relnerve", "--input", str(spec), "--cap",
+                 str(cap), "--out", str(out)]) in (0, 1, 2, 3)
+
+
+def test_cli_iota_audit_without_mono_maps(tmp_path):
+    # delta 1 collapses to a point, so iota is not injective; the audit
+    # asks for injectivity only when every transition map is injective
+    spec = tmp_path / "collapse.rnspec"
+    spec.write_text("diagram sset\ncap 3\nobject a b\narrow f a b\n"
+                    "value a delta 1\nvalue b point\nmap f constant 0\n")
+    code, text = run(["verify", "iota", "--input", str(spec), "--cap", "3"],
+                     tmp_path)
+    assert code == 0
+    assert "PASS iota-audit bound=3" in text
 
 
 def test_cli_missing_file_exit_2():

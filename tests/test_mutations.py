@@ -11,7 +11,8 @@ from relnerve.certify import (check_bisimplicial, cocartesian_edge,
 from relnerve.fincat import (CatDiagram, arrow_category, constant_diagram,
                              cyclic_group_category, identity_functor,
                              indiscrete_groupoid, nerve, span_category)
-from relnerve.hocolim import hocolim_qcat, iota, iota_fiber_bijective
+from relnerve.hocolim import (hocolim_qcat, iota, iota_audit,
+                              iota_fiber_bijective)
 from relnerve.marked import extend_along_J
 from relnerve.pathspace import (compare_relnerve_iso, fiber_at,
                                 lurie_grothendieck)
@@ -51,6 +52,9 @@ def test_iota_audit_fails_on_corrupted_entry():
     assert io.validate()
     assert not io.is_injective()
     assert not iota_fiber_bijective(io, bar, rel, F)
+    cert = iota_audit(io, bar, rel, F)
+    assert not cert.ok and cert.witness[0] == "simplicial"
+    assert "witness=('simplicial'" in cert.line()
 
 
 def test_bisimplicial_audit_fails_on_each_mixed_family():

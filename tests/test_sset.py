@@ -80,6 +80,61 @@ def test_vertex_tuple():
             D.id_of(0, (v,)) for v in D.key_of(2, s))
 
 
+def _operator_table_objects():
+    """Values and both relative nerves of seeded random diagrams, and the
+    nerves of seeded random Cat-valued diagrams' values."""
+    import random
+    from relnerve.pathspace import lurie_grothendieck, relative_nerve_direct
+    from relnerve.randomgen import (SuiteBounds, random_cat_diagram,
+                                    random_sset_diagram)
+    rng = random.Random(3)
+    for _ in range(3):
+        F = random_sset_diagram(rng, SuiteBounds())
+        yield from F.values
+        yield lurie_grothendieck(F, 4).total
+        yield relative_nerve_direct(F, 3).total
+        yield from random_cat_diagram(rng, SuiteBounds()).nerve_diagram(
+            3).values
+
+
+def test_op_table_is_the_simplicial_action():
+    import random
+    from relnerve.sset import codegen_tuple, coface_tuple
+    rng = random.Random(0)
+    for X in _operator_table_objects():
+        monotone = [(l, u) for l in range(X.cap + 1)
+                    for n in range(X.cap + 1)
+                    for u in itertools.combinations_with_replacement(
+                        range(n + 1), l + 1)]
+        for n in range(X.cap + 1):
+            assert X.op_table(n, tuple(range(n + 1))) == \
+                list(X.simplices(n))
+            for i in range(n + 1):
+                if n:
+                    assert X.op_table(n, coface_tuple(n, i)) == X.faces[n][i]
+                if n < X.cap:
+                    assert X.op_table(n, codegen_tuple(n, i)) == \
+                        X.degens[n][i]
+            # functoriality on sampled pairs u: [l] -> [n], v: [k] -> [l]
+            into_n = [(l, u) for l, u in monotone if max(u) <= n]
+            for l, u in rng.sample(into_n, min(40, len(into_n))):
+                into_l = [v for _, v in monotone if max(v) <= l]
+                for v in rng.sample(into_l, min(10, len(into_l))):
+                    uv = tuple(u[j] for j in v)
+                    after = X.op_table(l, v)
+                    assert [after[t] for t in X.op_table(n, u)] == \
+                        X.op_table(n, uv)
+
+
+def test_degenerate_flags_match_the_definition():
+    # s is degenerate iff s = s_i d_i s for some i
+    for X in _operator_table_objects():
+        for n in range(1, X.cap + 1):
+            assert X.degenerate_flags(n) == [
+                any(X.degens[n - 1][i][X.faces[n][i][s]] == s
+                    for i in range(n)) for s in X.simplices(n)]
+
+
 def test_ez_decompose_unique_and_normalized():
     P = standard_simplex(0, 2)
     word, (m, y) = ez_decompose(P, 2, 0)
