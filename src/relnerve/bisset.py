@@ -7,7 +7,7 @@ lets the one-directional audits reuse the simplicial machinery.
 
 from __future__ import annotations
 
-from .sset import SSetError, TruncSSet
+from .sset import TruncSSet
 
 
 class BiTruncSSet:
@@ -56,12 +56,9 @@ def i1_star(B):
     return B.row(0)
 
 
-def box_product(K, L, hcap=None, vcap=None):
+def box_product(K, L):
     """The external product (K box L)(n, m) = K_n x L_m."""
-    hcap = K.cap if hcap is None else hcap
-    vcap = L.cap if vcap is None else vcap
-    if hcap > K.cap or vcap > L.cap:
-        raise SSetError("box product caps exceed the factors")
+    hcap, vcap = K.cap, L.cap
     counts = [[K.counts[n] * L.counts[m] for m in range(vcap + 1)]
               for n in range(hcap + 1)]
 

@@ -218,11 +218,11 @@ def inner_horn_lifts(p, ncap, subject="inner-fibration"):
                        witness=("squares", checked))
 
 
-def cocartesian_edge(p, e, ncap, subject=None):
+def cocartesian_edge(p, e, ncap):
     """Left-horn lifting audit for one edge: for every n <= ncap, every
     Lambda^0[n] square whose initial edge is e admits a lift."""
     X, S = p.domain, p.codomain
-    subject = subject or ("edge-%d" % e)
+    subject = "edge-%d" % e
     checked = 0
     for n in range(2, ncap + 1):
         x_index = X.face_index(n)

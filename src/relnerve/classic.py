@@ -31,7 +31,6 @@ def mapping_path_category(F, f):
     objects = [(b0, b1) for b0 in range(A.n_objects)
                for b1 in range(B.n_morphisms)
                if B.src[b1] == Ff.obj_map[b0]]
-    obj_index = {o: i for i, o in enumerate(objects)}
     morphisms = []
     for si, (b0, b1) in enumerate(objects):
         for ti, (c0, c1) in enumerate(objects):
@@ -93,16 +92,6 @@ class DoubleCategoryData:
         moved = self.diagram.maps[f2].mor_map[b1]
         comp = B2.table[(c1, moved)]
         return (f21, self.path_cats[f21].objects.index((b0, comp)))
-
-    def hcompose_mor(self, f2, h_local, f1, g_local):
-        """Horizontal composition of M-morphisms: ((h0,h1), (g0,g1)) -> (g0,h1)."""
-        D = self.diagram.shape
-        (sg, tg, g0, g1) = self.path_cats[f1].morphisms[g_local]
-        (sh, th, h0, h1) = self.path_cats[f2].morphisms[h_local]
-        f21 = D.table[(f2, f1)]
-        src = self.hcompose(f2, sh, f1, sg)[1]
-        tgt = self.hcompose(f2, th, f1, tg)[1]
-        return (f21, self.path_cats[f21].morphisms.index((src, tgt, g0, h1)))
 
 
 def double_category(F):
@@ -242,7 +231,6 @@ def nerve_comparison(G, cap):
                                ].id_of(0, (x0,))]
             for i in range(1, n + 1):
                 ci = chain_object_of_key(D, base_key, n, i)
-                Vi = F.values[ci]
                 chain = tuple(
                     F.maps[chain_arrow(D, base_key, n, j, i)].mor_map[phis[j - 1]]
                     for j in range(1, i + 1))

@@ -20,7 +20,7 @@ from .fincat import nerve
 from .hocolim import (bar_hocolim, colim_via_marked, hocolim_qcat, iota,
                       iota_audit)
 from .homology import format_homology, homology_table, pi0
-from .marked import MarkedDiagram, localize, mark_diagram, marked_rel_nerve
+from .marked import localize, mark_diagram, marked_rel_nerve
 from .pathspace import (compare_relnerve_iso, fiber_at, lurie_grothendieck,
                         relative_nerve_direct, simplicial_space,
                         space_projection_ok)
@@ -49,23 +49,17 @@ def _require_kind(spec, kinds):
                              % ("/".join(kinds), spec.kind))
 
 
-def _sset_diagram(spec):
-    if isinstance(spec.diagram, MarkedDiagram):
-        return spec.diagram.underlying()
-    return spec.diagram
-
-
 def cmd_build(spec, what, cap, rep, dump=None):
     fails = 0
     built = None
     if what == "relnerve":
         _require_kind(spec, ("sset", "marked"))
-        R = lurie_grothendieck(_sset_diagram(spec), cap)
+        R = lurie_grothendieck(spec.diagram.underlying(), cap)
         _sizes_line(rep, "relnerve", R.total)
         built = R.total
     elif what == "relnerve-direct":
         _require_kind(spec, ("sset", "marked"))
-        R = relative_nerve_direct(_sset_diagram(spec), cap)
+        R = relative_nerve_direct(spec.diagram.underlying(), cap)
         _sizes_line(rep, "relnerve-direct", R.total)
         built = R.total
     elif what == "groth-classic":
@@ -118,7 +112,7 @@ def cmd_verify(spec, what, cap, ncap, rep):
 
     if what == "identities":
         _require_kind(spec, ("sset", "marked"))
-        F = _sset_diagram(spec)
+        F = spec.diagram.underlying()
         R = lurie_grothendieck(F, cap)
         emit(check_simplicial_identities(R.total, "relnerve"))
         Rd = relative_nerve_direct(F, cap)
@@ -129,17 +123,17 @@ def cmd_verify(spec, what, cap, ncap, rep):
         mcap = min(2, F.cap - ncap2)
         S = simplicial_space(F, ncap2, mcap)
         emit(check_bisimplicial(S.bisset, "space"))
-        rep.add("PASS" if space_projection_ok(S) else "FAIL",
-                "space-projection", "over-box")
-        if not space_projection_ok(S):
+        ok = space_projection_ok(S)
+        rep.add("PASS" if ok else "FAIL", "space-projection", "over-box")
+        if not ok:
             fails += 1
     elif what == "c4-iso":
         _require_kind(spec, ("sset", "marked"))
-        f, g, L, Rd = compare_relnerve_iso(_sset_diagram(spec), cap)
+        f, g, L, Rd = compare_relnerve_iso(spec.diagram.underlying(), cap)
         emit(verify_iso_map(f, g, "relnerve-comparison"))
     elif what == "fibers":
         _require_kind(spec, ("sset", "marked"))
-        F = _sset_diagram(spec)
+        F = spec.diagram.underlying()
         R = lurie_grothendieck(F, cap)
         for c in range(F.shape.n_objects):
             fib, inc, ff, gg = fiber_at(R, c)
@@ -163,7 +157,7 @@ def cmd_verify(spec, what, cap, ncap, rep):
             emit(cocartesian_edge(OM.proj, e, ncap))
     elif what == "iota":
         _require_kind(spec, ("sset", "marked"))
-        F = _sset_diagram(spec)
+        F = spec.diagram.underlying()
         emit(iota_audit(*iota(F, cap), F))
     else:
         raise SpecParseError("unknown verify target %r" % what)
@@ -201,7 +195,7 @@ def cmd_compare(spec, args, cap, rep):
     elif args.homology:
         _require_kind(spec, ("sset", "marked"))
         maxk = _max_degree(args, cap)
-        F = _sset_diagram(spec)
+        F = spec.diagram.underlying()
         R = lurie_grothendieck(F, cap)
         bar = bar_hocolim(F, cap)
         hr = homology_table(R.total, maxk)
@@ -216,7 +210,7 @@ def cmd_compare(spec, args, cap, rep):
             fails += 1
     elif args.pi0:
         _require_kind(spec, ("sset", "marked"))
-        F = _sset_diagram(spec)
+        F = spec.diagram.underlying()
         R = lurie_grothendieck(F, cap)
         bar = bar_hocolim(F, cap)
         a, b = len(pi0(R.total)), len(pi0(bar.total))
@@ -227,7 +221,9 @@ def cmd_compare(spec, args, cap, rep):
             fails += 1
     else:
         _require_kind(spec, ("sset", "marked"))
-        cc = colim_via_marked(_sset_diagram(spec), cap)
+        if cap < 2:
+            raise TruncationError("the natural marking needs cap >= 2")
+        cc = colim_via_marked(spec.diagram.underlying())
         rep.add("colim-direct", *cc.direct.counts)
         rep.add("colim-composite", *cc.composite.counts)
         rep.add("PASS" if cc.ok else "FAIL", "colimit-composite",
@@ -302,9 +298,6 @@ def build_parser():
         if needs_input:
             p.add_argument("--input", required=True)
         p.add_argument("--cap", type=int, default=3)
-        p.add_argument("--ncap", type=int, default=3)
-        p.add_argument("--max-degree", type=int, default=None,
-                       dest="max_degree")
         p.add_argument("--out", default=None)
 
     b = sub.add_parser("build", help="run a construction and report sizes")
@@ -318,13 +311,15 @@ def build_parser():
     v = sub.add_parser("verify", help="run a certification suite")
     v.add_argument("target", choices=["identities", "c4-iso", "fibers",
                                       "fibration", "iota"])
+    v.add_argument("--ncap", type=int, default=3)
     common(v)
 
     c = sub.add_parser("compare", help="quantitative comparisons")
-    c.add_argument("--homology", action="store_true")
-    c.add_argument("--pi0", action="store_true")
-    c.add_argument("--thomason", action="store_true")
-    c.add_argument("--colimit", action="store_true")
+    mode = c.add_mutually_exclusive_group()
+    for flag in ("--homology", "--pi0", "--thomason", "--colimit"):
+        mode.add_argument(flag, action="store_true")
+    c.add_argument("--max-degree", type=int, default=None,
+                   dest="max_degree")
     common(c)
 
     r = sub.add_parser("random-suite", help="seeded random property battery")

@@ -95,10 +95,8 @@ def validate_category(C):
     return report
 
 
-def category_from_generators(n_objects, generators, relations=None,
-                             obj_names=None):
-    """Free category on a DAG of generators (src, tgt) with src < tgt,
-    optionally with composite identifications.
+def category_from_generators(n_objects, generators):
+    """Free category on a DAG of generators (src, tgt) with src < tgt.
 
     Acyclicity keeps the morphism set finite; composition is path
     concatenation.  Morphisms are identity paths plus all generator paths.
@@ -106,7 +104,6 @@ def category_from_generators(n_objects, generators, relations=None,
     for (a, b) in generators:
         if not a < b:
             raise CatError("generators must go strictly upward (DAG)")
-    paths = {o: {o: [()]} for o in range(n_objects)}
     # enumerate all composable generator sequences
     all_paths = []
     for o in range(n_objects):
@@ -133,7 +130,7 @@ def category_from_generators(n_objects, generators, relations=None,
                                                     for gi in reversed(p))
                  for (a, b, p) in all_paths]
     C = FinCategory(n_objects, src, tgt, identity, table,
-                    obj_names=obj_names, mor_names=mor_names)
+                    mor_names=mor_names)
     C.gen_paths = all_paths
     C.generators = list(generators)
     return C
@@ -148,22 +145,25 @@ def arrow_category():
     return category_from_generators(2, [(0, 1)])
 
 
+def _thin_category(n_objects, related):
+    """The category with one morphism a -> b for each pair with
+    ``related(a, b)`` (reflexive and transitive), numbered in the
+    lexicographic order of the pairs."""
+    keys = {}
+    for a in range(n_objects):
+        for b in range(n_objects):
+            if related(a, b):
+                keys[(a, b)] = len(keys)
+    identity = [keys[(o, o)] for o in range(n_objects)]
+    table = {(keys[(c, d)], keys[(a, b)]): keys[(a, d)]
+             for (a, b) in keys for (c, d) in keys if b == c}
+    return FinCategory(n_objects, [a for a, _ in keys], [b for _, b in keys],
+                       identity, table)
+
+
 def chain_category(n):
     """The poset 0 < 1 < ... < n with all composites identified."""
-    objs = n + 1
-    src, tgt, keys = [], [], {}
-    for a in range(objs):
-        for b in range(a, objs):
-            keys[(a, b)] = len(src)
-            src.append(a)
-            tgt.append(b)
-    identity = [keys[(o, o)] for o in range(objs)]
-    table = {}
-    for (a, b) in list(keys):
-        for (c, d) in list(keys):
-            if b == c:
-                table[(keys[(c, d)], keys[(a, b)])] = keys[(a, d)]
-    return FinCategory(objs, src, tgt, identity, table)
+    return _thin_category(n + 1, lambda a, b: a <= b)
 
 
 def span_category():
@@ -191,19 +191,7 @@ def cyclic_group_category(k):
 
 def indiscrete_groupoid(n_objects):
     """Exactly one morphism between any ordered pair of objects."""
-    src, tgt, keys = [], [], {}
-    for a in range(n_objects):
-        for b in range(n_objects):
-            keys[(a, b)] = len(src)
-            src.append(a)
-            tgt.append(b)
-    identity = [keys[(o, o)] for o in range(n_objects)]
-    table = {}
-    for (a, b) in list(keys):
-        for (c, d) in list(keys):
-            if b == c:
-                table[(keys[(c, d)], keys[(a, b)])] = keys[(a, d)]
-    return FinCategory(n_objects, src, tgt, identity, table)
+    return _thin_category(n_objects, lambda a, b: True)
 
 
 class CatFunctor:
@@ -454,6 +442,11 @@ class SSetDiagram:
     @property
     def cap(self):
         return self.values[0].cap
+
+    def underlying(self):
+        """The unmarked diagram: this one (``MarkedDiagram.underlying``
+        forgets the markings)."""
+        return self
 
     def require_cap(self, cap):
         """Refuse a construction up to degree ``cap`` on shallower values."""

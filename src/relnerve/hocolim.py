@@ -10,11 +10,10 @@ from dataclasses import dataclass
 from .certify import Certificate
 from .fincat import (RelNerveObject, chain_arrow, chain_object_of_key,
                      fiber_onto_value, nerve, over_constant, over_nerve)
-from .marked import (MarkedDiagram, MarkedSSet, Localization,
-                     OverMappingSpace, colim_marked, degenerate_edges,
-                     extend_along_J, localization_mediator, localize,
-                     mark_diagram, marked_rel_nerve, rectify_right,
-                     under_nerve_sharp)
+from .marked import (MarkedSSet, Localization, OverMappingSpace,
+                     colim_marked, degenerate_edges, extend_along_J,
+                     localization_mediator, localize, mark_diagram,
+                     marked_rel_nerve, rectify_right, under_nerve_sharp)
 from .pathspace import lurie_grothendieck
 from .sset import (SimplicialMap, SSetError, TruncationError, TruncSSet,
                    coequalize_disjoint, identity_map)
@@ -24,8 +23,7 @@ def bar_hocolim(F, cap):
     """Diagonal bar construction: n-simplices are pairs (sigma, x) with x an
     n-simplex of the value at sigma(0); the zeroth face transports x along
     the first arrow, all other operators act diagonally."""
-    marked_input = isinstance(F, MarkedDiagram)
-    U = F.underlying() if marked_input else F
+    U = F.underlying()          # F itself unless F is marked
     C = U.shape
     U.require_cap(cap)
     NC = nerve(C, cap)
@@ -40,11 +38,9 @@ def bar_hocolim(F, cap):
     total, proj = over_nerve(
         NC, cap, lambda n, k: value(n, k).simplices(n), face,
         lambda n, i, k, nk, x: value(n, k).degens[n][i][x])
-    marked = None
-    if marked_input:
-        marked = frozenset(
-            s for s, (sid, x) in enumerate(total.keys[1])
-            if x in F.values[C.src[NC.keys[1][sid][0]]].marked)
+    marked = None if U is F else frozenset(
+        s for s, (sid, x) in enumerate(total.keys[1])
+        if x in F.values[C.src[NC.keys[1][sid][0]]].marked)
     return RelNerveObject(total, proj, NC, F, marked)
 
 
@@ -54,7 +50,7 @@ def iota(F, cap, bar=None, rel=None):
     bijective, and injective when every transition map is mono (the last
     coordinate is x transported along the whole chain); with a non-mono
     map it is in general not injective."""
-    U = F.underlying() if isinstance(F, MarkedDiagram) else F
+    U = F.underlying()
     C = U.shape
     bar = bar if bar is not None else bar_hocolim(F, cap)
     rel = rel if rel is not None else lurie_grothendieck(U, cap)
@@ -104,7 +100,7 @@ def iota_audit(io, bar, rel, F):
     every transition map of F is injective, is injective (the only case in
     which ``iota`` promises it).  A FAIL witness starts with the name of the
     check that failed."""
-    U = F.underlying() if isinstance(F, MarkedDiagram) else F
+    U = F.underlying()
 
     def fail(*witness):
         return Certificate("iota-audit", "", "FAIL", witness=witness)
@@ -129,16 +125,15 @@ def iota_audit(io, bar, rel, F):
 def bar_fiber(bar, c):
     """Fiber of the bar construction over an object, with the inverse pair
     onto the value."""
-    U = bar.diagram.underlying() if isinstance(bar.diagram, MarkedDiagram) \
-        else bar.diagram
-    fib, inc, f, g = fiber_onto_value(bar, c, U.values[c],
+    fib, inc, f, g = fiber_onto_value(bar, c,
+                                      bar.diagram.underlying().values[c],
                                       lambda n, x: x, lambda n, x: x)
     return fib, f, g
 
 
 # -- unit and counit of the rectification adjunction --------------------------
 
-def eta_unit(FM, d, cap_out, rectified=None, rel=None):
+def eta_unit(FM, d, cap_out):
     """The unit F(d) -> [N(d/D) sharp, relnerve(F)]^+_D.
 
     The value at an n-simplex x is the over-base map whose component at a
@@ -149,14 +144,8 @@ def eta_unit(FM, d, cap_out, rectified=None, rel=None):
     cap = FM.cap
     OM, R = marked_rel_nerve(FM, cap)
     NC = R.base_nerve
-    if rectified is None:
-        over, Ucat, forget, objs, arrow_keys = under_nerve_sharp(
-            C, d, cap, NC=NC)
-        space = OverMappingSpace(over, OM, cap_out)
-    else:
-        space = rectified.spaces[d]
-        Ucat, forget, objs = rectified.unders[d][:3]
-        over = space.X
+    over, _, forget, objs, _ = under_nerve_sharp(C, d, cap, NC=NC)
+    space = OverMappingSpace(over, OM, cap_out)
     NU = over.sset
     U = FM.underlying()
     Xd = U.values[d]
@@ -205,10 +194,10 @@ def _eta_table(FM, d, n, x, space, NU, forget, objs, NC):
     return tuple(out)
 
 
-def counit_w2(X, cap, rectified=None):
+def counit_w2(X, cap):
     """The counit h!(h*(X)) -> X: evaluate a mapping-space simplex at the
     identity-based lift of its base chain."""
-    rect = rectified if rectified is not None else rectify_right(X, cap)
+    rect = rectify_right(X, cap)
     RD = rect.diagram
     cap_out = RD.cap
     if cap > cap_out:
@@ -232,7 +221,6 @@ def counit_w2(X, cap, rectified=None):
             lift_id = NU.id_of(n, lift)
             delta_n = space.deltas[n]
             idn = delta_n.id_of(n, tuple(range(n + 1)))
-            P, pr1, pr2 = space.prisms[n]
             prism_id = idn * NU.counts[n] + lift_id
             row.append(table[n][prism_id])
         comp.append(row)
@@ -264,7 +252,6 @@ class HocolimResult:
     total: TruncSSet
     localization: Localization
     bar: RelNerveObject
-    marked_total: MarkedSSet
 
 
 def hocolim_qcat(F, cap):
@@ -279,7 +266,7 @@ def hocolim_qcat(F, cap):
     bar = bar_hocolim(FM, cap)
     M = MarkedSSet(bar.total, bar.marked | degenerate_edges(bar.total))
     loc = localize(M)
-    return HocolimResult(loc.total, loc, bar, M)
+    return HocolimResult(loc.total, loc, bar)
 
 
 @dataclass
@@ -297,7 +284,7 @@ def direct_colim(F):
     return coequalize_disjoint(F.values, F.transport_relations())
 
 
-def colim_via_marked(F, cap=None):
+def colim_via_marked(F):
     """Compare the direct degreewise colimit with the localized colimit of
     the naturally marked diagram.
 
@@ -307,9 +294,9 @@ def colim_via_marked(F, cap=None):
     certificate is then the retraction built from J-extensions (the
     "collapse the glued isomorphisms" comparison), which restricts to the
     identity on the direct colimit.  Everything is built at the diagram's
-    own cap; the natural marking needs it, and ``cap``, to be >= 2.
+    own cap; the natural marking needs it to be >= 2.
     """
-    if F.cap < 2 or (cap is not None and cap < 2):
+    if F.cap < 2:
         raise TruncationError("the natural marking needs cap >= 2")
     Q, qmaps = direct_colim(F)
     FM = mark_diagram(F, "natural")

@@ -113,6 +113,8 @@ def mark(X, mode):
     if mode == "flat":
         return MarkedSSet(X, degenerate_edges(X))
     if mode == "sharp":
+        if X.cap < 1:
+            raise MarkError("the sharp marking needs cap >= 1")
         return MarkedSSet(X, frozenset(range(X.counts[1])))
     if mode == "natural":
         return MarkedSSet(X, frozenset(equivalences(X)) |
@@ -132,14 +134,12 @@ class Localization:
     j_copies: object             # the disjoint union, with injections
 
 
-def localize(M, cap=None):
+def localize(M):
     """Pushout gluing one walking isomorphism along each nondegenerate
     marked edge; degenerate marked edges are already invertible and are not
     glued, so flat objects localize to themselves."""
     S = M.sset
-    cap = S.cap if cap is None else cap
-    if cap != S.cap:
-        raise SSetError("localization cap must match the object")
+    cap = S.cap
     degflags = S.degenerate_flags(1)
     glued = sorted(e for e in M.marked if not degflags[e])
     if not glued:

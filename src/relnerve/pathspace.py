@@ -122,15 +122,16 @@ class PathSpace:
         return partial[-1]
 
 
-def path_space(F, sigma_key, n, mcap, cache=None):
-    """The spec-level operation; returns the internal TruncSSet."""
-    return PathSpace(F, sigma_key, n, mcap, cache=cache)
+def path_space(F, sigma_key, n, mcap):
+    """The spec-level operation; the ``PathSpace`` over one base simplex,
+    whose ``sset`` is its internal simplicial set."""
+    return PathSpace(F, sigma_key, n, mcap)
 
 
-def path_structure_map(F, sigma_key, n, i, kind, mcap, cache=None):
+def path_structure_map(F, sigma_key, n, i, kind, mcap):
     """Face (kind='face') or degeneracy (kind='degeneracy') operator of the
     path-space tower at index i, as a SimplicialMap."""
-    cache = cache or _ExpCache(F.cap)
+    cache = _ExpCache(F.cap)
     src = PathSpace(F, sigma_key, n, mcap, cache)
     if kind == "face":
         if not 0 <= i <= n or n == 0:
@@ -173,7 +174,7 @@ def _transport_tuple(src, tgt, tup, m, i, kind):
     return tuple(new)
 
 
-def path_space_zigzag(F, sigma_key, n, mcap, cache=None):
+def path_space_zigzag(F, sigma_key, n, mcap):
     """Independent oracle: the degreewise limit of the exponential zig-zag.
 
     Computes, for each internal degree m, the set of tuples
@@ -181,7 +182,7 @@ def path_space_zigzag(F, sigma_key, n, mcap, cache=None):
     satisfying the pullback equations, by filtering the full product rather
     than by the incremental fiber search used by ``PathSpace``.
     """
-    cache = cache or _ExpCache(F.cap)
+    cache = _ExpCache(F.cap)
     C = F.shape
     objects = [chain_object_of_key(C, sigma_key, n, i) for i in range(n + 1)]
     exps = [cache.exp(F.values[o], i, mcap) for i, o in enumerate(objects)]

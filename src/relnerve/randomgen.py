@@ -46,12 +46,6 @@ def random_shape(rng, bounds):
     return C, generators
 
 
-def _paths_of(C):
-    """(src, tgt, generator path) per morphism id, as built by the free
-    category constructor."""
-    return C.gen_paths
-
-
 def random_sub_delta(rng, bounds, cap):
     """Random downward-closed subcomplex of a standard simplex, nonempty,
     with at most the allowed number of nondegenerate simplices."""
@@ -90,15 +84,14 @@ def random_sub_delta_map(rng, A, B):
     return delta_map(A, B, rng.choice(candidates))
 
 
-def random_sset_diagram(rng, bounds, cap=None):
-    cap = bounds.cap if cap is None else cap
+def random_sset_diagram(rng, bounds):
     C, generators = random_shape(rng, bounds)
-    values = [random_sub_delta(rng, bounds, cap)
+    values = [random_sub_delta(rng, bounds, bounds.cap)
               for _ in range(C.n_objects)]
     gen_maps = [random_sub_delta_map(rng, values[a], values[b])
                 for (a, b) in generators]
     maps = []
-    for (a, b, p) in _paths_of(C):
+    for (a, b, p) in C.gen_paths:
         f = identity_map(values[a])
         for gi in p:
             f = compose(gen_maps[gi], f)
@@ -127,8 +120,6 @@ def random_functor(rng, A, B):
     if hasattr(A, "gen_paths"):
         obj_map = [rng.randint(0, B.n_objects - 1)
                    for _ in range(A.n_objects)]
-        # monotone repair so generator images admit paths in B
-        gen_images = {}
         paths = A.gen_paths
         # assign per generating arrow a morphism of B with correct endpoints
         gen_list = []
@@ -189,7 +180,7 @@ def random_cat_diagram(rng, bounds):
     gen_functors = [random_functor(rng, values[a], values[b])
                     for (a, b) in generators]
     maps = []
-    for (a, b, p) in _paths_of(C):
+    for (a, b, p) in C.gen_paths:
         F = identity_functor(values[a])
         for gi in p:
             F = compose_functors(gen_functors[gi], F)

@@ -11,9 +11,13 @@ from dataclasses import dataclass
 
 from .certify import check_simplicial_identities
 from .fincat import CatDiagram, CatFunctor, FinCategory, SSetDiagram
-from .marked import MarkedDiagram, MarkedSSet, mark
-from .sset import (SimplicialMap, SSetError, TruncSSet, build_generated,
-                   constant_map, identity_map)
+from .marked import MarkedDiagram, MarkedSSet, MarkError, mark
+from .sset import (SimplicialMap, SSetError, TruncationError, TruncSSet,
+                   build_generated, constant_map, generated_size,
+                   identity_map)
+
+# the most simplices, over degrees 0..cap, a generator value may have
+VALUE_BUDGET = 100_000
 
 
 class SpecParseError(Exception):
@@ -29,7 +33,6 @@ class ParsedSpec:
     cap: int
     diagram: object              # SSetDiagram | CatDiagram | MarkedDiagram
     obj_names: list
-    arrow_names: list
 
 
 def _tokenize(text):
@@ -225,7 +228,7 @@ def parse_spec(text):
     value_defs = {}
     map_defs = {}
     markings = {}
-    marked_extra = {}
+    marked_extra = []
     while cur.peek() is not None:
         ln, toks = cur.take()
         head = toks[0]
@@ -271,10 +274,12 @@ def parse_spec(text):
             else:
                 map_defs[name] = ("short", spec, ln)
         elif head == "marking":
+            if toks[2] not in ("flat", "sharp", "natural"):
+                raise SpecParseError("unknown marking %r" % toks[2], ln)
             markings[toks[1]] = (toks[2], ln)
         elif head == "marked":
-            marked_extra.setdefault(toks[1], []).extend(
-                _to_int(t, ln, "edge id") for t in toks[2:])
+            marked_extra.append(
+                (toks[1], [_to_int(t, ln, "edge id") for t in toks[2:]], ln))
         else:
             raise SpecParseError("unknown directive %r" % head, ln)
     if kind is None:
@@ -283,29 +288,30 @@ def parse_spec(text):
         raise SpecParseError("missing 'cap' line")
     if not objs:
         raise SpecParseError("missing 'object' line")
-    C, obj_index, mor_index = _build_category(objs, arrows, composes)
+    for name, ln in [(n, ln) for n, (_, ln) in markings.items()] + \
+            [(n, ln) for n, _, ln in marked_extra]:
+        if kind != "marked":
+            raise SpecParseError("marking lines need 'diagram marked'", ln)
+        if name not in objs:
+            raise SpecParseError("marking of unknown object %r" % name, ln)
+    C = _build_category(objs, arrows, composes)[0]
     from .fincat import CatError, validate_category
-    from .marked import MarkError
     bad = validate_category(C)
     if bad:
         raise SpecParseError("shape is not a category: %r" % (bad[0],))
     try:
         if kind == "cat":
-            diagram = _assemble_cat(C, obj_index, mor_index, value_defs,
-                                    map_defs, objs)
+            diagram = _assemble_cat(C, value_defs, map_defs, objs)
         else:
-            diagram = _assemble_sset(C, obj_index, mor_index, value_defs,
-                                     map_defs, objs, cap)
+            diagram = _assemble_sset(C, value_defs, map_defs, objs, cap)
             if kind == "marked":
-                diagram = _apply_markings(diagram, obj_index, markings,
-                                          marked_extra)
+                diagram = _apply_markings(diagram, markings, marked_extra)
     except (CatError, MarkError, KeyError, IndexError) as exc:
         raise SpecParseError("invalid diagram data: %r" % (exc,))
-    arrow_names = [n for n in C.mor_names]
     bad = diagram.validate()
     if bad:
         raise SpecParseError("diagram is not functorial: %r" % (bad[0],))
-    return ParsedSpec(kind, cap, diagram, objs, arrow_names)
+    return ParsedSpec(kind, cap, diagram, objs)
 
 
 def _value_sset(defn, cap, name):
@@ -328,6 +334,12 @@ def _value_sset(defn, cap, name):
         if v < 0:
             raise SpecParseError("generator %r needs %s >= 0, got %d"
                                  % (gkind, p, v), ln)
+    size = generated_size(gkind, cap, **sizes)
+    if size > VALUE_BUDGET:
+        raise TruncationError(
+            "%s value for %r has %d simplices in degrees 0..%d, above the "
+            "budget of %d (line %d)" % (gkind, name, size, cap, VALUE_BUDGET,
+                                        ln))
     try:
         return build_generated(gkind, cap, **sizes)
     except SSetError as exc:
@@ -335,7 +347,7 @@ def _value_sset(defn, cap, name):
                              ln)
 
 
-def _assemble_sset(C, obj_index, mor_index, value_defs, map_defs, objs, cap):
+def _assemble_sset(C, value_defs, map_defs, objs, cap):
     values = []
     for o in objs:
         if o not in value_defs:
@@ -387,7 +399,7 @@ def _assemble_sset(C, obj_index, mor_index, value_defs, map_defs, objs, cap):
     return SSetDiagram(C, values, maps)
 
 
-def _assemble_cat(C, obj_index, mor_index, value_defs, map_defs, objs):
+def _assemble_cat(C, value_defs, map_defs, objs):
     values = []
     indices = []
     for o in objs:
@@ -435,13 +447,24 @@ def _assemble_cat(C, obj_index, mor_index, value_defs, map_defs, objs):
     return CatDiagram(C, values, maps)
 
 
-def _apply_markings(diagram, obj_index, markings, marked_extra):
+def _apply_markings(diagram, markings, marked_extra):
+    """Mark each value as its ``marking`` line says (flat by default), plus
+    the edge ids of its ``marked`` lines; a defect names its line."""
     values = []
     for o, name in enumerate(diagram.shape.obj_names):
-        mode = markings.get(name, ("flat", None))[0]
-        base = mark(diagram.values[o], mode)
-        extra = frozenset(marked_extra.get(name, []))
-        values.append(MarkedSSet(base.sset, base.marked | extra))
+        X = diagram.values[o]
+        mode, ln = markings.get(name, ("flat", None))
+        try:
+            base = mark(X, mode)
+        except MarkError as exc:
+            raise SpecParseError("cannot mark %r %s: %s" % (name, mode, exc),
+                                 ln)
+        edges = X.counts[1] if X.cap >= 1 else 0
+        extra = set()
+        for _, ids, ln in (e for e in marked_extra if e[0] == name):
+            extra.update(_in_range(e, 0, edges - 1, "edge id", ln)
+                         for e in ids)
+        values.append(MarkedSSet(X, base.marked | extra))
     return MarkedDiagram(diagram.shape, values, diagram.maps)
 
 

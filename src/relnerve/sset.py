@@ -11,14 +11,14 @@ Conventions:
 * ``faces[n][i][s]`` is ``d_i(s)`` for a degree-``n`` simplex ``s``
   (``1 <= n <= cap``, ``0 <= i <= n``).
 * ``degens[n][i][s]`` is ``s_i(s)`` (``0 <= n < cap``, ``0 <= i <= n``).
-* Simplex identity is id equality within a fixed ``TruncSSet``; labels are
-  kept only for reports and never compared.
+* Simplex identity is id equality within a fixed ``TruncSSet``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 
 class SSetError(Exception):
@@ -30,7 +30,7 @@ class TruncationError(SSetError):
 
 
 class TruncSSet:
-    def __init__(self, cap, counts, faces, degens, labels=None):
+    def __init__(self, cap, counts, faces, degens):
         if cap < 0:
             raise SSetError("cap must be >= 0")
         if len(counts) != cap + 1:
@@ -39,7 +39,6 @@ class TruncSSet:
         self.counts = list(counts)
         self.faces = faces      # faces[n] for 1<=n<=cap, list of n+1 tables
         self.degens = degens    # degens[n] for 0<=n<cap, list of n+1 tables
-        self.labels = labels    # optional per-degree label lists
         self._nondeg_cache = {}
         self._degflag_cache = {}
         self._by_faces_cache = {}
@@ -50,20 +49,6 @@ class TruncSSet:
 
     def simplices(self, n):
         return range(self.counts[n])
-
-    def face(self, n, i, s):
-        return self.faces[n][i][s]
-
-    def degeneracy(self, n, i, s):
-        return self.degens[n][i][s]
-
-    def size(self):
-        return sum(self.counts)
-
-    def label(self, n, s):
-        if self.labels is not None:
-            return self.labels[n][s]
-        return s
 
     # -- degeneracy structure ----------------------------------------------
 
@@ -219,11 +204,6 @@ class SimplicialMap:
         return self.is_injective() and all(
             len(c) == self.codomain.counts[n] for n, c in enumerate(self.comp))
 
-    def equals(self, other):
-        return (self.domain is other.domain
-                and self.codomain is other.codomain
-                and self.comp == other.comp)
-
 
 def identity_map(X):
     return SimplicialMap(X, X, [list(range(X.counts[n]))
@@ -283,7 +263,7 @@ class KeyedSSet(TruncSSet):
         for n in range(cap):
             degens.append([[index[n + 1][deg_key(n, i, k)] for k in keys[n]]
                            for i in range(n + 1)])
-        super().__init__(cap, counts, faces, degens, labels=keys)
+        super().__init__(cap, counts, faces, degens)
         self.keys = keys
         self.index = index
 
@@ -364,6 +344,30 @@ def build_generated(kind, cap, n=None, k=None):
     raise SSetError("unknown generator kind %r" % (kind,))
 
 
+def generated_size(kind, cap, n=0, k=0):
+    """The number of simplices in degrees 0..cap of ``build_generated(kind,
+    cap, n, k)``, in closed form, so that a value can be sized before it is
+    built.  Delta[n] has C(n+m+1, m+1) degree-m simplices, the monotone
+    (m+1)-tuples in 0..n; C(m, j) of them have a given (j+1)-set as image.
+    The boundary drops the tuples onto [n], the horn also those onto
+    [n] minus k."""
+    if kind == "point":
+        kind, n = "delta", 0
+    total = 0
+    for m in range(cap + 1):
+        if kind == "J":
+            total += 2 ** (m + 1)
+        elif kind == "discrete":
+            total += n
+        else:
+            total += math.comb(n + m + 1, m + 1)
+            if kind in ("boundary", "horn"):
+                total -= math.comb(m, n)
+            if kind == "horn" and n:
+                total -= math.comb(m, n - 1)
+    return total
+
+
 # -- limits and colimits ---------------------------------------------------
 
 def product(X, Y):
@@ -394,10 +398,9 @@ def product(X, Y):
     return P, pr1, pr2
 
 
-def product_map(u, v, P=None, Q=None):
-    """The induced map u x v between products built by ``product``."""
-    P = P if P is not None else product(u.domain, v.domain)[0]
-    Q = Q if Q is not None else product(u.codomain, v.codomain)[0]
+def product_map(u, v, P, Q):
+    """The induced map u x v between the products P and Q built by
+    ``product``."""
     ny, my = v.domain.counts, v.codomain.counts
     comp = []
     for n in range(P.cap + 1):
@@ -538,7 +541,7 @@ def restrict(X, cap):
     if cap > X.cap:
         raise TruncationError("cannot raise the cap of a truncated object")
     return TruncSSet(cap, X.counts[:cap + 1], X.faces[:cap + 1],
-                     X.degens[:cap], labels=None)
+                     X.degens[:cap])
 
 
 # -- map enumeration and exponentials --------------------------------------
@@ -637,7 +640,6 @@ class Exponential(KeyedSSet):
                 "exponential(cap_out=%d) with nondeg_dim(X)=%d needs cap(Y)"
                 " >= %d, have %d" % (cap_out, X.nondeg_dim(),
                                      cap_out + X.nondeg_dim(), Y.cap))
-        self.base = Y
         self.arg = X
         self.deltas = [standard_simplex(n, Y.cap) for n in range(cap_out + 1)]
         self.prisms = [product(D, X) for D in self.deltas]

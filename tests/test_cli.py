@@ -5,7 +5,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from relnerve.cli import main
-from relnerve.specio import SpecParseError, parse_spec
+from relnerve.specio import VALUE_BUDGET, SpecParseError, parse_spec
+from relnerve.sset import generated_size
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -123,6 +124,16 @@ end
 _TWO_POINTS = ("diagram sset\ncap 2\nobject a b\narrow f a b\n"
                "value a discrete 2\nvalue b discrete 2\n")
 
+# marking lines refused at their own line, 5; delta 1 has edges 0..2
+_MARKED = "diagram marked\ncap 2\nobject a\nvalue a delta 1\n"
+_BAD_MARKINGS = (_MARKED + "marking zz sharp\n",
+                 _MARKED + "marked zz 1\n",
+                 _MARKED + "marked a -1\n",
+                 _MARKED + "marked a 3\n",
+                 _MARKED + "marking a bogus\n",
+                 _MARKED.replace("cap 2", "cap 1") + "marking a natural\n",
+                 _MARKED.replace("marked", "sset") + "marking a sharp\n")
+
 
 def test_cli_parse_error_exit_2(tmp_path, capsys):
     one = "diagram sset\ncap 2\nobject a\n"
@@ -157,7 +168,7 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
                  _README_SPEC.replace("end", "degen 1 0 0\nend"),
                  _README_SPEC.replace("end", "degen 0 1 0 1\nend"),
                  _TWO_POINTS + "map f explicit\nrow 0 0 1\nrow 1 0 1\n"
-                 "row 2 0 1\nrow 3 0 1\nend\n"):
+                 "row 2 0 1\nrow 3 0 1\nend\n") + _BAD_MARKINGS:
         bad = tmp_path / "bad.rnspec"
         bad.write_text(body)
         code = main(["build", "relnerve", "--input", str(bad), "--cap", "2"])
@@ -165,22 +176,41 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
         assert code == 2, body
         assert err.startswith("parse error:") and \
             len(err.splitlines()) == 1, body
+        if body in _BAD_MARKINGS:
+            assert err.rstrip().endswith("(line 5)"), body
+
+
+def test_cli_value_budget_exit_3(tmp_path, capsys):
+    # delta 99 at cap 3 has C(100, 1) + .. + C(103, 4) simplices
+    assert generated_size("delta", 3, n=99) > VALUE_BUDGET
+    spec = tmp_path / "big.rnspec"
+    spec.write_text("diagram sset\ncap 3\nobject t\nvalue t delta 99\n")
+    code = main(["build", "relnerve", "--input", str(spec), "--cap", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("validity bound:") and \
+        err.rstrip().endswith("(line 4)") and len(err.splitlines()) == 1
+
+
+def test_cli_compare_modes_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--homology", "--pi0", "--input",
+              fixture("span.rnspec")])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
 
 
 def _mutants(text):
     """The single-line mutations of a spec: drop a line, duplicate a line,
-    or replace one integer token with -1, 0, 5 or 99.  A generator size of
-    99 is left out: ``value t delta 99`` at cap 3 is a valid value with
-    4.4 million simplices, which only measures memory."""
+    or replace one integer token with -1, 0, 5 or 99."""
     lines = text.splitlines()
     for i, line in enumerate(lines):
         yield lines[:i] + lines[i + 1:]
         yield lines[:i + 1] + lines[i:]
         toks = line.split()
-        big = () if toks[:1] == ["value"] else ("99",)
         for j, tok in enumerate(toks):
             if tok.lstrip("-").isdigit():
-                for v in ("-1", "0", "5") + big:
+                for v in ("-1", "0", "5", "99"):
                     yield lines[:i] + [" ".join(
                         toks[:j] + [v] + toks[j + 1:])] + lines[i + 1:]
 

@@ -6,9 +6,10 @@ from relnerve.certify import check_simplicial_identities, verify_iso_map
 from relnerve.sset import (SSetError, TruncationError, boundary,
                            build_generated, classifying_map, constant_map,
                            discrete, enumerate_maps, exponential,
-                           ez_decompose, horn, identity_map,
-                           invert_bijection, product, pushout, restrict,
-                           standard_simplex, sub_sset, walking_iso)
+                           ez_decompose, generated_size, horn,
+                           identity_map, invert_bijection, product,
+                           pushout, restrict, standard_simplex, sub_sset,
+                           walking_iso)
 
 
 def binomial(n, k):
@@ -39,6 +40,17 @@ def test_horn_counts(n, k):
     assert sum(len(H.nondegenerate(m)) for m in range(n + 1)) == \
         sum(len(D.nondegenerate(m)) for m in range(n + 1)) - missing
     assert check_simplicial_identities(H).ok
+
+
+def test_generated_size_counts_every_simplex():
+    cases = [(kind, n, 0) for n in range(5)
+             for kind in ("delta", "boundary", "discrete", "point", "J")]
+    cases += [("horn", n, k) for n in range(5) for k in range(n + 1)]
+    for cap in range(5):
+        for kind, n, k in cases:
+            X = build_generated(kind, cap, n=n, k=k)
+            assert generated_size(kind, cap, n=n, k=k) == sum(X.counts), \
+                (kind, cap, n, k)
 
 
 def test_horn_index_validation():
