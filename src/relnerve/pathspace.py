@@ -22,7 +22,7 @@ from .fincat import (RelNerveObject, SSetDiagram, chain_arrow,
                      nerve_degen_key, nerve_face_key, over_nerve)
 from .sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
                    TruncationError, codegen_tuple, coface_tuple,
-                   delta_map, identity_map, precompose_table, product,
+                   delta_map, identity_map, precompose_table,
                    product_map, standard_simplex)
 
 
@@ -52,10 +52,9 @@ class _ExpCache:
         key = (m, j_from, j_to, vmap)
         if key not in self.restrictions:
             u = delta_map(self.delta(j_from), self.delta(j_to), vmap)
-            P_from = product(self.delta(m), self.delta(j_from))[0]
-            P_to = product(self.delta(m), self.delta(j_to))[0]
             self.restrictions[key] = product_map(
-                identity_map(self.delta(m)), u, P_from, P_to)
+                identity_map(self.delta(m)), u,
+                self.delta(j_from).prism(m)[0], self.delta(j_to).prism(m)[0])
         return self.restrictions[key]
 
 
@@ -298,12 +297,13 @@ def lurie_grothendieck(F, cap):
     F.require_cap(cap)
     NC = nerve(C, cap)
 
-    def values(n, k):
-        return [F.values[chain_object_of_key(C, k, n, j)]
-                for j in range(n + 1)]
+    # the values along each base simplex, listed once per simplex
+    values = [{k: [F.values[chain_object_of_key(C, k, n, j)]
+                   for j in range(n + 1)] for k in NC.keys[n]}
+              for n in range(cap + 1)]
 
     def fiber(n, k):
-        Xs = values(n, k)
+        Xs = values[n][k]
         tuples = [(b,) for b in Xs[0].simplices(0)]
         for i in range(1, n + 1):
             fmap = F.maps[k[i - 1]]
@@ -314,12 +314,12 @@ def lurie_grothendieck(F, cap):
         return tuples
 
     def face(n, i, k, nk, t):
-        Xs = values(n, k)
+        Xs = values[n][k]
         return tuple(t[j] if j < i else Xs[j + 1].faces[j + 1][i][t[j + 1]]
                      for j in range(n))
 
     def degen(n, i, k, nk, t):
-        Xs = values(n, k)
+        Xs = values[n][k]
         return tuple(t[j] if j <= i else Xs[j - 1].degens[j - 1][i][t[j - 1]]
                      for j in range(n + 2))
 

@@ -18,6 +18,9 @@ from .sset import (SimplicialMap, SSetError, TruncationError, TruncSSet,
 
 # the most simplices, over degrees 0..cap, a generator value may have
 VALUE_BUDGET = 100_000
+# the largest spec cap: every value is built at the spec's cap, whatever
+# the command's --cap, and its tables grow about as the cube of the cap
+CAP_BOUND = 32
 
 
 class SpecParseError(Exception):
@@ -242,6 +245,9 @@ def parse_spec(text):
             cap = _to_int(toks[1], ln, "cap")
             if cap < 0:
                 raise SpecParseError("cap must be >= 0, got %d" % cap, ln)
+            if cap > CAP_BOUND:
+                raise TruncationError("cap %d is above the bound of %d "
+                                      "(line %d)" % (cap, CAP_BOUND, ln))
         elif head == "object":
             objs.extend(toks[1:])
         elif head in ("arrow", "compose"):

@@ -44,6 +44,8 @@ class TruncSSet:
         self._by_faces_cache = {}
         self._face_index_cache = {}
         self._op_cache = {}
+        self._ez_cache = {}
+        self._prism_cache = {}
 
     # -- basic access ------------------------------------------------------
 
@@ -120,6 +122,13 @@ class TruncSSet:
             raise SSetError("EZ word not strictly decreasing: structure defect")
         return word, d, cur
 
+    def ez_table(self, n):
+        """``ez_decompose`` of every degree-n simplex (cached)."""
+        if n not in self._ez_cache:
+            self._ez_cache[n] = [self.ez_decompose(n, s)
+                                 for s in self.simplices(n)]
+        return self._ez_cache[n]
+
     def apply_word(self, m, y, word):
         """Apply a decreasing degeneracy word (as from ez_decompose)."""
         cur, d = y, m
@@ -156,6 +165,13 @@ class TruncSSet:
     def apply_vertex_map(self, n, s, u):
         """``X(u)(s)``; see ``op_table``."""
         return self.op_table(n, tuple(u))[s]
+
+    def prism(self, n):
+        """``product(Delta[n], X)`` with its two projections (cached), the
+        domain of the degree-n simplices of a mapping object out of X."""
+        if n not in self._prism_cache:
+            self._prism_cache[n] = product(standard_simplex(n, self.cap), self)
+        return self._prism_cache[n]
 
 
 def _group(keys):
@@ -550,59 +566,88 @@ def _search(A, B, candidate_filter=None, limit=None):
     """Depth-first search for the simplicial maps A -> B, as full per-degree
     value tables; it stops once ``limit`` tables are found.
 
-    A map is determined by its values on nondegenerate simplices; values on
-    degenerate ones are forced through the EZ decomposition.  Degrees are
-    filled in order, the nondegenerate simplices of a degree in id order,
-    each trying the simplices of ``B`` with the required faces in id order.
-    The optional ``candidate_filter(n, s, b)`` restricts admissible images
-    of the nondegenerate simplex ``s``.
+    A map is determined by its values on the nondegenerate simplices of A,
+    which are visited from the top degree down, in id order within a
+    degree.  Assigning ``b`` to ``s`` fixes the value of every face of
+    ``s`` at once: a nondegenerate face takes ``d_i b`` and passes it on to
+    its own faces; a degenerate face ``s_w y`` (its EZ word ``w``) fixes
+    ``y`` to ``d_i b`` stripped of ``w`` by the matching faces, provided
+    ``w`` gives ``d_i b`` back.  A conflict undoes the assignments on the
+    trail.  A simplex not yet fixed tries the simplices of ``B`` with its
+    whole boundary when every face is fixed (``by_faces``), else those
+    with one of its fixed faces, the one with the fewest (``face_index``),
+    and all of ``B_n`` when no face is fixed.  The optional
+    ``candidate_filter(n, s, b)`` restricts the value of every
+    nondegenerate ``s``, chosen or propagated.  Degenerate values are
+    filled once per map found.  The EZ table of ``A`` is cached on ``A``,
+    so a prism ``X.prism(n)``, built once per ``X``, is decomposed once for
+    every search out of it.
     """
     cap = A.cap
-    results = []
+    ez = [A.ez_table(n) for n in range(cap + 1)]
     val = [[None] * A.counts[n] for n in range(cap + 1)]
-    ez = [[A.ez_decompose(n, s) for s in A.simplices(n)]
-          for n in range(cap + 1)]
-    pending = [[s for s in A.simplices(n) if not ez[n][s][0]]
-               for n in range(cap + 1)]
+    order = [(n, s) for n in range(cap, -1, -1) for s in A.nondegenerate(n)]
+    # a degenerate s_j t, with t = d_j s, from the lowest degree up
+    degenerate = [(n, s, word[0], A.faces[n][word[0]][s])
+                  for n in range(cap + 1)
+                  for s, (word, _, _) in enumerate(ez[n]) if word]
+    trail, results = [], []
 
-    def fill_degree(n):
-        """Fill degree n and above; True once the limit is reached."""
-        if n > cap:
-            results.append([list(v) for v in val])
-            return len(results) == limit
-        for s in A.simplices(n):
-            word, m, y = ez[n][s]
-            if word:
-                val[n][s] = B.apply_word(m, val[m][y], word)
-        profile = B.by_faces(n) if n else None
-
-        def choose(idx):
-            if idx == len(pending[n]):
-                return fill_degree(n + 1)
-            s = pending[n][idx]
-            if n == 0:
-                cands = range(B.counts[0])
-            else:
-                want = tuple(val[n - 1][A.faces[n][i][s]]
-                             for i in range(n + 1))
-                cands = profile.get(want, ())
-            for b in cands:
-                if candidate_filter is not None \
-                        and not candidate_filter(n, s, b):
-                    continue
-                val[n][s] = b
-                if choose(idx + 1):
-                    return True
-            val[n][s] = None
+    def fix(n, s, b):
+        """Assign b to the nondegenerate s and propagate; False on a
+        conflict."""
+        if val[n][s] is not None:
+            return val[n][s] == b
+        if candidate_filter is not None and not candidate_filter(n, s, b):
             return False
+        val[n][s] = b
+        trail.append((n, s))
+        for i in range(n + 1 if n else 0):
+            word, m, y = ez[n - 1][A.faces[n][i][s]]
+            z = face = B.faces[n][i][b]
+            for d, j in enumerate(word):
+                z = B.faces[n - 1 - d][j][z]
+            if word and B.apply_word(m, z, word) != face:
+                return False
+            if not fix(m, y, z):
+                return False
+        return True
 
-        if choose(0):
-            return True
-        for s in A.simplices(n):
-            val[n][s] = None
+    def candidates(n, s):
+        known = {}
+        for i in range(n + 1 if n else 0):
+            word, m, y = ez[n - 1][A.faces[n][i][s]]
+            if val[m][y] is not None:
+                known[i] = B.apply_word(m, val[m][y], word)
+        if not known:
+            return range(B.counts[n])
+        if len(known) == n + 1:
+            return B.by_faces(n).get(tuple(known[i] for i in range(n + 1)),
+                                     ())
+        index = B.face_index(n)
+        return min((index[i].get(v, ()) for i, v in known.items()), key=len)
+
+    def choose(idx):
+        while idx < len(order) and val[order[idx][0]][order[idx][1]] \
+                is not None:
+            idx += 1
+        if idx == len(order):
+            table = [list(v) for v in val]
+            for n, s, j, t in degenerate:
+                table[n][s] = B.degens[n - 1][j][table[n - 1][t]]
+            results.append(table)
+            return len(results) == limit
+        n, s = order[idx]
+        for b in candidates(n, s):
+            mark = len(trail)
+            if fix(n, s, b) and choose(idx + 1):
+                return True
+            while len(trail) > mark:
+                m, y = trail.pop()
+                val[m][y] = None
         return False
 
-    fill_degree(0)
+    choose(0)
     return results
 
 
@@ -624,7 +669,7 @@ class Exponential(KeyedSSet):
 
     ``admissible(prism, m, s, b)``, when given, keeps only the maps whose
     value at every nondegenerate degree-m simplex ``s`` of the prism
-    ``(P, pr1, pr2) = product(Delta[n], X)`` is a ``b`` it accepts; the
+    ``(P, pr1, pr2) = X.prism(n)`` is a ``b`` it accepts; the
     admitted tables must be closed under the simplicial operators.
 
     Exact only under the truncation validity bound
@@ -641,8 +686,8 @@ class Exponential(KeyedSSet):
                 " >= %d, have %d" % (cap_out, X.nondeg_dim(),
                                      cap_out + X.nondeg_dim(), Y.cap))
         self.arg = X
-        self.deltas = [standard_simplex(n, Y.cap) for n in range(cap_out + 1)]
-        self.prisms = [product(D, X) for D in self.deltas]
+        self.prisms = [X.prism(n) for n in range(cap_out + 1)]
+        self.deltas = [pr1.codomain for _, pr1, _ in self.prisms]
         tables = []
         for prism in self.prisms:
             filt = None if admissible is None else \
@@ -675,7 +720,7 @@ class Exponential(KeyedSSet):
 
 def precompose_table(table, pm):
     """The value table of ``f o pm`` from the value table of ``f``."""
-    return tuple(tuple(row[s] for s in comp)
+    return tuple(tuple(map(row.__getitem__, comp))
                  for row, comp in zip(table, pm.comp))
 
 

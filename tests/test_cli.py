@@ -5,7 +5,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from relnerve.cli import main
-from relnerve.specio import VALUE_BUDGET, SpecParseError, parse_spec
+from relnerve.specio import (CAP_BOUND, VALUE_BUDGET, SpecParseError,
+                             parse_spec)
 from relnerve.sset import generated_size
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -183,13 +184,22 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
 def test_cli_value_budget_exit_3(tmp_path, capsys):
     # delta 99 at cap 3 has C(100, 1) + .. + C(103, 4) simplices
     assert generated_size("delta", 3, n=99) > VALUE_BUDGET
+    # every value is built at the spec's cap, whatever --cap says: the two
+    # cap-3000 specs ran past 120 s before the cap had a bound
+    assert 3000 > CAP_BOUND
     spec = tmp_path / "big.rnspec"
-    spec.write_text("diagram sset\ncap 3\nobject t\nvalue t delta 99\n")
-    code = main(["build", "relnerve", "--input", str(spec), "--cap", "2"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert err.startswith("validity bound:") and \
-        err.rstrip().endswith("(line 4)") and len(err.splitlines()) == 1
+    for body, line in [
+            ("diagram sset\ncap 3\nobject t\nvalue t delta 99\n", 4),
+            ("diagram sset\ncap 3000\nobject a\nvalue a point\n", 2),
+            ("diagram sset\ncap 3000\nobject a\nvalue a explicit\nend\n",
+             2)]:
+        spec.write_text(body)
+        code = main(["build", "relnerve", "--input", str(spec), "--cap", "2"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("validity bound:") and \
+            err.rstrip().endswith("(line %d)" % line) and \
+            len(err.splitlines()) == 1
 
 
 def test_cli_compare_modes_exclusive(capsys):

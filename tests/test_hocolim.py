@@ -159,6 +159,22 @@ def test_w2_counit_audit():
     assert set(w2.comp[0]) == set(range(OM.sset.counts[0]))
 
 
+def test_w2_counit_on_random_cat_diagrams():
+    # with the degree-by-degree map search, items 34, 39 and 41 took
+    # 20-65 s each
+    import random
+    from relnerve.randomgen import SuiteBounds, random_cat_diagram
+    rng = random.Random(2)
+    items = [random_cat_diagram(rng, SuiteBounds()) for _ in range(42)]
+    for k in (33, 34, 35, 39, 41):
+        FM = mark_diagram(items[k].nerve_diagram(3), "natural")
+        OM, R = marked_rel_nerve(FM, 3)
+        w2, bar, rect = counit_w2(OM, 1)
+        assert w2.validate() == []
+        assert all(OM.proj.comp[n][w2.comp[n][s]] == bar.proj.comp[n][s]
+                   for n in range(2) for s in bar.total.simplices(n))
+
+
 def test_w2_degreewise_surjective_on_span():
     from conftest import span_diagram
     F = span_diagram(3)

@@ -1,15 +1,18 @@
 import itertools
+import random
 
 import pytest
 
 from relnerve.certify import check_simplicial_identities, verify_iso_map
-from relnerve.sset import (SSetError, TruncationError, boundary,
-                           build_generated, classifying_map, constant_map,
-                           discrete, enumerate_maps, exponential,
-                           ez_decompose, generated_size, horn,
-                           identity_map, invert_bijection, product,
-                           pushout, restrict, standard_simplex, sub_sset,
-                           walking_iso)
+from relnerve.fincat import cyclic_group_category, nerve
+from relnerve.randomgen import SuiteBounds, random_sub_delta
+from relnerve.sset import (SimplicialMap, SSetError, TruncationError,
+                           boundary, build_generated, classifying_map,
+                           constant_map, discrete, enumerate_maps,
+                           exponential, ez_decompose, first_map,
+                           generated_size, horn, identity_map,
+                           invert_bijection, product, pushout, restrict,
+                           standard_simplex, sub_sset, walking_iso)
 
 
 def binomial(n, k):
@@ -306,6 +309,74 @@ def test_enumerate_maps_counts_maps_to_point_and_interval():
     # maps Delta[1] -> Delta[1] are the monotone endomaps
     D1 = standard_simplex(1, 2)
     assert len(enumerate_maps(D1, D1)) == 3
+
+
+def _brute_force_maps(A, B, keep=None):
+    """Every assignment to the nondegenerate simplices of A, extended to the
+    degenerate ones by their EZ words, that passes ``keep`` and validates."""
+    cells = [(n, s) for n in range(A.cap + 1) for s in A.nondegenerate(n)]
+    found = set()
+    for values in itertools.product(*[B.simplices(n) for n, _ in cells]):
+        if keep is not None and not all(
+                keep(n, s, b) for (n, s), b in zip(cells, values)):
+            continue
+        comp = [[None] * A.counts[n] for n in range(A.cap + 1)]
+        for (n, s), b in zip(cells, values):
+            comp[n][s] = b
+        for n in range(A.cap + 1):
+            for s in A.simplices(n):
+                word, (m, y) = ez_decompose(A, n, s)
+                if word:
+                    comp[n][s] = B.apply_word(m, comp[m][y], word)
+        if SimplicialMap(A, B, comp).validate() == []:
+            found.add(tuple(map(tuple, comp)))
+    return found
+
+
+def _search_pairs(cap, most):
+    """Small (A, B) pairs whose brute force tries at most ``most``
+    assignments: prisms, horns, a boundary, J and the nerve of Z/2 as
+    domains; seeded random subcomplexes of simplices, a horn, a boundary,
+    J and the nerves of Z/2 and Z/3 as codomains."""
+    Z = [nerve(cyclic_group_category(k), cap) for k in (2, 3)]
+    sources = [standard_simplex(i, cap).prism(m)[0]
+               for m in range(3) for i in range(3) if 0 < m + i <= 2]
+    sources += [horn(2, 0, cap), horn(2, 1, cap), boundary(2, cap),
+                walking_iso(cap), Z[0]]
+    rng = random.Random(8)
+    targets = [random_sub_delta(rng, SuiteBounds(), cap) for _ in range(4)]
+    targets += [horn(2, 1, cap), boundary(2, cap), walking_iso(cap)] + Z
+    for A in sources:
+        for B in targets:
+            tries = 1
+            for n in range(cap + 1):
+                tries *= B.counts[n] ** len(A.nondegenerate(n))
+            if tries <= most:
+                yield A, B
+
+
+def test_search_matches_brute_force():
+    # enumerate_maps and first_map against every validating assignment,
+    # with and without a candidate filter (a seeded random 20% of the
+    # (degree, simplex, value) triples refused)
+    pairs = nonempty = 0
+    for cap in (2, 3):
+        for A, B in _search_pairs(cap, 800):
+            rng = random.Random(pairs)
+            refused = {(n, s, b) for n in range(cap + 1)
+                       for s in A.simplices(n) for b in B.simplices(n)
+                       if rng.random() < 0.2}
+            for keep in (None, lambda n, s, b: (n, s, b) not in refused):
+                want = _brute_force_maps(A, B, keep)
+                got = enumerate_maps(A, B, keep)
+                assert len(got) == len(want)
+                assert {tuple(map(tuple, t)) for t in got} == want
+                first = first_map(A, B, keep)
+                assert (first is None) == (not want)
+                assert first is None or tuple(map(tuple, first)) in want
+                nonempty += bool(want)
+            pairs += 1
+    assert pairs >= 60 and nonempty >= 60
 
 
 def test_exponential_adjunction_counts():
