@@ -9,9 +9,11 @@ nothing beyond it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from typing import Optional
 
-from .sset import TruncationError
+from .sset import SSetError, TruncationError
 
 
 @dataclass
@@ -135,85 +137,82 @@ def check_bisimplicial(B, subject="bisset"):
 # -- horn machinery ----------------------------------------------------------
 
 def _horn_maps(X, n, skip, fixed_edge=None):
-    """All tuples (y_i)_{i != skip} of (n-1)-simplices gluing to a horn map.
+    """All tuples (y_i)_{i != skip} of (n-1)-simplices gluing to a horn map,
+    in lexicographic order.
 
-    Compatibility: d_i(y_j) = d_{j-1}(y_i) for i < j, both != skip.  When
-    ``fixed_edge`` is given, every facet containing the 01-edge (facets with
-    index >= 2) must restrict to it on vertices {0,1}.
+    Compatibility: d_i(y_j) = d_{j-1}(y_i) for i < j, both != skip.  The
+    facets are chosen one at a time for all partial horns at once: 0 and n
+    first, each later one from the face index of one face the chosen
+    facets give it, checked against the others, and the last from
+    ``by_horn``, as they give all its faces but the one it shares with the
+    skipped facet.  When ``fixed_edge`` is given, every facet containing
+    the 01-edge (index >= 2) must restrict to it on vertices {0,1}, and
+    facet 2 is chosen first.
     """
+    faces = X.faces[n - 1]
     idxs = [i for i in range(n + 1) if i != skip]
-    results = []
-    partial = {}
-    face_index = X.face_index(n - 1)
+    first = [2] if fixed_edge is not None else [0, n]
+    order = first + [i for i in idxs if i not in first]
+    horns = [(y,) for y in X.simplices(n - 1)]
     if fixed_edge is not None:
-        edge_ok = [e == fixed_edge for e in X.op_table(n - 1, (0, 1))]
-
-    def candidates(j, chosen):
-        """Simplices y with d_i(y) = d_{j-1}(partial[i]) for every chosen
-        i (all below j), read from the shortest face-index bucket."""
-        faces = X.faces[n - 1]
-        wants = [(i, faces[j - 1][partial[i]]) for i in chosen]
-        best = None
-        for i, want in wants:
-            lst = face_index[i].get(want, [])
-            if best is None or len(lst) < len(best):
-                best = lst
-        out = []
-        for y in X.simplices(n - 1) if best is None else best:
-            if fixed_edge is not None and j >= 2 and not edge_ok[y]:
-                continue
-            for i, want in wants:
-                if faces[i][y] != want:
-                    break
-            else:
-                out.append(y)
-        return out
-
-    def choose(pos):
-        if pos == len(idxs):
-            results.append(dict(partial))
-            return
-        j = idxs[pos]
-        for y in candidates(j, idxs[:pos]):
-            partial[j] = y
-            choose(pos + 1)
-            del partial[j]
-
-    choose(0)
-    return results
+        edges = X.op_table(n - 1, (0, 1))
+        horns = [h for h in horns if edges[h[0]] == fixed_edge]
+    for pos in range(1, n):
+        j = order[pos]
+        # (a, q, table): d_a(y_j) = table[y_c] for the chosen c = order[q],
+        # as d_c(y_j) = d_{j-1}(y_c) for c < j and d_{c-1}(y_j) = d_j(y_c)
+        given = sorted((c, q, faces[j - 1]) if c < j else (c - 1, q, faces[j])
+                       for q, c in enumerate(order[:pos]))
+        wants = [map(t.__getitem__, map(itemgetter(q), horns))
+                 for _, q, t in given]
+        if pos < n - 1:
+            lookup, checks = X.face_index(n - 1)[given[0][0]], given[1:]
+            wants = wants[0]
+        else:
+            # y_j's face shared with the skipped facet is the one not given
+            lookup, checks = X.by_horn(n - 1, skip - (skip > j)), ()
+            wants = zip(*wants)
+        horns = [h + (y,) for h, ys in zip(horns, map(lookup.get, wants,
+                                                      repeat(())))
+                 for y in ys]
+        for a, q, t in checks:
+            horns = [h for h in horns if faces[a][h[pos]] == t[h[q]]]
+        if fixed_edge is not None and j >= 2:
+            horns = [h for h in horns if edges[h[pos]] == fixed_edge]
+    return sorted(map(itemgetter(*[order.index(i) for i in idxs]), horns))
 
 
-def _matches(X, n, facets, skip, index):
-    """Simplices x with d_i(x) = facets[i] for all i != skip."""
-    pick = min((i for i in facets), key=lambda i: len(
-        index[i].get(facets[i], [])))
-    return [x for x in index[pick].get(facets[pick], [])
-            if all(X.faces[n][i][x] == facets[i]
-                   for i in facets if i != pick)]
+def _unlifted(p, n, k, horns):
+    """Count the (n, k) squares over ``horns``: ``(count, None)`` if each
+    has a lift, else ``(_, (horn, b))`` for the first that has none."""
+    lifts_of, bases_of = p.domain.by_horn(n, k), p.codomain.by_horn(n, k)
+    top, below = p.comp[n], p.comp[n - 1]
+    idxs = [i for i in range(n + 1) if i != k]
+    checked = 0
+    for h in horns:
+        bases = bases_of.get(tuple(map(below.__getitem__, h)), ())
+        if bases:
+            lifts = {top[x] for x in lifts_of.get(h, ())}
+            for b in bases:
+                if b not in lifts:
+                    return checked, (list(zip(idxs, h)), b)
+            checked += len(bases)
+    return checked, None
 
 
 def inner_horn_lifts(p, ncap, subject="inner-fibration"):
     """Exhaustive inner-horn lifting audit for p: X -> S up to ncap."""
-    X, S = p.domain, p.codomain
-    if ncap > X.cap:
+    if ncap > p.domain.cap:
         raise TruncationError("ncap=%d exceeds the truncation cap=%d"
-                              % (ncap, X.cap))
+                              % (ncap, p.domain.cap))
     checked = 0
     for n in range(2, ncap + 1):
-        x_index = X.face_index(n)
-        s_index = S.face_index(n)
         for k in range(1, n):
-            for facets in _horn_maps(X, n, k):
-                base_facets = {i: p.comp[n - 1][y] for i, y in facets.items()}
-                for b in _matches(S, n, base_facets, k, s_index):
-                    checked += 1
-                    lifts = [x for x in _matches(X, n, facets, k, x_index)
-                             if p.comp[n][x] == b]
-                    if not lifts:
-                        return Certificate("inner-horn-lifts", subject,
-                                           "FAIL", bound=ncap,
-                                           witness=(n, k, sorted(
-                                               facets.items()), b))
+            count, bad = _unlifted(p, n, k, _horn_maps(p.domain, n, k))
+            if bad:
+                return Certificate("inner-horn-lifts", subject, "FAIL",
+                                   bound=ncap, witness=(n, k) + bad)
+            checked += count
     return Certificate("inner-horn-lifts", subject, "PASS", bound=ncap,
                        witness=("squares", checked))
 
@@ -221,46 +220,35 @@ def inner_horn_lifts(p, ncap, subject="inner-fibration"):
 def cocartesian_edge(p, e, ncap):
     """Left-horn lifting audit for one edge: for every n <= ncap, every
     Lambda^0[n] square whose initial edge is e admits a lift."""
-    X, S = p.domain, p.codomain
-    subject = "edge-%d" % e
+    if ncap > p.domain.cap:
+        raise TruncationError("ncap=%d exceeds the truncation cap=%d"
+                              % (ncap, p.domain.cap))
+    if not 0 <= e < p.domain.counts[1]:
+        raise SSetError("edge %r is not a 1-simplex of the total space" % e)
     checked = 0
     for n in range(2, ncap + 1):
-        x_index = X.face_index(n)
-        s_index = S.face_index(n)
-        for facets in _horn_maps(X, n, 0, fixed_edge=e):
-            base_facets = {i: p.comp[n - 1][y] for i, y in facets.items()}
-            for b in _matches(S, n, base_facets, 0, s_index):
-                checked += 1
-                lifts = [x for x in _matches(X, n, facets, 0, x_index)
-                         if p.comp[n][x] == b]
-                if not lifts:
-                    return Certificate("cocartesian-edge", subject, "FAIL",
-                                       bound=n,
-                                       witness=(n, sorted(facets.items()), b))
-    return Certificate("cocartesian-edge", subject, "PASS", bound=ncap,
-                       witness=("squares", checked))
+        count, bad = _unlifted(p, n, 0, _horn_maps(p.domain, n, 0, e))
+        if bad:
+            return Certificate("cocartesian-edge", "edge-%d" % e, "FAIL",
+                               bound=n, witness=(n,) + bad)
+        checked += count
+    return Certificate("cocartesian-edge", "edge-%d" % e, "PASS",
+                       bound=ncap, witness=("squares", checked))
 
 
 def cocartesian_fibration(p, ncap, subject="fibration"):
-    """Inner fibration plus existence of a coCartesian lift over every base
-    edge and source vertex, all up to ncap."""
+    """Inner fibration plus, for every base edge f and vertex xbar over its
+    source, a coCartesian edge out of xbar over f; all up to ncap."""
     inner = inner_horn_lifts(p, ncap, subject)
     if not inner.ok:
         return inner
     X, S = p.domain, p.codomain
+    out_of = X.face_index(1)[1]
     for f in S.simplices(1):
-        a = S.faces[1][1][f]
         for xbar in X.simplices(0):
-            if p.comp[0][xbar] != a:
-                continue
-            found = None
-            for ebar in X.simplices(1):
-                if p.comp[1][ebar] != f or X.faces[1][1][ebar] != xbar:
-                    continue
-                if cocartesian_edge(p, ebar, ncap).ok:
-                    found = ebar
-                    break
-            if found is None:
+            if p.comp[0][xbar] == S.faces[1][1][f] and not any(
+                    p.comp[1][ebar] == f and cocartesian_edge(p, ebar, ncap).ok
+                    for ebar in out_of.get(xbar, ())):
                 return Certificate("cocartesian-fibration", subject, "FAIL",
                                    bound=ncap, witness=("no-lift", f, xbar))
     return Certificate("cocartesian-fibration", subject, "PASS", bound=ncap)

@@ -43,6 +43,7 @@ class TruncSSet:
         self._degflag_cache = {}
         self._by_faces_cache = {}
         self._face_index_cache = {}
+        self._by_horn_cache = {}
         self._op_cache = {}
         self._ez_cache = {}
         self._prism_cache = {}
@@ -88,6 +89,14 @@ class TruncSSet:
             self._face_index_cache[n] = [_group(t) for t in self.faces[n]]
         return self._face_index_cache[n]
 
+    def by_horn(self, n, k):
+        """Degree-n simplices (n >= 1) grouped by their horn
+        ``(d_i s for i != k)``."""
+        if (n, k) not in self._by_horn_cache:
+            faces = self.faces[n][:k] + self.faces[n][k + 1:]
+            self._by_horn_cache[n, k] = _group(zip(*faces))
+        return self._by_horn_cache[n, k]
+
     def nondeg_dim(self):
         """Largest degree carrying a nondegenerate simplex."""
         top = 0
@@ -123,10 +132,21 @@ class TruncSSet:
         return word, d, cur
 
     def ez_table(self, n):
-        """``ez_decompose`` of every degree-n simplex (cached)."""
+        """``ez_decompose`` of every degree-n simplex (cached): ``s`` takes
+        the word of ``d_i s`` with ``i`` put in front, for the largest ``i``
+        with ``s_i d_i s == s``."""
         if n not in self._ez_cache:
-            self._ez_cache[n] = [self.ez_decompose(n, s)
-                                 for s in self.simplices(n)]
+            table = [([], n, s) for s in self.simplices(n)]
+            for i in range(n):                  # a larger i overwrites
+                D, below = self.degens[n - 1][i], self.ez_table(n - 1)
+                for s, t in enumerate(self.faces[n][i]):
+                    if D[t] == s:
+                        word, m, y = below[t]
+                        table[s] = ([i] + word, m, y)
+            if any(word[1:] and word[0] <= word[1] for word, _, _ in table):
+                raise SSetError("EZ word not strictly decreasing: "
+                                "structure defect")
+            self._ez_cache[n] = table
         return self._ez_cache[n]
 
     def apply_word(self, m, y, word):

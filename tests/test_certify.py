@@ -1,11 +1,17 @@
+import itertools
+import random
+
+import pytest
+
 from relnerve.certify import (check_bisimplicial,
                               check_simplicial_identities, cocartesian_edge,
                               cocartesian_fibration, inner_horn_lifts,
                               verify_iso_map)
 from relnerve.fincat import (CatDiagram, arrow_category,
                              cyclic_group_category, identity_functor, nerve)
-from relnerve.sset import (SimplicialMap, TruncSSet, boundary, constant_map,
-                           horn, identity_map, standard_simplex, walking_iso)
+from relnerve.sset import (SimplicialMap, SSetError, TruncationError,
+                           TruncSSet, boundary, constant_map, horn,
+                           identity_map, standard_simplex, walking_iso)
 
 
 def test_generated_objects_pass_audit():
@@ -132,3 +138,137 @@ def test_certificates_are_replayable():
     a = check_simplicial_identities(X)
     b = check_simplicial_identities(X)
     assert a.verdict == b.verdict == "PASS" and a.bound == b.bound
+
+
+def _interval_over_nerve(cap):
+    """The relative nerve of the arrow diagram C2 -> C2, a cap-``cap``
+    total space over N([1])."""
+    from relnerve.pathspace import lurie_grothendieck
+    V = cyclic_group_category(2)
+    F = CatDiagram(arrow_category(), [V, V], [identity_functor(V)] * 3)
+    return lurie_grothendieck(F.nerve_diagram(cap), cap)
+
+
+def test_cocartesian_edge_refuses_ncap_above_the_cap():
+    R = _interval_over_nerve(3)
+    with pytest.raises(TruncationError):
+        cocartesian_edge(R.proj, 0, 5)
+
+
+@pytest.mark.parametrize("e", [10 ** 6, -1])
+def test_cocartesian_edge_refuses_an_edge_outside_x1(e):
+    R = _interval_over_nerve(3)
+    with pytest.raises(SSetError):
+        cocartesian_edge(R.proj, e, 3)
+
+
+# -- differential: the audits against a brute-force reference ----------------
+
+def _reference_squares(p, n, k, edge=None):
+    """Every (n, k) square of p by brute force: horns from all of
+    ``X_{n-1}^n``, bases from all of ``S_n``, lifts from all of ``X_n``.
+    With ``edge``, facets 2.. must have it as their 01-edge.  Returns the
+    number of squares checked, and the first one with no lift or None."""
+    X, S = p.domain, p.codomain
+    idxs = [i for i in range(n + 1) if i != k]
+
+    def edge_01(y):                       # drop the vertices n-1, .., 2
+        for v in range(n - 1, 1, -1):
+            y = X.faces[v][v][y]
+        return y
+
+    checked = 0
+    for ys in itertools.product(X.simplices(n - 1), repeat=n):
+        h = dict(zip(idxs, ys))
+        if any(X.faces[n - 1][i][h[j]] != X.faces[n - 1][j - 1][h[i]]
+               for i in idxs for j in idxs if i < j):
+            continue
+        if edge is not None and any(edge_01(h[j]) != edge
+                                    for j in idxs if j >= 2):
+            continue
+        for b in S.simplices(n):
+            if any(S.faces[n][i][b] != p.comp[n - 1][h[i]] for i in idxs):
+                continue
+            checked += 1
+            if not any(p.comp[n][x] == b and
+                       all(X.faces[n][i][x] == h[i] for i in idxs)
+                       for x in X.simplices(n)):
+                return checked, (sorted(h.items()), b)
+    return checked, None
+
+
+def _reference_inner(p, ncap):
+    checked = 0
+    for n in range(2, ncap + 1):
+        for k in range(1, n):
+            count, bad = _reference_squares(p, n, k)
+            if bad:
+                return "FAIL", ncap, (n, k) + bad
+            checked += count
+    return "PASS", ncap, ("squares", checked)
+
+
+def _reference_edge(p, e, ncap):
+    checked = 0
+    for n in range(2, ncap + 1):
+        count, bad = _reference_squares(p, n, 0, edge=e)
+        if bad:
+            return "FAIL", n, (n,) + bad
+        checked += count
+    return "PASS", ncap, ("squares", checked)
+
+
+def _differential_cases():
+    """(name, p, ncap), freshly built, on small objects: the nerve of C2
+    over itself and over a point, the horn Lambda^2_1 over Delta[1] and
+    over a point, and the relative nerve of the span diagram over
+    N(span)."""
+    from relnerve.pathspace import lurie_grothendieck
+    from conftest import span_diagram
+    N = nerve(cyclic_group_category(2), 4)
+    H = horn(2, 1, 4)
+    D1 = standard_simplex(1, 4)
+    vmap = (0, 0, 1)
+    to_d1 = SimplicialMap(H, D1, [
+        [D1.id_of(n, tuple(vmap[v] for v in H.key_of(n, s)))
+         for s in H.simplices(n)] for n in range(5)])
+    R = lurie_grothendieck(span_diagram(3), 3)
+    return [("nerve-c2", identity_map(N), 4),
+            ("nerve-c2-point", constant_map(N, standard_simplex(0, 4), 0), 4),
+            ("horn", to_d1, 4),
+            ("horn-point", constant_map(H, standard_simplex(0, 4), 0), 4),
+            ("span", R.proj, 3)]
+
+
+def _corrupted(case, rng, count):
+    """``count`` fresh copies of a case's p, each with one entry of p or of
+    a face table of its domain moved to another simplex; the corruption
+    comes before any audit caches a face lookup."""
+    for _ in range(count):
+        name, p, ncap = _differential_cases()[case]
+        X, S = p.domain, p.codomain
+        tables = [(p.comp[n], S.counts[n]) for n in range(ncap + 1)]
+        tables += [(X.faces[n][i], X.counts[n - 1])
+                   for n in range(1, ncap + 1) for i in range(n + 1)]
+        table, size = rng.choice([(t, m) for t, m in tables if m > 1])
+        s = rng.randrange(len(table))
+        table[s] = (table[s] + rng.randrange(1, size)) % size
+        yield p
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_horn_audits_match_brute_force(case):
+    # verdict, bound and witness, the ("squares", n) count included, on the
+    # object and on copies with one corrupted table entry each
+    name, p, ncap = _differential_cases()[case]
+    verdicts = set()
+    for p in [p] + list(_corrupted(case, random.Random(case), 8)):
+        c = inner_horn_lifts(p, ncap)
+        assert (c.verdict, c.bound, c.witness) == _reference_inner(p, ncap)
+        verdicts.add(c.verdict)
+        for e in p.domain.simplices(1):
+            c = cocartesian_edge(p, e, ncap)
+            assert (c.verdict, c.bound, c.witness) == \
+                _reference_edge(p, e, ncap), (name, e)
+            verdicts.add(c.verdict)
+    assert verdicts == {"PASS", "FAIL"}, name

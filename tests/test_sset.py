@@ -7,10 +7,10 @@ from relnerve.certify import check_simplicial_identities, verify_iso_map
 from relnerve.fincat import cyclic_group_category, nerve
 from relnerve.randomgen import SuiteBounds, random_sub_delta
 from relnerve.sset import (SimplicialMap, SSetError, TruncationError,
-                           boundary, build_generated, classifying_map,
-                           constant_map, discrete, enumerate_maps,
-                           exponential, ez_decompose, first_map,
-                           generated_size, horn, identity_map,
+                           TruncSSet, boundary, build_generated,
+                           classifying_map, constant_map, discrete,
+                           enumerate_maps, exponential, ez_decompose,
+                           first_map, generated_size, horn, identity_map,
                            invert_bijection, product, pushout, restrict,
                            standard_simplex, sub_sset, walking_iso)
 
@@ -163,6 +163,36 @@ def test_ez_decompose_unique_and_normalized():
     # nondegenerate simplices decompose trivially
     e = D.id_of(1, (0, 1))
     assert ez_decompose(D, 1, e) == ([], (1, e))
+
+
+def test_ez_table_matches_ez_decompose():
+    # the table is built degree by degree from the one below; each entry
+    # must equal the simplex-by-simplex decomposition
+    cap = 3
+    fixtures = [standard_simplex(0, cap), standard_simplex(2, cap),
+                boundary(2, cap), horn(2, 1, cap), walking_iso(cap),
+                nerve(cyclic_group_category(2), cap),
+                standard_simplex(1, cap).prism(2)[0],
+                walking_iso(cap).prism(1)[0]]
+    rng = random.Random(11)
+    values = [random_sub_delta(rng, SuiteBounds(), 4) for _ in range(12)]
+    for X in fixtures + values + list(_operator_table_objects()):
+        for n in range(X.cap + 1):
+            assert X.ez_table(n) == [X.ez_decompose(n, s)
+                                     for s in X.simplices(n)]
+
+
+def test_ez_table_refuses_a_word_that_is_not_decreasing():
+    # one vertex v and its edge s_0 v; s_0 and s_1 send that edge to two
+    # different 2-simplices, so 0 = s_0 s_0 v is degenerate only by s_0
+    # and its word would be [0, 0]
+    bad = TruncSSet(2, [1, 1, 2], [None, [[0], [0]], [[0, 0]] * 3],
+                    [[[0]], [[0], [1]]])
+    assert bad.ez_decompose(2, 1) == ([1, 0], 0, 0)
+    for decompose in (lambda: bad.ez_decompose(2, 0),
+                      lambda: bad.ez_table(2)):
+        with pytest.raises(SSetError):
+            decompose()
 
 
 def test_product_of_intervals():
