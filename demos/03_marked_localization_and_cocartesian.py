@@ -28,7 +28,7 @@ J = walking_iso(cap)
 print("localize(sharp interval) counts %s = J counts %s"
       % (loc.total.counts, J.counts))
 from relnerve.sset import invert_bijection
-print(verify_iso_map(loc.j_leg, invert_bijection(loc.j_leg),
+print(verify_iso_map(loc.j_legs[0], invert_bijection(loc.j_legs[0]),
                      "glued copy onto the localization").line())
 print("flat objects are untouched:",
       localize(mark(D1, "flat")).total is D1)

@@ -20,12 +20,12 @@ from .fincat import nerve
 from .hocolim import (bar_hocolim, colim_via_marked, hocolim_qcat, iota,
                       iota_audit)
 from .homology import format_homology, homology_table, pi0
-from .marked import localize, mark_diagram, marked_rel_nerve
+from .marked import MarkedSSet, localize, mark_diagram, marked_rel_nerve
 from .pathspace import (compare_relnerve_iso, fiber_at, lurie_grothendieck,
                         relative_nerve_direct, simplicial_space,
                         space_projection_ok)
 from .randomgen import SuiteBounds, random_cat_diagram, random_sset_diagram
-from .sset import TruncationError
+from .sset import TruncationError, restrict
 from .specio import Report, SpecParseError, parse_spec
 
 
@@ -77,10 +77,15 @@ def cmd_build(spec, what, cap, rep, dump=None):
         _require_kind(spec, ("marked",))
         if spec.diagram.shape.n_objects != 1:
             raise SpecParseError("localize expects a single-object shape")
-        loc = localize(spec.diagram.values[0])
+        if cap < 1:
+            raise TruncationError("localize needs cap >= 1: the marking "
+                                  "lives on edges")
+        # a degreewise quotient commutes with truncation; restrict refuses
+        # a cap above the spec's
+        V = spec.diagram.values[0]
+        loc = localize(MarkedSSet(restrict(V.sset, cap), V.marked))
         _sizes_line(rep, "localized", loc.total)
         rep.add("glued-edges", len(loc.glued_edges))
-        from .marked import MarkedSSet
         built = MarkedSSet(loc.total, loc.marked_image)
     elif what == "marked-relnerve":
         _require_kind(spec, ("marked",))
@@ -91,7 +96,6 @@ def cmd_build(spec, what, cap, rep, dump=None):
     else:
         raise SpecParseError("unknown build target %r" % what)
     if dump is not None and built is not None:
-        from .marked import MarkedSSet
         from .specio import serialize_marked, serialize_sset
         text = serialize_marked(built, "built") \
             if isinstance(built, MarkedSSet) else \

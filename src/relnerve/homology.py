@@ -12,7 +12,7 @@ boundaries out of degree k+1.
 
 from __future__ import annotations
 
-from .sset import TruncationError, _UnionFind
+from .sset import TruncationError, classes
 
 
 class HomologyError(TruncationError):
@@ -188,16 +188,15 @@ def homology_table(X, max_degree):
 
 
 def pi0(X):
-    """Partition of the vertices into path components (sorted id lists)."""
+    """Partition of the vertices into path components: sorted id lists,
+    in the order of their least vertex."""
     if X.cap < 1:
         raise HomologyError("pi0 needs cap >= 1")
-    uf = _UnionFind(X.counts[0])
-    for e in X.simplices(1):
-        uf.union(X.faces[1][1][e], X.faces[1][0][e])
-    comps = {}
-    for v in range(X.counts[0]):
-        comps.setdefault(uf.find(v), []).append(v)
-    return sorted(comps.values())
+    cls, least = classes(X.counts[0], zip(X.faces[1][1], X.faces[1][0]))
+    comps = [[] for _ in least]
+    for v, c in enumerate(cls):
+        comps[c].append(v)
+    return comps
 
 
 def format_homology(pairs):

@@ -8,14 +8,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fincat import (FinCategory, SSetDiagram, chain_object_of_key, nerve,
-                     nerve_map, under_category)
+from .fincat import (CatFunctor, FinCategory, SSetDiagram,
+                     chain_object_of_key, nerve, nerve_map, under_category)
 from .pathspace import lurie_grothendieck
-from .sset import (Exponential, SimplicialMap, SSetError, TruncationError,
-                   TruncSSet, classifying_map, coequalize_disjoint,
-                   delta_map, disjoint_union, first_map, identity_map,
-                   precompose_table, product_map, pushout, standard_simplex,
-                   walking_iso)
+from .sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
+                   TruncationError, TruncSSet, coequalize_disjoint, descend,
+                   first_map, identity_map, precompose_table, product_map,
+                   sub_sset, walking_iso)
 
 
 class MarkError(Exception):
@@ -130,39 +129,30 @@ class Localization:
     proj: SimplicialMap          # S -> S[E^{-1}], the injection leg
     marked_image: frozenset
     glued_edges: list            # the nondegenerate marked edges, in order
-    j_leg: SimplicialMap         # disjoint union of J copies -> total
-    j_copies: object             # the disjoint union, with injections
+    j_legs: list                 # one map J -> total per glued edge
 
 
 def localize(M):
-    """Pushout gluing one walking isomorphism along each nondegenerate
-    marked edge; degenerate marked edges are already invertible and are not
-    glued, so flat objects localize to themselves."""
+    """Glue one walking isomorphism J along each nondegenerate marked edge:
+    the quotient of S + J + ... + J identifying the monotone simplices of the
+    c-th J (the edge (0, 1), its faces and degeneracies) with those of the
+    c-th glued edge.  Degenerate marked edges are already invertible and are
+    not glued, so flat objects localize to themselves."""
     S = M.sset
     cap = S.cap
     degflags = S.degenerate_flags(1)
     glued = sorted(e for e in M.marked if not degflags[e])
     if not glued:
-        return Localization(S, identity_map(S), frozenset(M.marked),
-                            [], None, None)
-    D1 = standard_simplex(1, cap)
+        return Localization(S, identity_map(S), frozenset(M.marked), [], [])
     J = walking_iso(cap)
-    A, a_injs = disjoint_union([D1] * len(glued))
-    Cj, c_injs = disjoint_union([J] * len(glued))
-    edge_maps = [classifying_map(S, 1, e, D1) for e in glued]
-    f_comp = [[None] * A.counts[n] for n in range(cap + 1)]
-    g_comp = [[None] * A.counts[n] for n in range(cap + 1)]
-    incl = delta_map(D1, J, (0, 1))
-    for c, inj in enumerate(a_injs):
-        for n in range(cap + 1):
-            for t in D1.simplices(n):
-                f_comp[n][inj.comp[n][t]] = edge_maps[c].comp[n][t]
-                g_comp[n][inj.comp[n][t]] = c_injs[c].comp[n][incl.comp[n][t]]
-    f = SimplicialMap(A, S, f_comp)
-    g = SimplicialMap(A, Cj, g_comp)
-    P, inj_s, inj_j = pushout(f, g)
-    image = frozenset(inj_s.comp[1][e] for e in M.marked)
-    return Localization(P, inj_s, image, glued, inj_j, (Cj, c_injs))
+    monotone = [(n, S.op_table(1, key), j) for n in range(cap + 1)
+                for j, key in enumerate(J.keys[n]) if list(key) == sorted(key)]
+    total, legs = coequalize_disjoint(
+        [S] + [J] * len(glued), ((0, n, table[e], c, j)
+                                 for c, e in enumerate(glued, 1)
+                                 for n, table, j in monotone))
+    image = frozenset(legs[0].comp[1][e] for e in M.marked)
+    return Localization(total, legs[0], image, glued, legs[1:])
 
 
 def extend_along_J(S, y):
@@ -184,36 +174,19 @@ def localization_mediator(loc, G, extensions=None):
 
     Given ``G`` from the localized object's source into some target sending
     every glued edge to an edge with a J-extension, produce the unique U
-    with ``U o p = G`` and ``U o (J-leg) = the chosen extensions``.  The two
-    legs jointly cover the pushout, so U is determined; it is returned as a
-    simplicial map (or None when some extension is missing).
+    with ``U o p = G`` and ``U o j_legs[c] = extensions[c]`` (by default
+    the first J-extension of each glued edge's image).  Returns None when
+    some extension is missing; raises ``SSetError`` when an extension does
+    not agree with G on the glued edge.
     """
-    S = G.domain
-    T = G.codomain
-    cap = S.cap
-    if loc.proj.domain is not S:
+    if loc.proj.domain is not G.domain:
         raise SSetError("mediator source mismatch")
-    if not loc.glued_edges:
-        return G
-    comp = [[None] * loc.total.counts[n] for n in range(cap + 1)]
-    for n in range(cap + 1):
-        for s in S.simplices(n):
-            comp[n][loc.proj.comp[n][s]] = G.comp[n][s]
-    Cj, c_injs = loc.j_copies
-    for idx, e in enumerate(loc.glued_edges):
-        ext = extensions[idx] if extensions is not None else \
-            extend_along_J(T, G.comp[1][e])
-        if ext is None:
-            return None
-        J = ext.domain
-        for n in range(cap + 1):
-            for t in J.simplices(n):
-                tot = loc.j_leg.comp[n][c_injs[idx].comp[n][t]]
-                if comp[n][tot] is None:
-                    comp[n][tot] = ext.comp[n][t]
-    if any(v is None for row in comp for v in row):
-        raise SSetError("pushout legs do not cover the localization")
-    return SimplicialMap(loc.total, T, comp)
+    if extensions is None:
+        extensions = [extend_along_J(G.codomain, G.comp[1][e])
+                      for e in loc.glued_edges]
+    if None in extensions:
+        return None
+    return descend([loc.proj] + loc.j_legs, [G] + list(extensions))
 
 
 # -- marked diagrams ----------------------------------------------------------
@@ -254,11 +227,9 @@ def colim_marked(F):
     union by the transport relations, marking the images of marked edges."""
     U = F.underlying()
     Q, qmaps = coequalize_disjoint(U.values, U.transport_relations())
-    marked = set()
-    for o, V in enumerate(F.values):
-        for e in V.marked:
-            marked.add(qmaps[o].comp[1][e])
-    return MarkedSSet(Q, frozenset(marked)), qmaps
+    marked = frozenset(q.comp[1][e] for q, V in zip(qmaps, F.values)
+                       for e in V.marked)
+    return MarkedSSet(Q, marked), qmaps
 
 
 # -- objects over the base nerve ----------------------------------------------
@@ -377,7 +348,6 @@ def over_mapping_space(X, Y, variant, cap_out):
     if variant == "flat":
         return space.sset
     if variant == "sharp":
-        from .sset import sub_sset
         sub, inc = sub_sset(space.sset, space.sharp_ids())
         return MarkedSSet(sub, frozenset(range(sub.counts[1]))
                           if cap_out >= 1 else frozenset())
@@ -401,7 +371,6 @@ def unstraighten_at(X, d):
             for g in C.hom(last, d):
                 layer.append((x, g))
         keys.append(layer)
-    from .sset import KeyedSSet
 
     def face_key(n, i, key):
         x, g = key
@@ -456,7 +425,6 @@ class Rectified:
 def rectify_right(X, cap_out):
     """The right-adjoint diagram d -> [N(d/D) sharp, X]^+_D, with the
     precomposition action along slice functors."""
-    from .fincat import CatFunctor
     C = X.shape
     cap = X.sset.cap
     spaces, unders, overs = [], [], []

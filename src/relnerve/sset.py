@@ -250,13 +250,7 @@ def invert_bijection(f):
     """Inverse of a degreewise-bijective simplicial map."""
     if not f.is_bijective():
         raise SSetError("map is not a degreewise bijection")
-    comp = []
-    for n in range(f.domain.cap + 1):
-        inv = [0] * f.codomain.counts[n]
-        for s, v in enumerate(f.comp[n]):
-            inv[v] = s
-        comp.append(inv)
-    return SimplicialMap(f.codomain, f.domain, comp)
+    return descend([f], [identity_map(f.domain)])
 
 
 def compose(g, f):
@@ -477,66 +471,89 @@ def disjoint_union(parts):
     return U, injections
 
 
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
+def classes(size, pairs):
+    """The equivalence classes of ``range(size)`` generated by ``pairs``.
 
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # least index wins, for deterministic canonical representatives
-            if ra < rb:
-                self.parent[rb] = ra
-            else:
-                self.parent[ra] = rb
+    Returns each element's class number and the list of least members;
+    classes are numbered in the order of their least member, so the result
+    does not depend on the order of the pairs.
+    """
+    parent = list(range(size))
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    # every parent is at most its child, so one ascending pass numbers all
+    cls, least = [0] * size, []
+    for s, r in enumerate(parent):
+        if r == s:
+            cls[s] = len(least)
+            least.append(s)
+        else:
+            cls[s] = cls[r]
+    return cls, least
 
 
 def coequalize_disjoint(parts, relations):
     """Quotient of a disjoint union by generated identifications.
 
     ``relations`` yields tuples ``(part_a, n, simplex_a, part_b, simplex_b)``.
-    Returns the quotient with the list of induced maps from the parts.
-    Used for degreewise colimits of diagrams.
+    Returns the quotient with the list of induced maps from the parts.  Each
+    class is represented by its least member, so ids follow the union's.
     """
     U, injections = disjoint_union(parts)
     cap = U.cap
-    uf = [_UnionFind(U.counts[n]) for n in range(cap + 1)]
+    pairs = [[] for _ in range(cap + 1)]
     for (ja, n, sa, jb, sb) in relations:
-        uf[n].union(injections[ja].comp[n][sa], injections[jb].comp[n][sb])
-    reps, rep_index = [], []
-    for n in range(cap + 1):
-        seen, order = {}, []
-        for s in range(U.counts[n]):
-            r = uf[n].find(s)
-            if r not in seen:
-                seen[r] = len(order)
-                order.append(r)
-        reps.append(order)
-        rep_index.append(seen)
-
-    def cls(n, s):
-        return rep_index[n][uf[n].find(s)]
-
-    counts = [len(reps[n]) for n in range(cap + 1)]
-    faces = [None]
-    for n in range(1, cap + 1):
-        faces.append([[cls(n - 1, U.faces[n][i][r]) for r in reps[n]]
-                      for i in range(n + 1)])
-    degens = []
-    for n in range(cap):
-        degens.append([[cls(n + 1, U.degens[n][i][r]) for r in reps[n]]
-                       for i in range(n + 1)])
-    Q = TruncSSet(cap, counts, faces, degens)
-    maps = [compose(SimplicialMap(U, Q, [[cls(n, s) for s in range(U.counts[n])]
-                                         for n in range(cap + 1)]), inj)
-            for inj in injections]
+        pairs[n].append((injections[ja].comp[n][sa],
+                         injections[jb].comp[n][sb]))
+    cls, reps = zip(*(classes(U.counts[n], pairs[n])
+                      for n in range(cap + 1)))
+    faces = [None] + [[[cls[n - 1][U.faces[n][i][r]] for r in reps[n]]
+                       for i in range(n + 1)] for n in range(1, cap + 1)]
+    degens = [[[cls[n + 1][U.degens[n][i][r]] for r in reps[n]]
+               for i in range(n + 1)] for n in range(cap)]
+    Q = TruncSSet(cap, [len(r) for r in reps], faces, degens)
+    maps = [SimplicialMap(p, Q, [[cls[n][t] for t in inj.comp[n]]
+                                 for n in range(cap + 1)])
+            for p, inj in zip(parts, injections)]
     return Q, maps
+
+
+def descend(quotient_maps, maps):
+    """The map out of a quotient: the U with ``U o q == f`` for each
+    quotient map q and the matching map f.
+
+    Raises ``SSetError`` when two maps disagree on an identified simplex or
+    when the quotient maps do not cover the quotient.  When they do, U is
+    simplicial because the maps are.
+    """
+    if [q.domain.counts for q in quotient_maps] != \
+            [f.domain.counts for f in maps]:
+        raise SSetError("each quotient map needs one map from its domain")
+    Q, T = quotient_maps[0].codomain, maps[0].codomain
+    comp = []
+    for n in range(Q.cap + 1):
+        row = [None] * Q.counts[n]
+        for q, f in zip(quotient_maps, maps):
+            for t, v in zip(q.comp[n], f.comp[n]):
+                if row[t] is None:
+                    row[t] = v
+                elif row[t] != v:
+                    raise SSetError("the maps disagree on the identified "
+                                    "simplex %d in degree %d" % (t, n))
+        if None in row:
+            raise SSetError("the quotient maps miss the simplex %d in "
+                            "degree %d" % (row.index(None), n))
+        comp.append(row)
+    return SimplicialMap(Q, T, comp)
 
 
 def pushout(f, g):

@@ -232,8 +232,8 @@ def test_criterion_08_localization():
     cap = 3
     D1 = standard_simplex(1, cap)
     loc = localize(mark(D1, "sharp"))
-    assert loc.j_leg.is_bijective()
-    assert verify_iso_map(loc.j_leg, invert_bijection(loc.j_leg)).ok
+    assert loc.j_legs[0].is_bijective()
+    assert verify_iso_map(loc.j_legs[0], invert_bijection(loc.j_legs[0])).ok
     assert loc.total.counts == walking_iso(cap).counts
     X = nerve(span_category(), cap)
     flat = localize(mark(X, "flat"))

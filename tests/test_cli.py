@@ -388,6 +388,27 @@ def test_cli_build_localize(tmp_path):
     assert "nondegenerate localized 2 2 2 2" in text
 
 
+def test_cli_build_localize_refuses_caps_it_cannot_honour(tmp_path, capsys):
+    # above the spec's cap 3, and at cap 0 where the marking has no edges
+    for cap in ("0", "5"):
+        code, _ = run(["build", "localize", "--input",
+                       fixture("interval_sharp.rnspec"), "--cap", cap],
+                      tmp_path)
+        err = capsys.readouterr().err
+        assert code == 3, cap
+        assert "validity bound" in err and "Traceback" not in err, cap
+
+
+def test_cli_build_localize_honours_cap(tmp_path):
+    code, text = run(["build", "localize", "--input",
+                      fixture("interval_sharp.rnspec"), "--cap", "1"],
+                     tmp_path)
+    assert code == 0
+    assert "input kind=marked cap=1" in text
+    assert "sizes localized 2 4\n" in text
+    assert "glued-edges 1" in text
+
+
 def test_cli_random_suite_deterministic(tmp_path):
     code1, text1 = run(["random-suite", "--seed", "7", "--count", "3",
                         "--cap", "4"], tmp_path, "a.txt")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import identity_arrow_diagram
@@ -5,7 +7,7 @@ from relnerve.certify import (check_simplicial_identities, cocartesian_edge,
                               cocartesian_fibration, verify_iso_map)
 from relnerve.fincat import (arrow_category, chain_category,
                              cyclic_group_category, indiscrete_groupoid,
-                             nerve)
+                             nerve, span_category)
 from relnerve.homology import homology_table
 from relnerve.marked import (MarkError, MarkedSSet, OverMarked,
                              OverMappingSpace, degenerate_edges, equivalences,
@@ -13,9 +15,11 @@ from relnerve.marked import (MarkError, MarkedSSet, OverMarked,
                              marked_rel_nerve, over_mapping_space,
                              push_witness, rectify_right, under_nerve_sharp,
                              unstraighten_at, unstraighten_diagram)
-from relnerve.sset import (Exponential, SimplicialMap, constant_map,
-                           identity_map, invert_bijection, standard_simplex,
-                           sub_sset, walking_iso)
+from relnerve.randomgen import SuiteBounds, random_sub_delta
+from relnerve.sset import (Exponential, SimplicialMap, classifying_map,
+                           compose, constant_map, delta_map, disjoint_union,
+                           identity_map, invert_bijection, pushout,
+                           standard_simplex, sub_sset, walking_iso)
 
 
 def test_flat_marks_exactly_degenerate_edges():
@@ -87,11 +91,61 @@ def test_localize_sharp_interval_is_walking_iso():
     loc = localize(mark(D1, "sharp"))
     J = walking_iso(3)
     assert loc.total.counts == J.counts
-    # certified: the J-leg of the pushout is an isomorphism here
-    inj = loc.j_leg
+    # certified: the J-leg of the quotient is an isomorphism here
+    inj = loc.j_legs[0]
     assert inj.is_bijective()
     assert verify_iso_map(inj, invert_bijection(inj)).ok
     assert check_simplicial_identities(loc.total).ok
+
+
+def _reference_localize(M, glued):
+    """The localization as the pushout of S <- D + ... + D -> J + ... + J,
+    with D = Delta[1] mapped onto each glued edge and onto the generator
+    edge of its copy of J."""
+    S = M.sset
+    cap = S.cap
+    D1, J = standard_simplex(1, cap), walking_iso(cap)
+    A, _ = disjoint_union([D1] * len(glued))
+    Cj, c_injs = disjoint_union([J] * len(glued))
+    edges = [classifying_map(S, 1, e, D1) for e in glued]
+    incl = delta_map(D1, J, (0, 1))
+    to_j = [compose(inj, incl) for inj in c_injs]
+
+    def stacked(codomain, maps):
+        return SimplicialMap(A, codomain, [
+            [v for m in maps for v in m.comp[n]] for n in range(cap + 1)])
+
+    P, inj_s, inj_j = pushout(stacked(S, edges), stacked(Cj, to_j))
+    image = frozenset(inj_s.comp[1][e] for e in M.marked)
+    return P, inj_s, image, [compose(inj_j, inj) for inj in c_injs]
+
+
+def test_localize_ids_match_the_pushout_construction():
+    rng = random.Random(11)
+    cats = [arrow_category(), chain_category(2), span_category(),
+            cyclic_group_category(2), indiscrete_groupoid(2)]
+    checked = 0
+    for cap in (3, 4):
+        values = [nerve(C, cap) for C in cats] + [
+            random_sub_delta(rng, SuiteBounds(), cap) for _ in range(6)]
+        for X in values:
+            for mode in ("sharp", "natural"):
+                M = mark(X, mode)
+                loc = localize(M)
+                if not loc.glued_edges:
+                    assert loc.total is X
+                    continue
+                P, proj, image, j_legs = _reference_localize(
+                    M, loc.glued_edges)
+                Q = loc.total
+                assert (Q.counts, Q.faces, Q.degens) == \
+                    (P.counts, P.faces, P.degens)
+                assert loc.proj.comp == proj.comp
+                assert loc.marked_image == image
+                assert [j.comp for j in loc.j_legs] == \
+                    [j.comp for j in j_legs]
+                checked += 1
+    assert checked >= 15
 
 
 def test_localize_unit_is_mono_and_marks_image():

@@ -4,20 +4,26 @@ lookups are cached from the tables on first use."""
 
 import random
 
+import pytest
+
+import relnerve.hocolim
 from relnerve.bisset import box_product
 from relnerve.certify import (check_bisimplicial, cocartesian_edge,
                               cocartesian_fibration, inner_horn_lifts,
                               verify_iso_map)
 from relnerve.fincat import (CatDiagram, arrow_category, constant_diagram,
                              cyclic_group_category, identity_functor,
-                             indiscrete_groupoid, nerve, span_category)
-from relnerve.hocolim import (hocolim_qcat, iota, iota_audit,
-                              iota_fiber_bijective)
-from relnerve.marked import extend_along_J
+                             indiscrete_groupoid, nerve, span_category,
+                             terminal_category)
+from relnerve.hocolim import (colim_via_marked, hocolim_qcat, iota,
+                              iota_audit, iota_fiber_bijective)
+from relnerve.marked import (extend_along_J, localization_mediator, localize,
+                             mark)
 from relnerve.pathspace import (compare_relnerve_iso, fiber_at,
                                 lurie_grothendieck)
 from relnerve.randomgen import SuiteBounds, random_cat_diagram
-from relnerve.sset import (TruncSSet, constant_map, enumerate_maps,
+from relnerve.sset import (SimplicialMap, SSetError, TruncSSet, constant_map,
+                           descend, enumerate_maps, identity_map,
                            standard_simplex, walking_iso)
 
 from conftest import span_diagram
@@ -121,3 +127,57 @@ def test_extension_is_the_first_pinned_map():
                 assert ext.comp == maps[0]
                 found += 1
     assert found > 0
+
+
+def _swap(J):
+    """The automorphism of J exchanging its two vertices."""
+    return SimplicialMap(J, J, [[J.id_of(n, tuple(1 - v for v in
+                                                  J.key_of(n, s)))
+                                 for s in J.simplices(n)]
+                                for n in range(J.cap + 1)])
+
+
+def _classifying_edge(cap=3):
+    """The sharp interval's localization, and G: Delta[1] -> J sending the
+    interval onto the generator edge."""
+    D1 = standard_simplex(1, cap)
+    J = walking_iso(cap)
+    G = SimplicialMap(D1, J, [[J.id_of(n, D1.key_of(n, t))
+                               for t in D1.simplices(n)]
+                              for n in range(cap + 1)])
+    return localize(mark(D1, "sharp")), G, J
+
+
+def test_mediator_refuses_an_extension_that_disagrees_with_G():
+    # the swap sends the glued edge (0, 1) to (1, 0), where G sends it to
+    # (0, 1): no map out of the localization restricts to both
+    loc, G, J = _classifying_edge()
+    assert localization_mediator(loc, G, [identity_map(J)]).validate() == []
+    with pytest.raises(SSetError):
+        localization_mediator(loc, G, [_swap(J)])
+
+
+def test_colimit_retraction_fails_on_a_disagreeing_extension(monkeypatch):
+    J = walking_iso(3)
+    F = constant_diagram(terminal_category(), J)
+    assert colim_via_marked(F).ok
+    monkeypatch.setattr(relnerve.hocolim, "extend_along_J",
+                        lambda S, y: _swap(J))
+    cc = colim_via_marked(F)
+    assert not cc.ok and cc.detail == "retraction incomplete"
+
+
+def test_descend_fails_on_a_corrupted_leg_entry():
+    loc, G, J = _classifying_edge()
+    legs = [loc.proj] + loc.j_legs
+    ext = identity_map(J)
+    assert descend(legs, [G, ext]).validate() == []
+    ext.comp[1][J.id_of(1, (0, 1))] = J.id_of(1, (1, 0))
+    with pytest.raises(SSetError, match="disagree"):
+        descend(legs, [G, ext])
+
+
+def test_descend_fails_on_a_quotient_that_is_not_covered():
+    loc, G, J = _classifying_edge()
+    with pytest.raises(SSetError, match="miss"):
+        descend([loc.proj], [G])

@@ -7,7 +7,7 @@ from relnerve.certify import check_simplicial_identities, verify_iso_map
 from relnerve.fincat import cyclic_group_category, nerve
 from relnerve.randomgen import SuiteBounds, random_sub_delta
 from relnerve.sset import (SimplicialMap, SSetError, TruncationError,
-                           TruncSSet, boundary, build_generated,
+                           TruncSSet, boundary, build_generated, classes,
                            classifying_map, constant_map, discrete,
                            enumerate_maps, exponential, ez_decompose,
                            first_map, generated_size, horn, identity_map,
@@ -221,6 +221,31 @@ def test_product_unit_and_swap():
     from relnerve.sset import SimplicialMap
     sw = SimplicialMap(XY, YX, swap)
     assert not sw.validate() and sw.is_bijective()
+
+
+def test_classes_numbered_by_least_member():
+    pairs = [(5, 3), (4, 1), (3, 0), (6, 6)]
+    cls, least = classes(7, pairs)
+    assert least == [0, 1, 2, 6]
+    assert cls == [0, 1, 2, 0, 1, 0, 3]
+    # the numbering does not depend on the order or orientation of pairs
+    assert classes(7, [(b, a) for a, b in reversed(pairs)]) == (cls, least)
+
+
+def test_classes_match_brute_force():
+    rng = random.Random(3)
+    for _ in range(50):
+        size = rng.randint(1, 12)
+        pairs = [(rng.randrange(size), rng.randrange(size))
+                 for _ in range(rng.randint(0, size))]
+        block = [{a} for a in range(size)]
+        for a, b in pairs:
+            merged = block[a] | block[b]
+            for c in merged:
+                block[c] = merged
+        least = sorted({min(b) for b in block})
+        assert classes(size, pairs) == (
+            [least.index(min(block[a])) for a in range(size)], least)
 
 
 def test_pushout_identity_legs():
