@@ -57,7 +57,7 @@ print("components:", len(pi0(H.total)))
 print("\n== the colimit composite ==")
 cc = colim_via_marked(F)
 print("span: mode=%s ok=%s direct counts=%s" % (cc.mode, cc.ok,
-                                                cc.direct.counts))
+                                                cc.colimit.counts))
 
 print("\n== unit and counit shadows ==")
 A = arrow_category()

@@ -228,7 +228,7 @@ def cmd_compare(spec, args, cap, rep):
         if cap < 2:
             raise TruncationError("the natural marking needs cap >= 2")
         cc = colim_via_marked(spec.diagram.underlying())
-        rep.add("colim-direct", *cc.direct.counts)
+        rep.add("colim-direct", *cc.colimit.counts)
         rep.add("colim-composite", *cc.composite.counts)
         rep.add("PASS" if cc.ok else "FAIL", "colimit-composite",
                 "mode=%s" % cc.mode, cc.detail)

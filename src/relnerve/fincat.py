@@ -7,10 +7,12 @@ symbol table used only for reports.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 
-from .sset import (KeyedSSet, SimplicialMap, TruncationError, TruncSSet,
-                   restrict, sub_sset)
+from .sset import (KeyedSSet, SimplicialMap, SSetError, TruncationError,
+                   TruncSSet, restrict, sub_sset)
 
 
 class CatError(Exception):
@@ -230,37 +232,61 @@ def compose_functors(G, F):
 # -- nerve -------------------------------------------------------------------
 
 def nerve(C, cap):
-    """N(C): degree-n simplices are length-n composable morphism strings."""
-    out_of = [[] for _ in range(C.n_objects)]
+    """N(C): degree-n simplices are length-n composable morphism strings,
+    an object in degree 0.
+
+    Each degree is built whole.  A string of length n >= 2 extends its
+    d_n, the parent string, by one arrow m out of its target.  The
+    extensions of one string are consecutive and in the order of the arrows
+    out of that target, so the keys come out sorted and the extension of s
+    by m has id ``first[s] + rank[m]``.  Every other face and degeneracy of
+    an extension is the extension of the same operator on the parent: d_0
+    drops the first arrow, a middle face composes two neighbours through
+    ``C.table``, and s_i inserts an identity; only the face composing the
+    last two arrows and the degeneracy after the last arrow change m.
+    """
+    table, identity, src, tgt = C.table, C.identity, C.src, C.tgt
+    out_of, rank = [[] for _ in range(C.n_objects)], []
     for m in range(C.n_morphisms):
-        out_of[C.src[m]].append(m)
+        rank.append(len(out_of[src[m]]))    # m's place among the arrows
+        out_of[src[m]].append(m)            # out of its source
     keys = [[(o,) for o in range(C.n_objects)],
             [(m,) for m in range(C.n_morphisms)]][:cap + 1]
+    faces = [None, [list(tgt), list(src)]][:cap + 1]
+    degens = [[list(identity)]]
+    last = [None, list(range(C.n_morphisms))]   # last[n][s]: its last arrow
+    first = [None]      # first[n][s]: the id of the first extension of s
     for n in range(2, cap + 1):
-        keys.append([k + (m,) for k in keys[n - 1]
-                     for m in out_of[C.tgt[k[-1]]]])
-    return KeyedSSet(cap, keys,
-                     lambda n, i, k: nerve_face_key(C, k, n, i),
-                     lambda n, i, k: nerve_degen_key(C, k, n, i))
-
-
-def nerve_face_key(C, key, n, i):
-    """Key of d_i of the degree-n nerve simplex ``key`` (n >= 1)."""
-    if n == 1:
-        return (C.tgt[key[0]],) if i == 0 else (C.src[key[0]],)
-    if i == 0:
-        return key[1:]
-    if i == n:
-        return key[:-1]
-    return key[:i - 1] + (C.table[(key[i], key[i - 1])],) + key[i + 1:]
-
-
-def nerve_degen_key(C, key, n, i):
-    """Key of s_i of the degree-n nerve simplex ``key``."""
-    if n == 0:
-        return (C.identity[key[0]],)
-    obj = chain_object_of_key(C, key, n, i)
-    return key[:i] + (C.identity[obj],) + key[i:]
+        ext = [out_of[tgt[m]] for m in last[n - 1]]
+        first.append(list(itertools.accumulate(map(len, ext), initial=0)))
+        parent = [q for q, ms in enumerate(ext) for _ in ms]
+        arrow = [m for ms in ext for m in ms]
+        keys.append([keys[n - 1][q] + (m,) for q, m in zip(parent, arrow)])
+        last.append(arrow)
+        pairs = list(zip(parent, arrow))
+        # d_i (q, m) = (d_i q, m) for i < n - 1, and d_{n-1} composes m
+        # with the last arrow of q; in degree 2, (m,) and (m o q,)
+        if n == 2:
+            inner = [arrow, [table[m, q] for q, m in pairs]]
+        else:
+            at, up = first[n - 2], faces[n - 1]
+            inner = [[at[up[i][q]] + rank[m] for q, m in pairs]
+                     for i in range(n - 1)]
+            inner.append([at[up[n - 1][q]] + rank[table[m, last[n - 1][q]]]
+                          for q, m in pairs])
+        faces.append(inner + [parent])
+        # degree n - 1, whose extensions are now listed: s_i (q, m) =
+        # (s_i q, m) for i < n - 1, and s_{n-1} appends an identity
+        d, at = n - 1, first[n - 1]
+        pairs = list(zip(faces[d][d], last[d]))
+        degens.append([[at[degens[d - 1][i][q]] + rank[m] for q, m in pairs]
+                       for i in range(d)]
+                      + [[at[s] + rank[identity[tgt[m]]]
+                          for s, m in enumerate(last[d])]])
+    for ks in keys:
+        assert all(map(operator.lt, ks, ks[1:])), "nerve keys out of order"
+    index = [{k: s for s, k in enumerate(ks)} for ks in keys]
+    return KeyedSSet(cap, keys, index, faces, degens[:cap])
 
 
 def chain_object_of_key(C, key, n, i):
@@ -314,29 +340,65 @@ class RelNerveObject:
     marked: object = None       # marked edges of a marked bar construction
 
 
+class _FibreIndex:
+    """The ids of one degree of an ``over_nerve`` total, one dict per
+    fibre: the key (sid, p) has id ``ids[sid][p]``."""
+
+    def __init__(self, ids):
+        self.ids = ids
+
+    def __getitem__(self, key):
+        sid, p = key
+        return self.ids[sid][p]
+
+
 def over_nerve(NC, cap, fiber, face, degen):
     """The KeyedSSet of keys (sid, p), p in ``fiber(n, key)`` for the chain
     key of sid, with its projection to the nerve NC.
 
-    d_i and s_i move sid by the operators of NC, the nerve rule, and move p
-    by ``face(n, i, key, new_key, p)`` and ``degen(n, i, key, new_key, p)``,
-    given the chain keys before and after.
+    Each fibre must be listed in sorted order.  The key (sid, p) then has
+    id offset + position: the number of simplices over the base simplices
+    before sid, plus the place of p in its fibre, which is its place among
+    all the sorted keys.  d_i and s_i move sid by the operators of NC, the
+    nerve rule, and the whole fibre over sid by the map p -> new p that
+    ``face(n, i, key, new_key)`` and ``degen(n, i, key, new_key)`` return,
+    given the chain keys before and after: a function from the fibre over
+    key, as listed, to an iterable of its images over new_key, in the same
+    order.  So each rule is called once per base simplex and operator.
     """
-    keys = [[(sid, p) for sid, k in enumerate(NC.keys[n]) for p in fiber(n, k)]
-            for n in range(cap + 1)]
+    fibres, index = [], []
+    for n in range(cap + 1):
+        fibs = [fiber(n, k) for k in NC.keys[n]]
+        ids, offset = [], 0
+        for sid, fib in enumerate(fibs):
+            if not all(map(operator.lt, fib, fib[1:])):
+                raise SSetError("the fibre over base simplex %d in degree %d"
+                                " is not listed in sorted order" % (sid, n))
+            ids.append({p: offset + j for j, p in enumerate(fib)})
+            offset += len(fib)
+        fibres.append(fibs)
+        index.append(_FibreIndex(ids))
 
-    def face_key(n, i, key):
-        sid, p = key
-        tid = NC.faces[n][i][sid]
-        return (tid, face(n, i, NC.keys[n][sid], NC.keys[n - 1][tid], p))
+    def tables(n, to, operators, rule):
+        ids = index[to].ids
+        out = []
+        for i, targets in enumerate(operators):
+            row = []
+            for sid, fib in enumerate(fibres[n]):
+                if fib:
+                    t = targets[sid]
+                    images = rule(n, i, NC.keys[n][sid], NC.keys[to][t])(fib)
+                    row += map(ids[t].__getitem__, images)
+            out.append(row)
+        return out
 
-    def degen_key(n, i, key):
-        sid, p = key
-        tid = NC.degens[n][i][sid]
-        return (tid, degen(n, i, NC.keys[n][sid], NC.keys[n + 1][tid], p))
-
-    total = KeyedSSet(cap, keys, face_key, degen_key)
-    proj = SimplicialMap(total, NC, [[key[0] for key in total.keys[n]]
+    keys = [[(sid, p) for sid, fib in enumerate(fibs) for p in fib]
+            for fibs in fibres]
+    faces = [None] + [tables(n, n - 1, NC.faces[n], face)
+                      for n in range(1, cap + 1)]
+    degens = [tables(n, n + 1, NC.degens[n], degen) for n in range(cap)]
+    total = KeyedSSet(cap, keys, index, faces, degens)
+    proj = SimplicialMap(total, NC, [[sid for sid, _ in keys[n]]
                                      for n in range(cap + 1)])
     return total, proj
 

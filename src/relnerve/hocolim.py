@@ -16,7 +16,7 @@ from .marked import (MarkedSSet, Localization, OverMappingSpace,
                      marked_rel_nerve, rectify_right, under_nerve_sharp)
 from .pathspace import lurie_grothendieck
 from .sset import (SimplicialMap, SSetError, TruncationError, TruncSSet,
-                   coequalize_disjoint, identity_map, restrict)
+                   identity_map, restrict)
 
 
 def bar_hocolim(F, cap):
@@ -31,13 +31,19 @@ def bar_hocolim(F, cap):
     def value(n, k):
         return U.values[chain_object_of_key(C, k, n, 0)]
 
-    def face(n, i, k, nk, x):
-        y = value(n, k).faces[n][i][x]
-        return U.maps[k[0]].comp[n - 1][y] if i == 0 else y
+    def face(n, i, k, nk):
+        d = value(n, k).faces[n][i]
+        if i:
+            return lambda xs: map(d.__getitem__, xs)
+        transport = U.maps[k[0]].comp[n - 1]
+        return lambda xs: map(transport.__getitem__, map(d.__getitem__, xs))
+
+    def degen(n, i, k, nk):
+        s = value(n, k).degens[n][i]
+        return lambda xs: map(s.__getitem__, xs)
 
     total, proj = over_nerve(
-        NC, cap, lambda n, k: value(n, k).simplices(n), face,
-        lambda n, i, k, nk, x: value(n, k).degens[n][i][x])
+        NC, cap, lambda n, k: value(n, k).simplices(n), face, degen)
     marked = None if U is F else frozenset(
         s for s, (sid, x) in enumerate(total.keys[1])
         if x in F.values[C.src[NC.keys[1][sid][0]]].marked)
@@ -269,17 +275,12 @@ def hocolim_qcat(F, cap):
 
 @dataclass
 class ColimComparison:
-    direct: TruncSSet
+    colimit: TruncSSet
     composite: TruncSSet
     localization: Localization
     mode: str                    # "iso" | "retract"
     ok: bool
     detail: str
-
-
-def direct_colim(F):
-    """Degreewise colimit: coequalizer of the transport relations."""
-    return coequalize_disjoint(F.values, F.transport_relations())
 
 
 def colim_via_marked(F):

@@ -13,8 +13,8 @@ from .fincat import (CatFunctor, FinCategory, SSetDiagram,
 from .pathspace import lurie_grothendieck
 from .sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
                    TruncationError, TruncSSet, coequalize_disjoint, descend,
-                   first_map, identity_map, precompose_table, product_map,
-                   sub_sset, walking_iso)
+                   first_map, identity_map, keyed_tables, precompose_table,
+                   product_map, sub_sset, walking_iso)
 
 
 class MarkError(Exception):
@@ -385,7 +385,7 @@ def unstraighten_at(X, d):
         x, g = key
         return (X.sset.degens[n][i][x], g)
 
-    total = KeyedSSet(cap, keys, face_key, deg_key)
+    total = KeyedSSet(cap, *keyed_tables(cap, keys, face_key, deg_key))
     marked = frozenset(s for s in total.simplices(1)
                        if total.key_of(1, s)[0] in X.marked.marked)
     value = MarkedSSet(total, marked)

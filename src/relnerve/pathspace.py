@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from .bisset import BiTruncSSet
 from .fincat import (RelNerveObject, SSetDiagram, chain_arrow,
                      chain_object_of_key, fiber_onto_value, nerve,
-                     nerve_degen_key, nerve_face_key, over_nerve)
+                     over_nerve)
 from .sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
                    TruncationError, codegen_tuple, coface_tuple,
-                   delta_map, identity_map, precompose_table,
+                   delta_map, identity_map, keyed_tables, precompose_table,
                    product_map, standard_simplex)
 
 
@@ -91,12 +91,12 @@ class PathSpace:
         self.arrows = [chain_arrow(C, sigma_key, n, i - 1, i)
                        for i in range(1, n + 1)]
         keys = [self._tuples(m) for m in range(mcap + 1)]
-        self.sset = KeyedSSet(
+        self.sset = KeyedSSet(mcap, *keyed_tables(
             mcap, keys,
             lambda m, j, k: tuple(self.exps[i].faces[m][j][k[i]]
                                   for i in range(n + 1)),
             lambda m, j, k: tuple(self.exps[i].degens[m][j][k[i]]
-                                  for i in range(n + 1)))
+                                  for i in range(n + 1))))
 
     def _tuples(self, m):
         n, F = self.n, self.F
@@ -132,15 +132,17 @@ def path_structure_map(F, sigma_key, n, i, kind, mcap):
     path-space tower at index i, as a SimplicialMap."""
     cache = _ExpCache(F.cap)
     src = PathSpace(F, sigma_key, n, mcap, cache)
+    NC = nerve(F.shape, n + 1)
+    sid = NC.id_of(n, sigma_key)
     if kind == "face":
         if not 0 <= i <= n or n == 0:
             raise SSetError("face index out of range")
-        tgt_key = nerve_face_key(F.shape, sigma_key, n, i)
+        tgt_key = NC.key_of(n - 1, NC.faces[n][i][sid])
         tgt = PathSpace(F, tgt_key, n - 1, mcap, cache)
     elif kind == "degeneracy":
         if not 0 <= i <= n:
             raise SSetError("degeneracy index out of range")
-        tgt_key = nerve_degen_key(F.shape, sigma_key, n, i)
+        tgt_key = NC.key_of(n + 1, NC.degens[n][i][sid])
         tgt = PathSpace(F, tgt_key, n + 1, mcap, cache)
     else:
         raise SSetError("unknown operator kind %r" % (kind,))
@@ -231,21 +233,25 @@ def simplicial_space(F, ncap, mcap):
         return spaces[n][NC.id_of(n, k)]
 
     def row(m):
-        return over_nerve(
-            NC, ncap, lambda n, k: space(n, k).sset.keys[m],
-            lambda n, i, k, nk, tup: _transport_tuple(
-                space(n, k), space(n - 1, nk), tup, m, i, "face"),
-            lambda n, i, k, nk, tup: _transport_tuple(
-                space(n, k), space(n + 1, nk), tup, m, i, "degeneracy"))
+        def transport(kind, shift):
+            def rule(n, i, k, nk):
+                src, tgt = space(n, k), space(n + shift, nk)
+                return lambda tups: [
+                    _transport_tuple(src, tgt, tup, m, i, kind)
+                    for tup in tups]
+            return rule
+
+        return over_nerve(NC, ncap, lambda n, k: space(n, k).sset.keys[m],
+                          transport("face", -1), transport("degeneracy", 1))
 
     rows, projs = zip(*[row(m) for m in range(mcap + 1)])
 
     def vertical(n, m, j, to, ops):
-        out = []
-        for sid, tup in rows[m].keys[n]:
-            X = spaces[n][sid].sset
-            y = ops(X)[m][j][X.id_of(m, tup)]
-            out.append(rows[to].id_of(n, (sid, X.key_of(to, y))))
+        # the fibre of a row over sigma lists its path space in id order
+        out, offset = [], 0
+        for ps in spaces[n]:
+            out += map(offset.__add__, ops(ps.sset)[m][j])
+            offset += ps.sset.counts[to]
         return out
 
     ms = range(mcap + 1)
@@ -289,6 +295,14 @@ def space_projection_ok(S):
 
 # -- the relative nerve (two constructions) ----------------------------------
 
+def _columnwise(columns_map):
+    """The map on lists of equal-length tuples that applies
+    ``columns_map`` to their columns and returns the rows of the columns it
+    gives."""
+    return lambda rows: list(zip(*columns_map(list(zip(*rows))))) \
+        if rows else []
+
+
 def lurie_grothendieck(F, cap):
     """The zeroth-row construction: n-simplices are pairs (sigma, beta) with
     beta_i an i-simplex of the value at sigma(i), each beta_{i-1} transported
@@ -313,15 +327,19 @@ def lurie_grothendieck(F, cap):
                       for y in by_face.get(fmap.comp[i - 1][t[-1]], ())]
         return tuples
 
-    def face(n, i, k, nk, t):
+    def face(n, i, k, nk):
+        # beta_j for j >= i is d_i of beta_{j+1}
         Xs = values[n][k]
-        return tuple(t[j] if j < i else Xs[j + 1].faces[j + 1][i][t[j + 1]]
-                     for j in range(n))
+        rows = [Xs[j + 1].faces[j + 1][i] for j in range(i, n)]
+        return _columnwise(lambda cols: cols[:i] + [
+            map(row.__getitem__, col) for row, col in zip(rows, cols[i + 1:])])
 
-    def degen(n, i, k, nk, t):
+    def degen(n, i, k, nk):
+        # beta_j for j > i is s_i of beta_{j-1}
         Xs = values[n][k]
-        return tuple(t[j] if j <= i else Xs[j - 1].degens[j - 1][i][t[j - 1]]
-                     for j in range(n + 2))
+        rows = [Xs[j].degens[j][i] for j in range(i, n + 1)]
+        return _columnwise(lambda cols: cols[:i + 1] + [
+            map(row.__getitem__, col) for row, col in zip(rows, cols[i:])])
 
     total, proj = over_nerve(NC, cap, fiber, face, degen)
     return RelNerveObject(total, proj, NC, F)
@@ -343,29 +361,44 @@ def relative_nerve_direct(F, cap):
     NC = nerve(C, cap)
     subs = [_subsets(n) for n in range(cap + 1)]
     sub_index = [{J: p for p, J in enumerate(ss)} for ss in subs]
+    # families grow by (last vertex, size, lex), so the simplex at each
+    # subposet comes after all of its faces, and are then laid out by
+    # (size, lex), the order of ``subs``
+    grow = [sorted(ss, key=lambda J: (J[-1], len(J), J)) for ss in subs]
+    grow_index = [{J: p for p, J in enumerate(gs)} for gs in grow]
+    layout = [[grow_index[n][J] for J in subs[n]] for n in range(cap + 1)]
 
     def families(n, k):
+        # column q lists the simplex at grow[n][q] of every partial family
         objs = [chain_object_of_key(C, k, n, i) for i in range(n + 1)]
-        fams = [()]
-        for J in subs[n]:
+        cols, size = [], 1
+        for J in grow[n]:
             j = J[-1]
             Xj = F.values[objs[j]]
             r = len(J) - 1
+            if not r:
+                # a new vertex: every partial family times every vertex
+                m = Xj.counts[0]
+                cols = [[v for v in col for _ in range(m)] for col in cols]
+                cols.append(list(range(m)) * size)
+                size *= m
+                continue
             # d_drop of the simplex at J sits at J minus its drop-th entry
-            cofaces = [J[:drop] + J[drop + 1:] for drop in range(r + 1)
-                       if r]
-            by_profile = Xj.by_faces(r) if r else {(): Xj.simplices(0)}
-            transports = [
-                (sub_index[n][I],
-                 F.maps[chain_arrow(C, k, n, I[-1], j)].comp[len(I) - 1])
-                for I in cofaces]
-            grown = []
-            for fam in fams:
-                want = tuple(t[fam[p]] for (p, t) in transports)
-                for y in by_profile.get(want, ()):
-                    grown.append(fam + (y,))
-            fams = grown
-        return fams
+            cofaces = [J[:drop] + J[drop + 1:] for drop in range(r + 1)]
+            profiles = zip(*[
+                map(F.maps[chain_arrow(C, k, n, I[-1], j)]
+                    .comp[len(I) - 1].__getitem__, cols[grow_index[n][I]])
+                for I in cofaces])
+            found = list(map(Xj.by_faces(r).get, profiles,
+                             itertools.repeat(())))
+            new = [y for ys in found for y in ys]
+            if len(new) != size or not all(found):
+                # some partial family has no or several extensions
+                keep = [f for f, ys in enumerate(found) for _ in ys]
+                cols = [list(map(col.__getitem__, keep)) for col in cols]
+                size = len(keep)
+            cols.append(new)
+        return sorted(zip(*[cols[q] for q in layout[n]]))
 
     def restriction(n_from, n_to, vmap):
         """Per subposet J of [n_to]: its last vertex, the position of its
@@ -378,21 +411,25 @@ def relative_nerve_direct(F, cap):
                          tuple(image.index(vmap[v]) for v in J)))
         return plan
 
-    face_plans = [None] + [[restriction(n, n - 1, coface_tuple(n, i))
-                            for i in range(n + 1)] for n in range(1, cap + 1)]
+    # a coface maps each subposet isomorphically onto its image, so d_i
+    # keeps the simplex at the image of each subposet
+    face_at = [None] + [[[p for _, p, _, _ in restriction(
+        n, n - 1, coface_tuple(n, i))] for i in range(n + 1)]
+        for n in range(1, cap + 1)]
     degen_plans = [[restriction(n, n + 1, codegen_tuple(n, i))
                     for i in range(n + 1)] for n in range(cap)]
 
-    def act(plan, n_to, new_k, fam):
-        """The family over the chain ``new_k`` that ``fam`` restricts to."""
-        return tuple(
-            F.values[chain_object_of_key(C, new_k, n_to, j)].op_table(r, u)[
-                fam[p]] for j, p, r, u in plan)
+    def face(n, i, k, new_k):
+        return _columnwise(lambda cols: [cols[p] for p in face_at[n][i]])
 
-    total, proj = over_nerve(
-        NC, cap, families,
-        lambda n, i, k, nk, fam: act(face_plans[n][i], n - 1, nk, fam),
-        lambda n, i, k, nk, fam: act(degen_plans[n][i], n + 1, nk, fam))
+    def degen(n, i, k, new_k):
+        # the operator tables of the values along new_k, read once
+        reads = [(F.values[chain_object_of_key(C, new_k, n + 1, j)]
+                  .op_table(r, u), p) for j, p, r, u in degen_plans[n][i]]
+        return _columnwise(lambda cols: [map(table.__getitem__, cols[p])
+                                         for table, p in reads])
+
+    total, proj = over_nerve(NC, cap, families, face, degen)
     return RelNerveObject(total, proj, NC, F)
 
 
@@ -407,25 +444,22 @@ def compare_relnerve_iso(F, cap):
     subs = [_subsets(n) for n in range(cap + 1)]
     fwd = []
     for n in range(cap + 1):
-        row = []
-        for s in L.total.simplices(n):
-            sid, beta = L.total.key_of(n, s)
-            k = NC.key_of(n, sid)
-            fam = tuple(
-                F.values[chain_object_of_key(C, k, n, J[-1])].op_table(
-                    J[-1], J)[beta[J[-1]]] for J in subs[n])
+        row, reads = [], {}
+        for sid, beta in L.total.keys[n]:
+            if sid not in reads:
+                # the simplex at J is the face J of beta at its last vertex
+                k = NC.keys[n][sid]
+                reads[sid] = [(F.values[chain_object_of_key(C, k, n, J[-1])]
+                               .op_table(J[-1], J), J[-1]) for J in subs[n]]
+            fam = tuple([table[beta[j]] for table, j in reads[sid]])
             row.append(R.total.id_of(n, (sid, fam)))
         fwd.append(row)
     bwd = []
     for n in range(cap + 1):
-        row = []
-        sub_index = {J: p for p, J in enumerate(subs[n])}
-        for s in R.total.simplices(n):
-            sid, fam = R.total.key_of(n, s)
-            beta = tuple(fam[sub_index[tuple(range(i + 1))]]
-                         for i in range(n + 1))
-            row.append(L.total.id_of(n, (sid, beta)))
-        bwd.append(row)
+        fronts = [subs[n].index(tuple(range(i + 1))) for i in range(n + 1)]
+        bwd.append([L.total.id_of(n, (sid, tuple(map(fam.__getitem__,
+                                                     fronts))))
+                    for sid, fam in R.total.keys[n]])
     f = SimplicialMap(L.total, R.total, fwd)
     g = SimplicialMap(R.total, L.total, bwd)
     return f, g, L, R

@@ -279,21 +279,11 @@ def classifying_map(X, n, s, delta_n=None):
 # -- keyed construction ----------------------------------------------------
 
 class KeyedSSet(TruncSSet):
-    """TruncSSet whose simplices are canonically keyed (sorted) objects."""
+    """TruncSSet whose degree-n simplices are named by the sorted keys
+    ``keys[n]``; ``index[n][key]`` is the id of a key."""
 
-    def __init__(self, cap, keys_by_degree, face_key, deg_key):
-        keys = [sorted(keys_by_degree[n]) for n in range(cap + 1)]
-        index = [{k: i for i, k in enumerate(ks)} for ks in keys]
-        counts = [len(ks) for ks in keys]
-        faces = [None]
-        for n in range(1, cap + 1):
-            faces.append([[index[n - 1][face_key(n, i, k)] for k in keys[n]]
-                          for i in range(n + 1)])
-        degens = []
-        for n in range(cap):
-            degens.append([[index[n + 1][deg_key(n, i, k)] for k in keys[n]]
-                           for i in range(n + 1)])
-        super().__init__(cap, counts, faces, degens)
+    def __init__(self, cap, keys, index, faces, degens):
+        super().__init__(cap, [len(ks) for ks in keys], faces, degens)
         self.keys = keys
         self.index = index
 
@@ -302,6 +292,19 @@ class KeyedSSet(TruncSSet):
 
     def id_of(self, n, key):
         return self.index[n][key]
+
+
+def keyed_tables(cap, keys_by_degree, face_key, deg_key):
+    """The arguments of ``KeyedSSet`` after the cap, read off one key at a
+    time: each degree's keys sorted and indexed, and ``face_key(n, i, k)``
+    and ``deg_key(n, i, k)`` called for every key."""
+    keys = [sorted(keys_by_degree[n]) for n in range(cap + 1)]
+    index = [{k: i for i, k in enumerate(ks)} for ks in keys]
+    faces = [None] + [[[index[n - 1][face_key(n, i, k)] for k in keys[n]]
+                       for i in range(n + 1)] for n in range(1, cap + 1)]
+    degens = [[[index[n + 1][deg_key(n, i, k)] for k in keys[n]]
+               for i in range(n + 1)] for n in range(cap)]
+    return keys, index, faces, degens
 
 
 # -- generators ------------------------------------------------------------
@@ -315,9 +318,9 @@ def _monotone_tuples(m, n):
 def tuple_sset(cap, keys):
     """Simplices are the vertex tuples ``keys[m]``; ``d_i`` drops entry
     ``i`` and ``s_i`` repeats it, so each list must be closed under both."""
-    return KeyedSSet(cap, keys,
-                     lambda m, i, k: k[:i] + k[i + 1:],
-                     lambda m, i, k: k[:i] + (k[i],) + k[i:])
+    return KeyedSSet(cap, *keyed_tables(
+        cap, keys, lambda m, i, k: k[:i] + k[i + 1:],
+        lambda m, i, k: k[:i] + (k[i],) + k[i:]))
 
 
 def standard_simplex(n, cap):
@@ -745,11 +748,10 @@ class Exponential(KeyedSSet):
         degen_pms = [
             [precomposition(n, n + 1, codegen_tuple(n, i))
              for i in range(n + 1)] for n in range(cap_out)]
-        super().__init__(
-            cap_out,
-            tables,
+        super().__init__(cap_out, *keyed_tables(
+            cap_out, tables,
             lambda n, i, k: precompose_table(k, face_pms[n][i]),
-            lambda n, i, k: precompose_table(k, degen_pms[n][i]))
+            lambda n, i, k: precompose_table(k, degen_pms[n][i])))
 
     def table(self, n, s):
         return self.keys[n][s]

@@ -1,14 +1,27 @@
+import random
+
 import pytest
 
+import relnerve.hocolim
+import relnerve.pathspace
 from relnerve.certify import check_simplicial_identities
 from relnerve.fincat import (CatDiagram, CatFunctor, FinCategory,
                              arrow_category, category_from_generators,
-                             chain_arrow, corepresentable_diagram,
+                             chain_arrow, chain_category,
+                             chain_object_of_key, corepresentable_diagram,
                              cyclic_group_category, identity_functor,
                              indiscrete_groupoid, nerve, nerve_map,
-                             over_category, span_category,
+                             over_category, over_nerve, span_category,
                              terminal_category, under_category,
                              validate_category)
+from relnerve.hocolim import bar_hocolim
+from relnerve.pathspace import (lurie_grothendieck, relative_nerve_direct,
+                                simplicial_space)
+from relnerve.randomgen import (SuiteBounds, random_cat_diagram,
+                                random_sset_diagram)
+from relnerve.sset import KeyedSSet, keyed_tables
+
+from conftest import span_diagram
 
 
 def test_terminal_category_is_valid():
@@ -173,3 +186,115 @@ def test_cat_diagram_nerve_composition():
     NF = F.nerve_diagram(3)
     assert NF.validate() == []
     assert NF.values[0].counts == [1, 2, 4, 8]
+
+
+# -- the per-key constructions that the whole-degree nerve and the
+# -- whole-fibre over_nerve replace, kept as references
+
+def _reference_nerve(C, cap):
+    """N(C) with each face and degeneracy read off one key at a time."""
+    out_of = [[] for _ in range(C.n_objects)]
+    for m in range(C.n_morphisms):
+        out_of[C.src[m]].append(m)
+    keys = [[(o,) for o in range(C.n_objects)],
+            [(m,) for m in range(C.n_morphisms)]][:cap + 1]
+    for n in range(2, cap + 1):
+        keys.append([k + (m,) for k in keys[n - 1]
+                     for m in out_of[C.tgt[k[-1]]]])
+
+    def face_key(n, i, key):
+        if n == 1:
+            return (C.tgt[key[0]],) if i == 0 else (C.src[key[0]],)
+        if i == 0:
+            return key[1:]
+        if i == n:
+            return key[:-1]
+        return key[:i - 1] + (C.table[(key[i], key[i - 1])],) + key[i + 1:]
+
+    def degen_key(n, i, key):
+        if n == 0:
+            return (C.identity[key[0]],)
+        obj = chain_object_of_key(C, key, n, i)
+        return key[:i] + (C.identity[obj],) + key[i:]
+
+    return KeyedSSet(cap, *keyed_tables(cap, keys, face_key, degen_key))
+
+
+def _reference_over_nerve(NC, cap, fiber, face, degen):
+    """The total space with all keys (sid, p) sorted together and each
+    face and degeneracy found by applying a whole-fibre rule to one key;
+    returns the total and its projection table."""
+    keys = [[(sid, p) for sid, k in enumerate(NC.keys[n])
+             for p in fiber(n, k)] for n in range(cap + 1)]
+
+    def face_key(n, i, key):
+        sid, p = key
+        tid = NC.faces[n][i][sid]
+        return tid, list(face(n, i, NC.keys[n][sid],
+                              NC.keys[n - 1][tid])([p]))[0]
+
+    def degen_key(n, i, key):
+        sid, p = key
+        tid = NC.degens[n][i][sid]
+        return tid, list(degen(n, i, NC.keys[n][sid],
+                               NC.keys[n + 1][tid])([p]))[0]
+
+    total = KeyedSSet(cap, *keyed_tables(cap, keys, face_key, degen_key))
+    return total, [[key[0] for key in ks] for ks in total.keys]
+
+
+def _assert_same_keyed(X, ref):
+    assert X.keys == ref.keys
+    assert X.faces == ref.faces and X.degens == ref.degens
+    for n, ks in enumerate(ref.keys):
+        assert [X.id_of(n, k) for k in ks] == list(range(len(ks)))
+
+
+def _catalog_and_random_categories():
+    cats = [terminal_category(), arrow_category(), span_category(),
+            chain_category(3), cyclic_group_category(2),
+            cyclic_group_category(3), indiscrete_groupoid(2),
+            indiscrete_groupoid(3),
+            category_from_generators(3, [(0, 1), (0, 1), (1, 2)])]
+    rng = random.Random(3)
+    for _ in range(8):
+        cats.append(random_sset_diagram(rng, SuiteBounds()).shape)
+        G = random_cat_diagram(rng, SuiteBounds())
+        cats += [G.shape] + G.values
+    return cats
+
+
+def test_nerve_matches_the_per_key_nerve():
+    for C in _catalog_and_random_categories():
+        for cap in (0, 1, 2, 4):
+            _assert_same_keyed(nerve(C, cap), _reference_nerve(C, cap))
+
+
+def test_over_nerve_matches_the_per_key_construction(monkeypatch):
+    # every over_nerve call of the bar construction, both relative nerves
+    # and the rows of the simplicial space, rebuilt key by key
+    calls = []
+
+    def recording(*args):
+        calls.append((args, over_nerve(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(relnerve.hocolim, "over_nerve", recording)
+    monkeypatch.setattr(relnerve.pathspace, "over_nerve", recording)
+    rng = random.Random(5)
+    diagrams = [span_diagram(4)] + [random_sset_diagram(rng, SuiteBounds())
+                                    for _ in range(5)]
+    rng = random.Random(6)
+    diagrams += [random_cat_diagram(rng, SuiteBounds()).nerve_diagram(4)
+                 for _ in range(5)]
+    for F in diagrams:
+        calls.clear()
+        bar_hocolim(F, 4)
+        lurie_grothendieck(F, 4)
+        relative_nerve_direct(F, 3)
+        simplicial_space(F, 2, 2)
+        assert len(calls) == 6
+        for args, (total, proj) in calls:
+            ref, ref_proj = _reference_over_nerve(*args)
+            _assert_same_keyed(total, ref)
+            assert proj.comp == ref_proj

@@ -5,7 +5,7 @@ from relnerve.fincat import (arrow_category, constant_diagram,
                              cyclic_group_category, indiscrete_groupoid,
                              nerve, span_category, terminal_category)
 from relnerve.hocolim import (bar_fiber, bar_hocolim, colim_via_marked,
-                              counit_w2, direct_colim, eta_unit, hocolim_qcat,
+                              counit_w2, eta_unit, hocolim_qcat,
                               iota, iota_fiber_bijective)
 from relnerve.homology import homology_table, pi0
 from relnerve.marked import (OverMarked, mark, mark_diagram, marked_rel_nerve)
@@ -243,13 +243,13 @@ def test_colim_via_marked_constant():
     X = boundary(2, 3)
     cc = colim_via_marked(terminal_diagram(X))
     assert cc.ok and cc.mode == "iso"
-    assert cc.direct.counts == X.counts
+    assert cc.colimit.counts == X.counts
 
 
 def test_colim_via_marked_span_collapses_to_point(span3):
     cc = colim_via_marked(span3)
     assert cc.ok and cc.mode == "iso"
-    assert cc.direct.counts == [1, 1, 1, 1]
+    assert cc.colimit.counts == [1, 1, 1, 1]
 
 
 def test_colim_via_marked_empty_apex_two_points():
@@ -265,7 +265,7 @@ def test_colim_via_marked_empty_apex_two_points():
                     [identity_map(pt_a), identity_map(pt_b),
                      identity_map(empty), silent(pt_a), silent(pt_b)])
     cc = colim_via_marked(F)
-    assert cc.ok and cc.direct.counts[0] == 2
+    assert cc.ok and cc.colimit.counts[0] == 2
 
 
 def test_colim_via_marked_groupoid_retract():
@@ -273,15 +273,15 @@ def test_colim_via_marked_groupoid_retract():
     F = identity_arrow_diagram(V, 3)
     cc = colim_via_marked(F)
     assert cc.ok and cc.mode == "retract"
-    assert homology_table(cc.direct, 2) == homology_table(cc.composite, 2)
-    assert len(pi0(cc.direct)) == len(pi0(cc.composite))
+    assert homology_table(cc.colimit, 2) == homology_table(cc.composite, 2)
+    assert len(pi0(cc.colimit)) == len(pi0(cc.composite))
 
 
-def test_direct_colim_two_routes_agree(span3):
-    Q, qmaps = direct_colim(span3)
+def test_colim_marked_counts_on_span(span3):
+    # the degreewise colimit of the span is a point in every degree
     from relnerve.marked import colim_marked
     QM, qmaps_m = colim_marked(mark_diagram(span3, "flat"))
-    assert Q.counts == QM.sset.counts
+    assert QM.sset.counts == [1, 1, 1, 1]
 
 
 def test_bar_and_relnerve_share_homology_on_random_diagrams():

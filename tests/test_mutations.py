@@ -8,13 +8,14 @@ import pytest
 
 import relnerve.hocolim
 from relnerve.bisset import box_product
-from relnerve.certify import (check_bisimplicial, cocartesian_edge,
+from relnerve.certify import (check_bisimplicial,
+                              check_simplicial_identities, cocartesian_edge,
                               cocartesian_fibration, inner_horn_lifts,
                               verify_iso_map)
 from relnerve.fincat import (CatDiagram, arrow_category, constant_diagram,
                              cyclic_group_category, identity_functor,
-                             indiscrete_groupoid, nerve, span_category,
-                             terminal_category)
+                             indiscrete_groupoid, nerve, over_nerve,
+                             span_category, terminal_category)
 from relnerve.hocolim import (colim_via_marked, hocolim_qcat, iota,
                               iota_audit, iota_fiber_bijective)
 from relnerve.marked import (extend_along_J, localization_mediator, localize,
@@ -181,3 +182,24 @@ def test_descend_fails_on_a_quotient_that_is_not_covered():
     loc, G, J = _classifying_edge()
     with pytest.raises(SSetError, match="miss"):
         descend([loc.proj], [G])
+
+
+def test_over_nerve_refuses_a_fibre_listed_out_of_order():
+    # Delta[1] x N(C), with Delta[1] the fibre over every base simplex;
+    # listing one fibre backwards must be refused, not numbered by it
+    X, NC = standard_simplex(1, 2), nerve(arrow_category(), 2)
+
+    def rule(tables):
+        return lambda n, i, k, nk: lambda xs: [tables[n][i][x] for x in xs]
+
+    def fiber(backwards):
+        def listed(n, k):
+            fib = list(X.simplices(n))
+            return fib[::-1] if (n, k) == backwards else fib
+        return listed
+
+    total, _ = over_nerve(NC, 2, fiber(None), rule(X.faces), rule(X.degens))
+    assert check_simplicial_identities(total).ok
+    with pytest.raises(SSetError, match="base simplex 2 in degree 1"):
+        over_nerve(NC, 2, fiber((1, NC.key_of(1, 2))), rule(X.faces),
+                   rule(X.degens))
