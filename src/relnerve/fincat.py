@@ -255,37 +255,41 @@ def nerve(C, cap):
     faces = [None, [list(tgt), list(src)]][:cap + 1]
     degens = [[list(identity)]]
     last = [None, list(range(C.n_morphisms))]   # last[n][s]: its last arrow
-    first = [None]      # first[n][s]: the id of the first extension of s
+    # first[n][s]: the id of the first extension of s; the tables look up
+    # ids[n][first + rank] so that each id is one shared int object
+    first, ids = [None], [list(range(len(ks))) for ks in keys]
     for n in range(2, cap + 1):
         ext = [out_of[tgt[m]] for m in last[n - 1]]
         first.append(list(itertools.accumulate(map(len, ext), initial=0)))
-        parent = [q for q, ms in enumerate(ext) for _ in ms]
+        parent = [q for q, ms in zip(ids[n - 1], ext) for _ in ms]
         arrow = [m for ms in ext for m in ms]
         keys.append([keys[n - 1][q] + (m,) for q, m in zip(parent, arrow)])
+        ids.append(list(range(len(keys[n]))))
         last.append(arrow)
-        pairs = list(zip(parent, arrow))
         # d_i (q, m) = (d_i q, m) for i < n - 1, and d_{n-1} composes m
         # with the last arrow of q; in degree 2, (m,) and (m o q,)
         if n == 2:
-            inner = [arrow, [table[m, q] for q, m in pairs]]
+            inner = [arrow, [table[m, q] for q, m in zip(parent, arrow)]]
         else:
-            at, up = first[n - 2], faces[n - 1]
-            inner = [[at[up[i][q]] + rank[m] for q, m in pairs]
+            at, up, to = first[n - 2], faces[n - 1], ids[n - 1]
+            inner = [[to[at[up[i][q]] + rank[m]] for q, m in zip(parent,
+                                                                  arrow)]
                      for i in range(n - 1)]
-            inner.append([at[up[n - 1][q]] + rank[table[m, last[n - 1][q]]]
-                          for q, m in pairs])
+            inner.append([to[at[up[n - 1][q]]
+                             + rank[table[m, last[n - 1][q]]]]
+                          for q, m in zip(parent, arrow)])
         faces.append(inner + [parent])
         # degree n - 1, whose extensions are now listed: s_i (q, m) =
         # (s_i q, m) for i < n - 1, and s_{n-1} appends an identity
-        d, at = n - 1, first[n - 1]
-        pairs = list(zip(faces[d][d], last[d]))
-        degens.append([[at[degens[d - 1][i][q]] + rank[m] for q, m in pairs]
+        d, at, to = n - 1, first[n - 1], ids[n]
+        degens.append([[to[at[degens[d - 1][i][q]] + rank[m]]
+                        for q, m in zip(faces[d][d], last[d])]
                        for i in range(d)]
-                      + [[at[s] + rank[identity[tgt[m]]]
+                      + [[to[at[s] + rank[identity[tgt[m]]]]
                           for s, m in enumerate(last[d])]])
     for ks in keys:
         assert all(map(operator.lt, ks, ks[1:])), "nerve keys out of order"
-    index = [{k: s for s, k in enumerate(ks)} for ks in keys]
+    index = [dict(zip(ks, ns)) for ks, ns in zip(keys, ids)]
     return KeyedSSet(cap, keys, index, faces, degens[:cap])
 
 

@@ -63,23 +63,25 @@ def iota(F, cap, bar=None, rel=None):
     NC = bar.base_nerve
     comp = []
     for n in range(cap + 1):
-        row = []
-        for s in bar.total.simplices(n):
-            sid, x = bar.total.key_of(n, s)
-            k = NC.key_of(n, sid)
-            beta = _transported_fronts(
-                U, U.values[chain_object_of_key(C, k, n, 0)], n, x,
-                [chain_arrow(C, k, n, 0, i) for i in range(n + 1)])
+        row, reads = [], {}
+        for sid, x in bar.total.keys[n]:
+            if sid not in reads:
+                k = NC.keys[n][sid]
+                reads[sid] = _front_reads(
+                    U, U.values[chain_object_of_key(C, k, n, 0)], n,
+                    [chain_arrow(C, k, n, 0, i) for i in range(n + 1)])
+            beta = tuple([f[front[x]] for f, front in reads[sid]])
             row.append(rel.total.id_of(n, (sid, beta)))
         comp.append(row)
     return SimplicialMap(bar.total, rel.total, comp), bar, rel
 
 
-def _transported_fronts(U, X, n, x, arrows):
-    """The front faces of the n-simplex x of X, the i-th transported along
-    the map of ``arrows[i]``."""
-    return tuple(U.maps[a].comp[i][X.op_table(n, tuple(range(i + 1)))[x]]
-                 for i, a in enumerate(arrows))
+def _front_reads(U, X, n, arrows):
+    """The tables giving the front faces of the n-simplices of X, the i-th
+    transported along the map of ``arrows[i]``: the i-th entry of the tuple
+    at x is ``f[front[x]]`` for the i-th pair ``(f, front)``."""
+    return [(U.maps[a].comp[i], X.op_table(n, tuple(range(i + 1))))
+            for i, a in enumerate(arrows)]
 
 
 def _fiber_defect(io, bar, rel, F):
@@ -159,16 +161,17 @@ def eta_unit(FM, d, cap_out):
     for n in range(cap_out + 1):
         row = []
         for x in Xd.simplices(n):
-            table = _eta_table(FM, d, n, x, space, NU, forget, objs, NC)
-            row.append(space.id_of(n, table))
+            key = _eta_key(FM, d, n, x, space, NU, forget, objs, NC)
+            row.append(space.sset.index[n][key])
         comp.append(row)
     dom = Xd if Xd.cap == cap_out else restrict(Xd, cap_out)
     eta = SimplicialMap(dom, space.sset, comp)
     return eta, space, OM, R
 
 
-def _eta_table(FM, d, n, x, space, NU, forget, objs, NC):
-    """Value table of eta(x) on the prism Delta[n] x N(d/D).
+def _eta_key(FM, d, n, x, space, NU, forget, objs, NC):
+    """Compact key of eta(x) (see ``Exponential``): its values on the
+    nondegenerate simplices of the prism Delta[n] x N(d/D).
 
     At a prism simplex (alpha, slice chain) the x-part is restricted along
     alpha, its front faces are transported along the slice legs d -> e_i,
@@ -180,22 +183,19 @@ def _eta_table(FM, d, n, x, space, NU, forget, objs, NC):
     delta_n = space.deltas[n]
     Xd = U.values[d]
     out = []
-    for m in range(U.cap + 1):
-        row = []
-        for s in P.simplices(m):
-            alpha = delta_n.key_of(m, pr1.comp[m][s])   # [m] -> [n]
-            slice_key = NU.key_of(m, pr2.comp[m][s])
-            if m == 0:
-                base_key = (forget.obj_map[slice_key[0]],)
-            else:
-                base_key = tuple(forget.mor_map[mm] for mm in slice_key)
-            beta = _transported_fronts(
-                U, Xd, m, Xd.op_table(n, alpha)[x],
-                [objs[chain_object_of_key(Ucat, slice_key, m, i)]
-                 for i in range(m + 1)])
-            sid = NC.id_of(m, base_key)
-            row.append(space.Y.sset.id_of(m, (sid, beta)))
-        out.append(tuple(row))
+    for m, s in P.compact_layout()[0]:
+        alpha = delta_n.key_of(m, pr1.comp[m][s])   # [m] -> [n]
+        slice_key = NU.key_of(m, pr2.comp[m][s])
+        if m == 0:
+            base_key = (forget.obj_map[slice_key[0]],)
+        else:
+            base_key = tuple(forget.mor_map[mm] for mm in slice_key)
+        y = Xd.op_table(n, alpha)[x]
+        beta = tuple([f[front[y]] for f, front in _front_reads(
+            U, Xd, m, [objs[chain_object_of_key(Ucat, slice_key, m, i)]
+                       for i in range(m + 1)])])
+        sid = NC.id_of(m, base_key)
+        out.append(space.Y.sset.id_of(m, (sid, beta)))
     return tuple(out)
 
 
@@ -219,7 +219,6 @@ def counit_w2(X, cap):
             o0 = chain_object_of_key(C, k, n, 0)
             space = rect.spaces[o0]
             Ucat, forget, objs, arrow_keys = rect.unders[o0]
-            table = space.table(n, x)
             # locate the n-simplex (canonical lift, id_n) in the prism
             lift = _canonical_lift(Ucat, C, objs, arrow_keys, k, n)
             NU = space.X.sset
@@ -227,7 +226,7 @@ def counit_w2(X, cap):
             delta_n = space.deltas[n]
             idn = delta_n.id_of(n, tuple(range(n + 1)))
             prism_id = idn * NU.counts[n] + lift_id
-            row.append(table[n][prism_id])
+            row.append(space.sset.value(n, x, n, prism_id))
         comp.append(row)
     target = X.sset if X.sset.cap == cap else restrict(X.sset, cap)
     return SimplicialMap(bar.total, target, comp), bar, rect

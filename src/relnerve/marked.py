@@ -12,9 +12,9 @@ from .fincat import (CatFunctor, FinCategory, SSetDiagram,
                      chain_object_of_key, nerve, nerve_map, under_category)
 from .pathspace import lurie_grothendieck
 from .sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
-                   TruncationError, TruncSSet, coequalize_disjoint, descend,
-                   first_map, identity_map, keyed_tables, precompose_table,
-                   product_map, sub_sset, walking_iso)
+                   TruncationError, TruncSSet, apply_plan,
+                   coequalize_disjoint, descend, first_map, identity_map,
+                   keyed_tables, product_plan, sub_sset, walking_iso)
 
 
 class MarkError(Exception):
@@ -279,8 +279,8 @@ def under_nerve_sharp(C, d, cap, NC=None):
 class OverMappingSpace:
     """The marked mapping object over the base: the kernel's mapping object
     [X => Y] restricted to the maps (Delta[n] flat) x X -> Y that commute
-    with the projections and preserve markings; an n-simplex is stored as
-    its full value table on the prism.
+    with the projections and preserve markings; an n-simplex is keyed as
+    in ``Exponential``, and ``table``/``id_of`` take full value tables.
 
     The sharp part (simplices all of whose edges are marked) is available as
     a sub-simplicial set via ``sharp_ids``.
@@ -313,13 +313,10 @@ class OverMappingSpace:
     def _edge_marked(self, e):
         """An edge is marked when it underlies a map from the sharp cylinder:
         every prism edge with marked X-part lands on a marked edge."""
-        table = self.table(1, e)
         P, pr1, pr2 = self.prisms[1]
-        for s in P.simplices(1):
-            if self.X.marked.is_marked(pr2.comp[1][s]) and \
-                    not self.Y.marked.is_marked(table[1][s]):
-                return False
-        return True
+        return all(self.Y.marked.is_marked(self.sset.value(1, e, 1, s))
+                   for s in P.simplices(1)
+                   if self.X.marked.is_marked(pr2.comp[1][s]))
 
     def as_marked(self):
         if self.cap_out >= 1:
@@ -450,13 +447,14 @@ def rectify_right(X, cap_out):
             mor_map.append(keys_a[(obj_map[gi], e)])
         slice_fun = CatFunctor(Ub, Ua, obj_map, mor_map)
         nm = nerve_map(slice_fun, cap, overs[b].sset, overs[a].sset)
+        Ea, Eb = spaces[a].sset, spaces[b].sset
         comp = []
         for n in range(cap_out + 1):
-            pm = product_map(identity_map(spaces[a].deltas[n]), nm,
-                             spaces[b].prisms[n][0], spaces[a].prisms[n][0])
-            comp.append([
-                spaces[b].id_of(n, precompose_table(spaces[a].table(n, s), pm))
-                for s in spaces[a].sset.simplices(n)])
-        maps.append(SimplicialMap(spaces[a].sset, spaces[b].sset, comp))
+            plan = product_plan(Ea.prisms[n], Eb.prisms[n],
+                                [range(c) for c in Ea.deltas[n].counts],
+                                nm.comp)
+            comp.append([Eb.index[n][apply_plan(plan, key, X.sset)]
+                         for key in Ea.keys[n]])
+        maps.append(SimplicialMap(Ea, Eb, comp))
     diagram = MarkedDiagram(C, values, maps)
     return Rectified(diagram, spaces, unders)

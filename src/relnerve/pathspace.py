@@ -21,21 +21,23 @@ from .fincat import (RelNerveObject, SSetDiagram, chain_arrow,
                      chain_object_of_key, fiber_onto_value, nerve,
                      over_nerve)
 from .sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
-                   TruncationError, codegen_tuple, coface_tuple,
-                   delta_map, identity_map, keyed_tables, precompose_table,
-                   product_map, standard_simplex)
+                   TruncationError, apply_plan, codegen_tuple, coface_tuple,
+                   compact_plan, delta_map, keyed_tables, product_plan,
+                   standard_simplex)
 
 
 # -- shared caches within one construction ----------------------------------
 
 class _ExpCache:
-    """Memoizes mapping objects and coface/codegeneracy restriction maps."""
+    """Memoizes mapping objects and the plans (``compact_plan``) of their
+    restrictions along cofaces and codegeneracies."""
 
     def __init__(self, cap):
         self.cap = cap
         self.deltas = {}
         self.exps = {}
         self.restrictions = {}
+        self.restricted_ids = {}
 
     def delta(self, n):
         if n not in self.deltas:
@@ -49,18 +51,36 @@ class _ExpCache:
         return self.exps[key]
 
     def restriction_to(self, m, j_from, j_to, vmap):
+        """The plan restricting the degree-m simplices of ``[Delta[j_to] =>
+        Y]`` along the vertex map ``vmap: [j_from] -> [j_to]``."""
         key = (m, j_from, j_to, vmap)
         if key not in self.restrictions:
-            u = delta_map(self.delta(j_from), self.delta(j_to), vmap)
-            self.restrictions[key] = product_map(
-                identity_map(self.delta(m)), u,
-                self.delta(j_from).prism(m)[0], self.delta(j_to).prism(m)[0])
+            target = self.delta(j_to).prism(m)
+            self.restrictions[key] = product_plan(
+                target, self.delta(j_from).prism(m),
+                [range(c) for c in target[1].codomain.counts],
+                delta_map(self.delta(j_from), self.delta(j_to), vmap).comp)
         return self.restrictions[key]
 
+    def restricted(self, E, m, j, k, vmap):
+        """Per degree-m simplex of ``E = [Delta[k] => Y]``, the id in
+        ``self.exp(Y, j, E.cap)`` of its restriction along ``vmap: [j] ->
+        [k]``."""
+        key = (id(E), m, j, vmap)
+        if key not in self.restricted_ids:
+            plan = self.restriction_to(m, j, k, vmap)
+            index = self.exp(E.target, j, E.cap).index[m]
+            self.restricted_ids[key] = [index[apply_plan(plan, e, E.target)]
+                                        for e in E.keys[m]]
+        return self.restricted_ids[key]
 
-def _table_postcompose(table, fmap):
-    return tuple(tuple(fmap.comp[d][v] for v in row)
-                 for d, row in enumerate(table))
+
+def _postcompose(E, m, key, fmap):
+    """The compact key of ``fmap`` after the degree-m simplex of E with
+    the compact key ``key``."""
+    comp = fmap.comp
+    return tuple([comp[d][v] for (d, _), v in
+                  zip(E.prisms[m][0].compact_layout()[0], key)])
 
 
 # -- path spaces -------------------------------------------------------------
@@ -99,26 +119,22 @@ class PathSpace:
                                   for i in range(n + 1))))
 
     def _tuples(self, m):
-        n, F = self.n, self.F
-        partial = [[(e,) for e in self.exps[0].simplices(m)]]
+        n, F, exps = self.n, self.F, self.exps
+        tuples = [(e,) for e in exps[0].simplices(m)]
         for i in range(1, n + 1):
             fmap = F.maps[self.arrows[i - 1]]
-            rmap = self.cache.restriction_to(m, i - 1, i,
-                                             coface_tuple(i, i))
-            prev = partial[-1]
-            # index candidates by their restricted table
+            plan = self.cache.restriction_to(m, i - 1, i, coface_tuple(i, i))
+            Y = exps[i].target
+            # index candidates by their restricted key
             by_restriction = {}
-            for e in self.exps[i].simplices(m):
-                rt = precompose_table(self.exps[i].table(m, e), rmap)
-                by_restriction.setdefault(rt, []).append(e)
-            out = []
-            for tup in prev:
-                pushed = _table_postcompose(
-                    self.exps[i - 1].table(m, tup[-1]), fmap)
-                for e in by_restriction.get(pushed, ()):
-                    out.append(tup + (e,))
-            partial.append(out)
-        return partial[-1]
+            for e, key in enumerate(exps[i].keys[m]):
+                by_restriction.setdefault(apply_plan(plan, key, Y),
+                                          []).append(e)
+            prev = exps[i - 1].keys[m]
+            tuples = [tup + (e,) for tup in tuples
+                      for e in by_restriction.get(_postcompose(
+                          exps[i - 1], m, prev[tup[-1]], fmap), ())]
+        return tuples
 
 
 def path_space(F, sigma_key, n, mcap):
@@ -148,31 +164,28 @@ def path_structure_map(F, sigma_key, n, i, kind, mcap):
         raise SSetError("unknown operator kind %r" % (kind,))
     comp = []
     for m in range(mcap + 1):
-        row = []
-        for s in src.sset.simplices(m):
-            tup = src.sset.key_of(m, s)
-            new = _transport_tuple(src, tgt, tup, m, i, kind)
-            row.append(tgt.sset.id_of(m, new))
-        comp.append(row)
+        transport = _transport(src, tgt, m, i, kind)
+        comp.append([tgt.sset.id_of(m, transport(tup))
+                     for tup in src.sset.keys[m]])
     return SimplicialMap(src.sset, tgt.sset, comp), src, tgt
 
 
-def _transport_tuple(src, tgt, tup, m, i, kind):
-    """Coordinates of the image tuple under the i-th face/degeneracy: the
-    coordinates before i are kept, the others are restricted from the
-    neighbouring coordinate along a coface/codegeneracy."""
+def _transport(src, tgt, m, i, kind):
+    """The i-th face/degeneracy on the degree-m tuples of ``src``: the
+    coordinates before i are kept, with their ids, as ``src`` and ``tgt``
+    share their cache; the others are restricted from the neighbouring
+    coordinate along a coface/codegeneracy."""
     face = kind == "face"
-    new = []
+    reads = []
     for j in range(src.n if face else src.n + 2):
         if j < i or (j == i and not face):
-            table = src.exps[j].table(m, tup[j])
+            reads.append((j, None))
         else:
             k = j + 1 if face else j - 1
             vmap = coface_tuple(k, i) if face else codegen_tuple(k, i)
-            table = precompose_table(src.exps[k].table(m, tup[k]),
-                                     src.cache.restriction_to(m, j, k, vmap))
-        new.append(tgt.exps[j].id_of(m, table))
-    return tuple(new)
+            reads.append((k, src.cache.restricted(src.exps[k], m, j, k, vmap)))
+    return lambda tup: tuple([tup[k] if ids is None else ids[tup[k]]
+                              for k, ids in reads])
 
 
 def path_space_zigzag(F, sigma_key, n, mcap):
@@ -195,10 +208,11 @@ def path_space_zigzag(F, sigma_key, n, mcap):
             ok = True
             for i in range(1, n + 1):
                 fmap = F.maps[arrows[i - 1]]
-                rmap = cache.restriction_to(m, i - 1, i, coface_tuple(i, i))
-                lhs = _table_postcompose(exps[i - 1].table(m, tup[i - 1]),
-                                         fmap)
-                rhs = precompose_table(exps[i].table(m, tup[i]), rmap)
+                plan = cache.restriction_to(m, i - 1, i, coface_tuple(i, i))
+                lhs = _postcompose(exps[i - 1], m,
+                                   exps[i - 1].keys[m][tup[i - 1]], fmap)
+                rhs = apply_plan(plan, exps[i].keys[m][tup[i]],
+                                 exps[i].target)
                 if lhs != rhs:
                     ok = False
                     break
@@ -235,10 +249,9 @@ def simplicial_space(F, ncap, mcap):
     def row(m):
         def transport(kind, shift):
             def rule(n, i, k, nk):
-                src, tgt = space(n, k), space(n + shift, nk)
-                return lambda tups: [
-                    _transport_tuple(src, tgt, tup, m, i, kind)
-                    for tup in tups]
+                transport = _transport(space(n, k), space(n + shift, nk), m,
+                                       i, kind)
+                return lambda tups: list(map(transport, tups))
             return rule
 
         return over_nerve(NC, ncap, lambda n, k: space(n, k).sset.keys[m],
@@ -483,9 +496,9 @@ def row_cotensor_diagram(F, t, cap_out):
     maps = []
     for m in range(F.shape.n_morphisms):
         a, b = F.shape.src[m], F.shape.tgt[m]
-        comp = [[values[b].id_of(mm, _table_postcompose(
-            values[a].table(mm, e), F.maps[m]))
-            for e in values[a].simplices(mm)] for mm in range(cap_out + 1)]
+        comp = [[values[b].index[mm][_postcompose(values[a], mm, key,
+                                                  F.maps[m])]
+                 for key in values[a].keys[mm]] for mm in range(cap_out + 1)]
         maps.append(SimplicialMap(values[a], values[b], comp))
     return SSetDiagram(F.shape, values, maps), cache
 
@@ -501,46 +514,39 @@ def row_identification(S, F, t, ncap):
     target = lurie_grothendieck(G, ncap)
     row = S.bisset.row(t)
     keyed = S.rows[t]
+    plans = {}
+
+    def swapped(E, m, key, V, n):
+        # the prisms are Delta[m] x Delta[n] for E and Delta[n] x Delta[m]
+        # for V; precompose along the swap of the factors
+        if (m, n) not in plans:
+            (P, _, pr2), (Q, q1, q2) = V.prisms[n], E.prisms[m]
+            width = pr2.codomain.counts
+            plans[m, n] = compact_plan(P, Q, lambda d, s: q2.comp[d][s]
+                                       * width[d] + q1.comp[d][s])
+        return V.index[n][apply_plan(plans[m, n], key, E.target)]
+
     fwd = []
     for n in range(ncap + 1):
         rowmap = []
         for sid, tup in keyed.keys[n]:
             ps = S.spaces[n][sid]
-            gamma = []
-            for j in range(n + 1):
-                table = ps.exps[j].table(t, tup[j])
-                swapped = _swap_prism_table(table, cache.delta(t),
-                                            cache.delta(j))
-                gamma.append(G.values[ps.objects[j]].id_of(j, swapped))
-            rowmap.append(target.total.id_of(n, (sid, tuple(gamma))))
+            gamma = tuple(swapped(ps.exps[j], t, ps.exps[j].keys[t][tup[j]],
+                                  G.values[ps.objects[j]], j)
+                          for j in range(n + 1))
+            rowmap.append(target.total.id_of(n, (sid, gamma)))
         fwd.append(rowmap)
     bwd = []
     for n in range(ncap + 1):
         rowmap = []
-        for s in target.total.simplices(n):
-            sid, gamma = target.total.key_of(n, s)
+        for sid, gamma in target.total.keys[n]:
             ps = S.spaces[n][sid]
             tup = []
             for j in range(n + 1):
-                table = G.values[ps.objects[j]].table(j, gamma[j])
-                swapped = _swap_prism_table(table, cache.delta(j),
-                                            cache.delta(t))
-                tup.append(ps.exps[j].id_of(t, swapped))
+                V = G.values[ps.objects[j]]
+                tup.append(swapped(V, j, V.keys[j][gamma[j]], ps.exps[j], t))
             rowmap.append(keyed.id_of(n, (sid, tuple(tup))))
         bwd.append(rowmap)
     f = SimplicialMap(row, target.total, fwd)
     g = SimplicialMap(target.total, row, bwd)
     return f, g, target
-
-
-def _swap_prism_table(table, A, B):
-    """Reindex a value table over A x B as one over B x A."""
-    out = []
-    for d in range(len(table)):
-        na, nb = A.counts[d], B.counts[d]
-        row = [None] * (na * nb)
-        for s, v in enumerate(table[d]):
-            a, b = s // nb, s % nb
-            row[b * na + a] = v
-        out.append(tuple(row))
-    return tuple(out)

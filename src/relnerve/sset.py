@@ -47,6 +47,8 @@ class TruncSSet:
         self._op_cache = {}
         self._ez_cache = {}
         self._prism_cache = {}
+        self._prism_plan_cache = {}
+        self._layout = None
 
     # -- basic access ------------------------------------------------------
 
@@ -192,6 +194,36 @@ class TruncSSet:
         if n not in self._prism_cache:
             self._prism_cache[n] = product(standard_simplex(n, self.cap), self)
         return self._prism_cache[n]
+
+    def prism_plan(self, n, u):
+        """The plan (see ``compact_plan``) precomposing the maps out of
+        ``prism(n)`` with ``u x id: prism(l) -> prism(n)``, for a monotone
+        vertex tuple ``u: [l] -> [n]`` (cached)."""
+        if (n, u) not in self._prism_plan_cache:
+            target, source = self.prism(n), self.prism(len(u) - 1)
+            self._prism_plan_cache[n, u] = product_plan(
+                target, source,
+                delta_map(source[1].codomain, target[1].codomain, u).comp,
+                [range(c) for c in self.counts])
+        return self._prism_plan_cache[n, u]
+
+    def compact_layout(self):
+        """The layout of a compact key of a map out of this object (cached):
+        the nondegenerate simplices ``(n, s)`` by degree and then by id, the
+        position of each (``where[n][s]``, None when degenerate), and the
+        degenerate ``(n, s, j, t)`` with ``s = s_j t``, from the lowest
+        degree up."""
+        if self._layout is None:
+            order = [(n, s) for n in range(self.cap + 1)
+                     for s in self.nondegenerate(n)]
+            where = [[None] * c for c in self.counts]
+            for p, (n, s) in enumerate(order):
+                where[n][s] = p
+            fill = [(n, s, word[0], self.faces[n][word[0]][s])
+                    for n in range(self.cap + 1)
+                    for s, (word, _, _) in enumerate(self.ez_table(n)) if word]
+            self._layout = order, where, fill
+        return self._layout
 
 
 def _group(keys):
@@ -431,17 +463,6 @@ def product(X, Y):
     return P, pr1, pr2
 
 
-def product_map(u, v, P, Q):
-    """The induced map u x v between the products P and Q built by
-    ``product``."""
-    ny, my = v.domain.counts, v.codomain.counts
-    comp = []
-    for n in range(P.cap + 1):
-        comp.append([u.comp[n][s // ny[n]] * my[n] + v.comp[n][s % ny[n]]
-                     for s in range(P.counts[n])])
-    return SimplicialMap(P, Q, comp)
-
-
 def disjoint_union(parts):
     """Coproduct with injections; ids are offset blockwise."""
     cap = parts[0].cap
@@ -603,8 +624,8 @@ def restrict(X, cap):
 # -- map enumeration and exponentials --------------------------------------
 
 def _search(A, B, candidate_filter=None, limit=None):
-    """Depth-first search for the simplicial maps A -> B, as full per-degree
-    value tables; it stops once ``limit`` tables are found.
+    """Depth-first search for the simplicial maps A -> B, as compact keys
+    (see ``compact_layout``); it stops once ``limit`` keys are found.
 
     A map is determined by its values on the nondegenerate simplices of A,
     which are visited from the top degree down, in id order within a
@@ -618,19 +639,15 @@ def _search(A, B, candidate_filter=None, limit=None):
     with one of its fixed faces, the one with the fewest (``face_index``),
     and all of ``B_n`` when no face is fixed.  The optional
     ``candidate_filter(n, s, b)`` restricts the value of every
-    nondegenerate ``s``, chosen or propagated.  Degenerate values are
-    filled once per map found.  The EZ table of ``A`` is cached on ``A``,
-    so a prism ``X.prism(n)``, built once per ``X``, is decomposed once for
-    every search out of it.
+    nondegenerate ``s``, chosen or propagated.  The EZ table of ``A`` is
+    cached on ``A``, so a prism ``X.prism(n)``, built once per ``X``, is
+    decomposed once for every search out of it.
     """
     cap = A.cap
     ez = [A.ez_table(n) for n in range(cap + 1)]
     val = [[None] * A.counts[n] for n in range(cap + 1)]
     order = [(n, s) for n in range(cap, -1, -1) for s in A.nondegenerate(n)]
-    # a degenerate s_j t, with t = d_j s, from the lowest degree up
-    degenerate = [(n, s, word[0], A.faces[n][word[0]][s])
-                  for n in range(cap + 1)
-                  for s, (word, _, _) in enumerate(ez[n]) if word]
+    layout = A.compact_layout()[0]
     trail, results = [], []
 
     def fix(n, s, b):
@@ -672,10 +689,7 @@ def _search(A, B, candidate_filter=None, limit=None):
                 is not None:
             idx += 1
         if idx == len(order):
-            table = [list(v) for v in val]
-            for n, s, j, t in degenerate:
-                table[n][s] = B.degens[n - 1][j][table[n - 1][t]]
-            results.append(table)
+            results.append(tuple([val[n][s] for n, s in layout]))
             return len(results) == limit
         n, s = order[idx]
         for b in candidates(n, s):
@@ -691,26 +705,90 @@ def _search(A, B, candidate_filter=None, limit=None):
     return results
 
 
+def expand_key(A, B, key):
+    """The full value table, one list per degree, of the map A -> B with
+    the compact key ``key``: each degenerate ``s_j t`` takes ``s_j`` of the
+    value at ``t``."""
+    order, _, fill = A.compact_layout()
+    table = [[None] * c for c in A.counts]
+    for (n, s), b in zip(order, key):
+        table[n][s] = b
+    for n, s, j, t in fill:
+        table[n][s] = B.degens[n - 1][j][table[n - 1][t]]
+    return table
+
+
 def enumerate_maps(A, B, candidate_filter=None):
-    """All simplicial maps A -> B, in the order of ``_search``."""
-    return _search(A, B, candidate_filter)
+    """All simplicial maps A -> B as full value tables, in the order of
+    ``_search``."""
+    return [expand_key(A, B, k) for k in _search(A, B, candidate_filter)]
 
 
 def first_map(A, B, candidate_filter=None):
     """The first table ``enumerate_maps`` would list, or None; the search
     stops there."""
     found = _search(A, B, candidate_filter, limit=1)
-    return found[0] if found else None
+    return expand_key(A, B, found[0]) if found else None
+
+
+def compact_plan(P, Q, image):
+    """Precomposition ``f -> f o g`` on compact keys, for the maps f out of
+    P and a map ``g: Q -> P`` with ``g(t) = image(n, t)``: for each
+    nondegenerate ``t`` of Q, in key order, the position in f's key of the
+    nondegenerate simplex under ``g(t)`` and the EZ word that gives ``g(t)``
+    back.  Returned as the positions and the ``(i, m, word)`` of the
+    entries with a nonempty word; see ``apply_plan``."""
+    where = P.compact_layout()[1]
+    ez = [P.ez_table(n) for n in range(P.cap + 1)]
+    positions, words = [], []
+    for n, t in Q.compact_layout()[0]:
+        word, m, y = ez[n][image(n, t)]
+        if word:
+            words.append((len(positions), m, word))
+        positions.append(where[m][y])
+    return positions, words
+
+
+def product_plan(target, source, f, g):
+    """``compact_plan`` of ``f x g`` between two ``product`` triples
+    ``(P, pr1, pr2)``, from ``source`` to ``target``; ``f`` and ``g`` are
+    per-degree tables of maps between the factors."""
+    (P, _, pr2), (Q, q1, q2) = target, source
+    width = pr2.codomain.counts
+    return compact_plan(P, Q, lambda n, t: f[n][q1.comp[n][t]] * width[n]
+                        + g[n][q2.comp[n][t]])
+
+
+def apply_plan(plan, key, Y):
+    """The compact key of ``f o g`` from that of ``f: P -> Y`` by a plan of
+    ``compact_plan``."""
+    positions, words = plan
+    if not words:
+        return tuple(map(key.__getitem__, positions))
+    out = list(map(key.__getitem__, positions))
+    for i, m, word in words:
+        out[i] = Y.apply_word(m, out[i], word)
+    return tuple(out)
 
 
 class Exponential(KeyedSSet):
     """Internal mapping object [X => Y]: degree-n simplices are simplicial
-    maps Delta[n] x X -> Y, encoded by their full value tables.
+    maps Delta[n] x X -> Y.
+
+    A simplex is keyed by its compact key, the values of its map on the
+    nondegenerate simplices of the prism ``(P, pr1, pr2) = X.prism(n)`` by
+    degree and then by id (``P.compact_layout()``); ``index`` takes these
+    keys.  Two maps first differ at a nondegenerate simplex, so the sorted
+    compact keys give the ids that sorted full value tables would.
+    ``table(n, s)`` expands a key to its full value table, ``value(n, s, d,
+    p)`` reads one entry, and ``id_of(n, table)`` takes a full table.  The
+    faces and degeneracies precompose by the plans ``X.prism_plan``, cached
+    on X with its prisms.
 
     ``admissible(prism, m, s, b)``, when given, keeps only the maps whose
-    value at every nondegenerate degree-m simplex ``s`` of the prism
-    ``(P, pr1, pr2) = X.prism(n)`` is a ``b`` it accepts; the
-    admitted tables must be closed under the simplicial operators.
+    value at every nondegenerate degree-m simplex ``s`` of the prism is a
+    ``b`` it accepts; the admitted maps must be closed under the simplicial
+    operators.
 
     Exact only under the truncation validity bound
     ``cap_out + nondeg_dim(X) <= cap(Y)``; violating it raises
@@ -725,42 +803,46 @@ class Exponential(KeyedSSet):
                 "exponential(cap_out=%d) with nondeg_dim(X)=%d needs cap(Y)"
                 " >= %d, have %d" % (cap_out, X.nondeg_dim(),
                                      cap_out + X.nondeg_dim(), Y.cap))
-        self.arg = X
+        self.arg, self.target = X, Y
         self.prisms = [X.prism(n) for n in range(cap_out + 1)]
         self.deltas = [pr1.codomain for _, pr1, _ in self.prisms]
-        tables = []
+        keys = []
         for prism in self.prisms:
             filt = None if admissible is None else \
                 functools.partial(admissible, prism)
-            tabs = enumerate_maps(prism[0], Y, candidate_filter=filt)
-            tables.append(sorted(tuple(tuple(v) for v in t) for t in tabs))
-        id_x = identity_map(X)
-
-        def precomposition(n_from, n_to, vmap):
-            # (Delta-map x id_X): Delta[n_to] x X -> Delta[n_from] x X
-            u = delta_map(self.deltas[n_to], self.deltas[n_from], vmap)
-            return product_map(u, id_x, self.prisms[n_to][0],
-                               self.prisms[n_from][0])
-
-        face_pms = [None] + [
-            [precomposition(n, n - 1, coface_tuple(n, i))
-             for i in range(n + 1)] for n in range(1, cap_out + 1)]
-        degen_pms = [
-            [precomposition(n, n + 1, codegen_tuple(n, i))
-             for i in range(n + 1)] for n in range(cap_out)]
+            keys.append(sorted(_search(prism[0], Y, filt)))
+        face_plans = [None] + [
+            [X.prism_plan(n, coface_tuple(n, i)) for i in range(n + 1)]
+            for n in range(1, cap_out + 1)]
+        degen_plans = [
+            [X.prism_plan(n, codegen_tuple(n, i)) for i in range(n + 1)]
+            for n in range(cap_out)]
         super().__init__(cap_out, *keyed_tables(
-            cap_out, tables,
-            lambda n, i, k: precompose_table(k, face_pms[n][i]),
-            lambda n, i, k: precompose_table(k, degen_pms[n][i])))
+            cap_out, keys,
+            lambda n, i, k: apply_plan(face_plans[n][i], k, Y),
+            lambda n, i, k: apply_plan(degen_plans[n][i], k, Y)))
 
     def table(self, n, s):
-        return self.keys[n][s]
+        """The full value table of the map ``s``, a tuple per degree."""
+        return tuple(map(tuple, expand_key(self.prisms[n][0], self.target,
+                                           self.keys[n][s])))
 
+    def value(self, n, s, d, p):
+        """The value of the map ``s`` at the degree-d simplex ``p`` of its
+        prism."""
+        P = self.prisms[n][0]
+        word, m, y = P.ez_table(d)[p]
+        return self.target.apply_word(
+            m, self.keys[n][s][P.compact_layout()[1][m][y]], word)
 
-def precompose_table(table, pm):
-    """The value table of ``f o pm`` from the value table of ``f``."""
-    return tuple(tuple(map(row.__getitem__, comp))
-                 for row, comp in zip(table, pm.comp))
+    def id_of(self, n, table):
+        """The id of the map with this full value table; ``KeyError`` when
+        it is not a simplex of this object."""
+        order = self.prisms[n][0].compact_layout()[0]
+        s = self.index[n][tuple([table[d][t] for d, t in order])]
+        if self.table(n, s) != tuple(map(tuple, table)):
+            raise KeyError("not a simplex of this mapping object")
+        return s
 
 
 def coface_tuple(n, i):

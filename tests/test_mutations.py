@@ -24,7 +24,7 @@ from relnerve.pathspace import (compare_relnerve_iso, fiber_at,
                                 lurie_grothendieck)
 from relnerve.randomgen import SuiteBounds, random_cat_diagram
 from relnerve.sset import (SimplicialMap, SSetError, TruncSSet, constant_map,
-                           descend, enumerate_maps, identity_map,
+                           descend, enumerate_maps, exponential, identity_map,
                            standard_simplex, walking_iso)
 
 from conftest import span_diagram
@@ -203,3 +203,20 @@ def test_over_nerve_refuses_a_fibre_listed_out_of_order():
     with pytest.raises(SSetError, match="base simplex 2 in degree 1"):
         over_nerve(NC, 2, fiber((1, NC.key_of(1, 2))), rule(X.faces),
                    rule(X.degens))
+
+
+def test_mapping_object_refuses_a_corrupted_degenerate_entry():
+    # a key holds only the nondegenerate entries; id_of checks the others
+    Y = walking_iso(3)
+    E = exponential(Y, standard_simplex(1, 3), 1)
+    for n in range(2):
+        P = E.prisms[n][0]
+        degenerate = [(d, p) for d in range(1, 4) for p in P.simplices(d)
+                      if P.degenerate_flags(d)[p]]
+        for s in E.simplices(n):
+            assert E.id_of(n, E.table(n, s)) == s
+            for d, p in degenerate:
+                table = [list(row) for row in E.table(n, s)]
+                table[d][p] = (table[d][p] + 1) % Y.counts[d]
+                with pytest.raises(KeyError):
+                    E.id_of(n, table)

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import os
 import random
 
 import pytest
@@ -6,13 +8,15 @@ import pytest
 from relnerve.certify import check_simplicial_identities, verify_iso_map
 from relnerve.fincat import cyclic_group_category, nerve
 from relnerve.randomgen import SuiteBounds, random_sub_delta
-from relnerve.sset import (SimplicialMap, SSetError, TruncationError,
-                           TruncSSet, boundary, build_generated, classes,
-                           classifying_map, constant_map, discrete,
-                           enumerate_maps, exponential, ez_decompose,
-                           first_map, generated_size, horn, identity_map,
-                           invert_bijection, product, pushout, restrict,
-                           standard_simplex, sub_sset, walking_iso)
+from relnerve.sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
+                           TruncationError, TruncSSet, boundary,
+                           build_generated, classes, classifying_map,
+                           codegen_tuple, coface_tuple, constant_map,
+                           delta_map, discrete, enumerate_maps, exponential,
+                           ez_decompose, first_map, generated_size, horn,
+                           identity_map, invert_bijection, keyed_tables,
+                           product, pushout, restrict, standard_simplex,
+                           sub_sset, walking_iso)
 
 
 def binomial(n, k):
@@ -432,6 +436,109 @@ def test_search_matches_brute_force():
                 nonempty += bool(want)
             pairs += 1
     assert pairs >= 60 and nonempty >= 60
+
+
+class FullTableExponential(KeyedSSet):
+    """The reference for ``Exponential``: the same mapping object keyed by
+    full value tables, its faces and degeneracies by precomposing each
+    table with the product map ``u x id_X`` between the prisms."""
+
+    def __init__(self, Y, X, cap_out, admissible=None):
+        self.prisms = [X.prism(n) for n in range(cap_out + 1)]
+        self.deltas = [pr1.codomain for _, pr1, _ in self.prisms]
+        tables = []
+        for prism in self.prisms:
+            filt = None if admissible is None else \
+                functools.partial(admissible, prism)
+            tables.append(sorted(tuple(map(tuple, t)) for t in
+                                 enumerate_maps(prism[0], Y, filt)))
+
+        def precomposition(n_from, n_to, vmap):
+            u = delta_map(self.deltas[n_to], self.deltas[n_from], vmap).comp
+            width = X.counts
+            return [[u[d][s // width[d]] * width[d] + s % width[d]
+                     for s in self.prisms[n_to][0].simplices(d)]
+                    for d in range(X.cap + 1)]
+
+        def precompose(table, comp):
+            return tuple(tuple(row[t] for t in c)
+                         for row, c in zip(table, comp))
+
+        face_pms = [None] + [
+            [precomposition(n, n - 1, coface_tuple(n, i))
+             for i in range(n + 1)] for n in range(1, cap_out + 1)]
+        degen_pms = [
+            [precomposition(n, n + 1, codegen_tuple(n, i))
+             for i in range(n + 1)] for n in range(cap_out)]
+        super().__init__(cap_out, *keyed_tables(
+            cap_out, tables,
+            lambda n, i, k: precompose(k, face_pms[n][i]),
+            lambda n, i, k: precompose(k, degen_pms[n][i])))
+
+    def table(self, n, s):
+        return self.keys[n][s]
+
+
+def assert_matches_full_tables(E, ref):
+    """Equal ids, faces, degeneracies, ``table``, ``id_of`` and ``value``."""
+    assert E.counts == ref.counts
+    assert E.faces == ref.faces and E.degens == ref.degens
+    for n in range(E.cap + 1):
+        P = E.prisms[n][0]
+        for s in E.simplices(n):
+            table = ref.table(n, s)
+            assert E.table(n, s) == table
+            assert E.id_of(n, table) == s
+            assert all(E.value(n, s, d, p) == table[d][p]
+                       for d in range(P.cap + 1) for p in P.simplices(d))
+
+
+def test_compact_keys_match_full_tables():
+    # Y: the largest of a dozen seeded random subcomplexes of simplices
+    # (up to 10 nondegenerate simplices, so filled triangles occur), J and
+    # the nerve of Z/2; X: Delta[0..2], a horn, J and the nerve of Z/2,
+    # each at the largest cap_out (at most 2) the validity bound allows
+    cap = 3
+    rng = random.Random(13)
+    drawn = [random_sub_delta(rng, SuiteBounds(max_nondeg=10), cap)
+             for _ in range(12)]
+    targets = sorted(drawn, key=lambda Y: Y.counts)[-3:]
+    targets += [walking_iso(cap), nerve(cyclic_group_category(2), cap)]
+    args = [standard_simplex(i, cap) for i in range(3)]
+    args += [horn(2, 1, cap), walking_iso(cap),
+             nerve(cyclic_group_category(2), cap)]
+    for Y in targets:
+        for X in args:
+            cap_out = min(2, cap - X.nondeg_dim())
+            E = Exponential(Y, X, cap_out)
+            assert_matches_full_tables(E, FullTableExponential(Y, X,
+                                                               cap_out))
+            assert check_simplicial_identities(E).ok
+
+
+def test_compact_keys_match_full_tables_over_the_base():
+    # the over-base mapping objects of the marked fixtures and of the
+    # naturally marked identity diagram of N([1]) over the arrow, with
+    # their admissibility filter
+    from conftest import identity_arrow_diagram
+    from relnerve.fincat import arrow_category
+    from relnerve.marked import (OverMappingSpace, mark_diagram,
+                                 marked_rel_nerve, under_nerve_sharp)
+    from relnerve.specio import parse_spec
+    diagrams = [mark_diagram(identity_arrow_diagram(
+        nerve(arrow_category(), 3), 3), "natural")]
+    for name in ("interval_sharp", "interval_diagram_sharp"):
+        with open(os.path.join(os.path.dirname(__file__), "fixtures",
+                               name + ".rnspec")) as fh:
+            diagrams.append(parse_spec(fh.read()).diagram)
+    for FM in diagrams:
+        OM, R = marked_rel_nerve(FM, 3)
+        for d in range(FM.shape.n_objects):
+            over, *_ = under_nerve_sharp(FM.shape, d, 3, NC=R.base_nerve)
+            space = OverMappingSpace(over, OM, 1)
+            ref = FullTableExponential(OM.sset, over.sset, 1,
+                                       admissible=space._admissible)
+            assert_matches_full_tables(space.sset, ref)
 
 
 def test_exponential_adjunction_counts():
