@@ -346,6 +346,8 @@ def main(argv=None):
                                  args.max_nondeg, args.cap)
             try:
                 bounds.check()
+                if args.count < 0:
+                    raise ValueError("count must be >= 0")
             except ValueError as exc:
                 print("refused: %s" % exc, file=sys.stderr)
                 return EXIT_BOUND
@@ -353,6 +355,11 @@ def main(argv=None):
             fails = run_random_suite(args.seed, args.count, bounds, rep)
         else:
             spec = _load(args.input)
+            for flag in ("cap", "ncap"):
+                value = getattr(args, flag, 0)
+                if value < 0:
+                    raise TruncationError("--%s must be >= 0, got %d"
+                                          % (flag, value))
             rep.add("input", "kind=%s" % spec.kind, "cap=%d" % args.cap)
             if args.command == "build":
                 fails = cmd_build(spec, args.target, args.cap, rep,

@@ -156,47 +156,35 @@ def eta_unit(FM, d, cap_out):
     space = OverMappingSpace(over, OM, cap_out)
     NU = over.sset
     U = FM.underlying()
+    Ucat = forget.domain
     Xd = U.values[d]
     comp = []
     for n in range(cap_out + 1):
-        row = []
-        for x in Xd.simplices(n):
-            key = _eta_key(FM, d, n, x, space, NU, forget, objs, NC)
-            row.append(space.sset.index[n][key])
-        comp.append(row)
+        _, pr1, pr2 = space.prisms[n]
+        delta_n = space.deltas[n]
+
+        def value(x, m, s):
+            # at a prism simplex (alpha, slice chain) the x-part is
+            # restricted along alpha, its front faces are transported along
+            # the slice legs d -> e_i, and the resulting tuple sits over the
+            # forgetful image of the chain
+            alpha = delta_n.key_of(m, pr1.comp[m][s])   # [m] -> [n]
+            slice_key = NU.key_of(m, pr2.comp[m][s])
+            if m == 0:
+                base_key = (forget.obj_map[slice_key[0]],)
+            else:
+                base_key = tuple(forget.mor_map[mm] for mm in slice_key)
+            y = Xd.op_table(n, alpha)[x]
+            beta = tuple([f[front[y]] for f, front in _front_reads(
+                U, Xd, m, [objs[chain_object_of_key(Ucat, slice_key, m, i)]
+                           for i in range(m + 1)])])
+            sid = NC.id_of(m, base_key)
+            return space.Y.sset.id_of(m, (sid, beta))
+        comp.append([space.sset.id_by_values(n, lambda m, s: value(x, m, s))
+                     for x in Xd.simplices(n)])
     dom = Xd if Xd.cap == cap_out else restrict(Xd, cap_out)
     eta = SimplicialMap(dom, space.sset, comp)
     return eta, space, OM, R
-
-
-def _eta_key(FM, d, n, x, space, NU, forget, objs, NC):
-    """Compact key of eta(x) (see ``Exponential``): its values on the
-    nondegenerate simplices of the prism Delta[n] x N(d/D).
-
-    At a prism simplex (alpha, slice chain) the x-part is restricted along
-    alpha, its front faces are transported along the slice legs d -> e_i,
-    and the resulting tuple sits over the forgetful image of the chain.
-    """
-    U = FM.underlying()
-    Ucat = forget.domain
-    P, pr1, pr2 = space.prisms[n]
-    delta_n = space.deltas[n]
-    Xd = U.values[d]
-    out = []
-    for m, s in P.compact_layout()[0]:
-        alpha = delta_n.key_of(m, pr1.comp[m][s])   # [m] -> [n]
-        slice_key = NU.key_of(m, pr2.comp[m][s])
-        if m == 0:
-            base_key = (forget.obj_map[slice_key[0]],)
-        else:
-            base_key = tuple(forget.mor_map[mm] for mm in slice_key)
-        y = Xd.op_table(n, alpha)[x]
-        beta = tuple([f[front[y]] for f, front in _front_reads(
-            U, Xd, m, [objs[chain_object_of_key(Ucat, slice_key, m, i)]
-                       for i in range(m + 1)])])
-        sid = NC.id_of(m, base_key)
-        out.append(space.Y.sset.id_of(m, (sid, beta)))
-    return tuple(out)
 
 
 def counit_w2(X, cap):

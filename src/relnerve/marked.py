@@ -12,9 +12,9 @@ from .fincat import (CatFunctor, FinCategory, SSetDiagram,
                      chain_object_of_key, nerve, nerve_map, under_category)
 from .pathspace import lurie_grothendieck
 from .sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
-                   TruncationError, TruncSSet, apply_plan,
-                   coequalize_disjoint, descend, first_map, identity_map,
-                   keyed_tables, product_plan, sub_sset, walking_iso)
+                   TruncationError, TruncSSet, coequalize_disjoint, descend,
+                   first_map, identity_map, keyed_tables, sub_sset,
+                   walking_iso)
 
 
 class MarkError(Exception):
@@ -447,14 +447,6 @@ def rectify_right(X, cap_out):
             mor_map.append(keys_a[(obj_map[gi], e)])
         slice_fun = CatFunctor(Ub, Ua, obj_map, mor_map)
         nm = nerve_map(slice_fun, cap, overs[b].sset, overs[a].sset)
-        Ea, Eb = spaces[a].sset, spaces[b].sset
-        comp = []
-        for n in range(cap_out + 1):
-            plan = product_plan(Ea.prisms[n], Eb.prisms[n],
-                                [range(c) for c in Ea.deltas[n].counts],
-                                nm.comp)
-            comp.append([Eb.index[n][apply_plan(plan, key, X.sset)]
-                         for key in Ea.keys[n]])
-        maps.append(SimplicialMap(Ea, Eb, comp))
+        maps.append(spaces[a].sset.precompose(nm, spaces[b].sset))
     diagram = MarkedDiagram(C, values, maps)
     return Rectified(diagram, spaces, unders)

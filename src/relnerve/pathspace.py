@@ -21,23 +21,21 @@ from .fincat import (RelNerveObject, SSetDiagram, chain_arrow,
                      chain_object_of_key, fiber_onto_value, nerve,
                      over_nerve)
 from .sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
-                   TruncationError, apply_plan, codegen_tuple, coface_tuple,
-                   compact_plan, delta_map, keyed_tables, product_plan,
-                   standard_simplex)
+                   TruncationError, codegen_tuple, coface_tuple, delta_map,
+                   keyed_tables, standard_simplex)
 
 
 # -- shared caches within one construction ----------------------------------
 
 class _ExpCache:
-    """Memoizes mapping objects and the plans (``compact_plan``) of their
-    restrictions along cofaces and codegeneracies."""
+    """Memoizes the mapping objects out of standard simplices and the
+    kernel's maps between them (see ``Exponential``)."""
 
     def __init__(self, cap):
         self.cap = cap
         self.deltas = {}
         self.exps = {}
-        self.restrictions = {}
-        self.restricted_ids = {}
+        self.maps = {}
 
     def delta(self, n):
         if n not in self.deltas:
@@ -50,37 +48,29 @@ class _ExpCache:
             self.exps[key] = Exponential(Y, self.delta(i), mcap)
         return self.exps[key]
 
-    def restriction_to(self, m, j_from, j_to, vmap):
-        """The plan restricting the degree-m simplices of ``[Delta[j_to] =>
-        Y]`` along the vertex map ``vmap: [j_from] -> [j_to]``."""
-        key = (m, j_from, j_to, vmap)
-        if key not in self.restrictions:
-            target = self.delta(j_to).prism(m)
-            self.restrictions[key] = product_plan(
-                target, self.delta(j_from).prism(m),
-                [range(c) for c in target[1].codomain.counts],
-                delta_map(self.delta(j_from), self.delta(j_to), vmap).comp)
-        return self.restrictions[key]
+    def _map(self, key, build):
+        if key not in self.maps:
+            self.maps[key] = build()
+        return self.maps[key]
 
-    def restricted(self, E, m, j, k, vmap):
-        """Per degree-m simplex of ``E = [Delta[k] => Y]``, the id in
-        ``self.exp(Y, j, E.cap)`` of its restriction along ``vmap: [j] ->
-        [k]``."""
-        key = (id(E), m, j, vmap)
-        if key not in self.restricted_ids:
-            plan = self.restriction_to(m, j, k, vmap)
-            index = self.exp(E.target, j, E.cap).index[m]
-            self.restricted_ids[key] = [index[apply_plan(plan, e, E.target)]
-                                        for e in E.keys[m]]
-        return self.restricted_ids[key]
+    def restriction(self, E, vmap):
+        """``E = [Delta[k] => Y] -> [Delta[j] => Y]``, the restriction along
+        ``vmap: [j] -> [k]``; one vertex map per (vmap, k), so that every Y
+        shares its prism plans."""
+        j = len(vmap) - 1
+        g = self._map(("vertex map", vmap, E.arg),
+                      lambda: delta_map(self.delta(j), E.arg, vmap))
+        return self._map(("restriction", E, vmap), lambda: E.precompose(
+            g, self.exp(E.target, j, E.cap)))
 
+    def postcomposition(self, E, i, f):
+        """``E = [Delta[i] => Y] -> [Delta[i] => Y']`` along ``f: Y ->
+        Y'``."""
+        return self._map(("postcomposition", E, f), lambda: E.postcompose(
+            f, self.exp(f.codomain, i, E.cap)))
 
-def _postcompose(E, m, key, fmap):
-    """The compact key of ``fmap`` after the degree-m simplex of E with
-    the compact key ``key``."""
-    comp = fmap.comp
-    return tuple([comp[d][v] for (d, _), v in
-                  zip(E.prisms[m][0].compact_layout()[0], key)])
+    def transposed(self, E, m, V):
+        return self._map(("transposed", E, m, V), lambda: E.transposed(m, V))
 
 
 # -- path spaces -------------------------------------------------------------
@@ -119,21 +109,19 @@ class PathSpace:
                                   for i in range(n + 1))))
 
     def _tuples(self, m):
-        n, F, exps = self.n, self.F, self.exps
+        exps, cache = self.exps, self.cache
         tuples = [(e,) for e in exps[0].simplices(m)]
-        for i in range(1, n + 1):
-            fmap = F.maps[self.arrows[i - 1]]
-            plan = self.cache.restriction_to(m, i - 1, i, coface_tuple(i, i))
-            Y = exps[i].target
-            # index candidates by their restricted key
+        for i in range(1, self.n + 1):
+            # the i-th coordinates by the id of their restriction along d^i,
+            # met by the previous coordinate pushed along the diagram map
             by_restriction = {}
-            for e, key in enumerate(exps[i].keys[m]):
-                by_restriction.setdefault(apply_plan(plan, key, Y),
-                                          []).append(e)
-            prev = exps[i - 1].keys[m]
+            for e, r in enumerate(cache.restriction(
+                    exps[i], coface_tuple(i, i)).comp[m]):
+                by_restriction.setdefault(r, []).append(e)
+            pushed = cache.postcomposition(
+                exps[i - 1], i - 1, self.F.maps[self.arrows[i - 1]]).comp[m]
             tuples = [tup + (e,) for tup in tuples
-                      for e in by_restriction.get(_postcompose(
-                          exps[i - 1], m, prev[tup[-1]], fmap), ())]
+                      for e in by_restriction.get(pushed[tup[-1]], ())]
         return tuples
 
 
@@ -183,7 +171,8 @@ def _transport(src, tgt, m, i, kind):
         else:
             k = j + 1 if face else j - 1
             vmap = coface_tuple(k, i) if face else codegen_tuple(k, i)
-            reads.append((k, src.cache.restricted(src.exps[k], m, j, k, vmap)))
+            reads.append((k, src.cache.restriction(src.exps[k],
+                                                   vmap).comp[m]))
     return lambda tup: tuple([tup[k] if ids is None else ids[tup[k]]
                               for k, ids in reads])
 
@@ -191,35 +180,25 @@ def _transport(src, tgt, m, i, kind):
 def path_space_zigzag(F, sigma_key, n, mcap):
     """Independent oracle: the degreewise limit of the exponential zig-zag.
 
-    Computes, for each internal degree m, the set of tuples
-    (b_0, ..., b_n) with b_i in the mapping object [Delta[i] => F(sigma(i))]
-    satisfying the pullback equations, by filtering the full product rather
-    than by the incremental fiber search used by ``PathSpace``.
+    Counts, for each internal degree m, the tuples (b_0, ..., b_n) with b_i
+    in the mapping object [Delta[i] => F(sigma(i))] satisfying the pullback
+    equations, by filtering the full product rather than by the incremental
+    fiber search used by ``PathSpace``.
     """
     cache = _ExpCache(F.cap)
     C = F.shape
     objects = [chain_object_of_key(C, sigma_key, n, i) for i in range(n + 1)]
     exps = [cache.exp(F.values[o], i, mcap) for i, o in enumerate(objects)]
-    arrows = [chain_arrow(C, sigma_key, n, i - 1, i) for i in range(1, n + 1)]
-    counts = []
-    for m in range(mcap + 1):
-        hits = 0
-        for tup in itertools.product(*[range(e.counts[m]) for e in exps]):
-            ok = True
-            for i in range(1, n + 1):
-                fmap = F.maps[arrows[i - 1]]
-                plan = cache.restriction_to(m, i - 1, i, coface_tuple(i, i))
-                lhs = _postcompose(exps[i - 1], m,
-                                   exps[i - 1].keys[m][tup[i - 1]], fmap)
-                rhs = apply_plan(plan, exps[i].keys[m][tup[i]],
-                                 exps[i].target)
-                if lhs != rhs:
-                    ok = False
-                    break
-            if ok:
-                hits += 1
-        counts.append(hits)
-    return counts
+    # b_{i-1} pushed along the diagram map meets b_i restricted along d^i
+    links = [(cache.postcomposition(exps[i - 1], i - 1, F.maps[
+        chain_arrow(C, sigma_key, n, i - 1, i)]).comp,
+              cache.restriction(exps[i], coface_tuple(i, i)).comp)
+             for i in range(1, n + 1)]
+    return [sum(all(pushed[m][tup[i]] == restricted[m][tup[i + 1]]
+                    for i, (pushed, restricted) in enumerate(links))
+                for tup in itertools.product(*[range(e.counts[m])
+                                               for e in exps]))
+            for m in range(mcap + 1)]
 
 
 # -- the simplicial space and its zeroth row ---------------------------------
@@ -493,13 +472,9 @@ def row_cotensor_diagram(F, t, cap_out):
     cache = _ExpCache(F.cap)
     values = [cache.exp(F.values[o], t, cap_out)
               for o in range(F.shape.n_objects)]
-    maps = []
-    for m in range(F.shape.n_morphisms):
-        a, b = F.shape.src[m], F.shape.tgt[m]
-        comp = [[values[b].index[mm][_postcompose(values[a], mm, key,
-                                                  F.maps[m])]
-                 for key in values[a].keys[mm]] for mm in range(cap_out + 1)]
-        maps.append(SimplicialMap(values[a], values[b], comp))
+    maps = [values[F.shape.src[m]].postcompose(F.maps[m],
+                                               values[F.shape.tgt[m]])
+            for m in range(F.shape.n_morphisms)]
     return SSetDiagram(F.shape, values, maps), cache
 
 
@@ -508,45 +483,26 @@ def row_identification(S, F, t, ncap):
     simplicial space with the relative nerve of the cotensor diagram.
 
     Returns the mutually-inverse pair between ``S.bisset.row(t)`` and
-    ``lurie_grothendieck(F^{Delta[t]}, ncap).total``.
+    ``lurie_grothendieck(F^{Delta[t]}, ncap).total``: the j-th coordinate,
+    a degree-t simplex of ``[Delta[j] => Y]``, is transposed to a degree-j
+    simplex of ``[Delta[t] => Y]`` and back.
     """
     G, cache = row_cotensor_diagram(F, t, ncap)
     target = lurie_grothendieck(G, ncap)
-    row = S.bisset.row(t)
-    keyed = S.rows[t]
-    plans = {}
+    row, keyed = S.bisset.row(t), S.rows[t]
 
-    def swapped(E, m, key, V, n):
-        # the prisms are Delta[m] x Delta[n] for E and Delta[n] x Delta[m]
-        # for V; precompose along the swap of the factors
-        if (m, n) not in plans:
-            (P, _, pr2), (Q, q1, q2) = V.prisms[n], E.prisms[m]
-            width = pr2.codomain.counts
-            plans[m, n] = compact_plan(P, Q, lambda d, s: q2.comp[d][s]
-                                       * width[d] + q1.comp[d][s])
-        return V.index[n][apply_plan(plans[m, n], key, E.target)]
+    def transpose(n, sid, coords, forward):
+        ps = S.spaces[n][sid]
+        return tuple([
+            (cache.transposed(E, t, V) if forward
+             else cache.transposed(V, j, E))[c]
+            for j, (E, V, c) in enumerate(zip(
+                ps.exps, [G.values[o] for o in ps.objects], coords))])
 
-    fwd = []
-    for n in range(ncap + 1):
-        rowmap = []
-        for sid, tup in keyed.keys[n]:
-            ps = S.spaces[n][sid]
-            gamma = tuple(swapped(ps.exps[j], t, ps.exps[j].keys[t][tup[j]],
-                                  G.values[ps.objects[j]], j)
-                          for j in range(n + 1))
-            rowmap.append(target.total.id_of(n, (sid, gamma)))
-        fwd.append(rowmap)
-    bwd = []
-    for n in range(ncap + 1):
-        rowmap = []
-        for sid, gamma in target.total.keys[n]:
-            ps = S.spaces[n][sid]
-            tup = []
-            for j in range(n + 1):
-                V = G.values[ps.objects[j]]
-                tup.append(swapped(V, j, V.keys[j][gamma[j]], ps.exps[j], t))
-            rowmap.append(keyed.id_of(n, (sid, tuple(tup))))
-        bwd.append(rowmap)
+    fwd = [[target.total.id_of(n, (sid, transpose(n, sid, tup, True)))
+            for sid, tup in keyed.keys[n]] for n in range(ncap + 1)]
+    bwd = [[keyed.id_of(n, (sid, transpose(n, sid, gamma, False)))
+            for sid, gamma in target.total.keys[n]] for n in range(ncap + 1)]
     f = SimplicialMap(row, target.total, fwd)
     g = SimplicialMap(target.total, row, bwd)
     return f, g, target

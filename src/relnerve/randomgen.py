@@ -31,6 +31,11 @@ class SuiteBounds:
             raise ValueError("bounds exceed the exhaustively-checkable "
                              "defaults (<=3 objects, <=2 parallel arrows, "
                              "<=6 nondegenerate simplices, cap <= 4)")
+        if self.max_objects < 1 or self.max_parallel < 0 \
+                or self.max_nondeg < 1 or self.cap < 2:
+            raise ValueError("bounds below what the suite runs (>=1 object, "
+                             ">=0 parallel arrows, >=1 nondegenerate "
+                             "simplex, cap >= 2)")
 
 
 def random_shape(rng, bounds):

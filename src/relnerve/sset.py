@@ -195,17 +195,19 @@ class TruncSSet:
             self._prism_cache[n] = product(standard_simplex(n, self.cap), self)
         return self._prism_cache[n]
 
-    def prism_plan(self, n, u):
+    def prism_plan(self, n, u, g=None):
         """The plan (see ``compact_plan``) precomposing the maps out of
-        ``prism(n)`` with ``u x id: prism(l) -> prism(n)``, for a monotone
-        vertex tuple ``u: [l] -> [n]`` (cached)."""
-        if (n, u) not in self._prism_plan_cache:
-            target, source = self.prism(n), self.prism(len(u) - 1)
-            self._prism_plan_cache[n, u] = product_plan(
+        ``prism(n)`` with ``u x g: Delta[l] x W -> prism(n)``, for a monotone
+        vertex tuple ``u: [l] -> [n]`` and a map ``g: W -> X``, the identity
+        when None (cached per ``(n, u, g)``: pass the same g to reuse it)."""
+        if (n, u, g) not in self._prism_plan_cache:
+            W = self if g is None else g.domain
+            target, source = self.prism(n), W.prism(len(u) - 1)
+            self._prism_plan_cache[n, u, g] = product_plan(
                 target, source,
                 delta_map(source[1].codomain, target[1].codomain, u).comp,
-                [range(c) for c in self.counts])
-        return self._prism_plan_cache[n, u]
+                [range(c) for c in self.counts] if g is None else g.comp)
+        return self._prism_plan_cache[n, u, g]
 
     def compact_layout(self):
         """The layout of a compact key of a map out of this object (cached):
@@ -777,13 +779,15 @@ class Exponential(KeyedSSet):
 
     A simplex is keyed by its compact key, the values of its map on the
     nondegenerate simplices of the prism ``(P, pr1, pr2) = X.prism(n)`` by
-    degree and then by id (``P.compact_layout()``); ``index`` takes these
-    keys.  Two maps first differ at a nondegenerate simplex, so the sorted
-    compact keys give the ids that sorted full value tables would.
-    ``table(n, s)`` expands a key to its full value table, ``value(n, s, d,
-    p)`` reads one entry, and ``id_of(n, table)`` takes a full table.  The
-    faces and degeneracies precompose by the plans ``X.prism_plan``, cached
-    on X with its prisms.
+    degree and then by id (``P.compact_layout()``).  Two maps first differ
+    at a nondegenerate simplex, so the sorted compact keys give the ids that
+    sorted full value tables would.  ``table(n, s)`` expands a key to its
+    full value table, ``value(n, s, d, p)`` reads one entry, ``id_of(n,
+    table)`` takes a full table and ``id_by_values(n, value)`` the values on
+    the nondegenerate simplices.  The faces and degeneracies precompose by
+    the plans ``X.prism_plan``, cached on X with its prisms, and so does
+    ``precompose``; with ``postcompose`` and ``transposed`` it gives the
+    maps to other mapping objects.
 
     ``admissible(prism, m, s, b)``, when given, keeps only the maps whose
     value at every nondegenerate degree-m simplex ``s`` of the prism is a
@@ -835,14 +839,55 @@ class Exponential(KeyedSSet):
         return self.target.apply_word(
             m, self.keys[n][s][P.compact_layout()[1][m][y]], word)
 
+    def id_by_values(self, n, value):
+        """The id of the map whose value at each nondegenerate degree-d
+        simplex ``p`` of its prism is ``value(d, p)``; ``KeyError`` when it
+        is not a simplex of this object."""
+        order = self.prisms[n][0].compact_layout()[0]
+        return self.index[n][tuple([value(d, p) for d, p in order])]
+
     def id_of(self, n, table):
         """The id of the map with this full value table; ``KeyError`` when
         it is not a simplex of this object."""
-        order = self.prisms[n][0].compact_layout()[0]
-        s = self.index[n][tuple([table[d][t] for d, t in order])]
+        s = self.id_by_values(n, lambda d, p: table[d][p])
         if self.table(n, s) != tuple(map(tuple, table)):
             raise KeyError("not a simplex of this mapping object")
         return s
+
+    def precompose(self, g, E):
+        """The map ``[X => Y] -> E = [X' => Y]`` along ``id x g``, for
+        ``g: X' -> X``; its plans are cached on X per g."""
+        comp = []
+        for n in range(self.cap + 1):
+            plan = self.arg.prism_plan(n, tuple(range(n + 1)), g)
+            index = E.index[n]
+            comp.append([index[apply_plan(plan, key, self.target)]
+                         for key in self.keys[n]])
+        return SimplicialMap(self, E, comp)
+
+    def postcompose(self, f, E):
+        """The map ``[X => Y] -> E = [X => Y']`` along ``f: Y -> Y'``, which
+        maps each entry of a compact key by f in its degree."""
+        comp = []
+        for n in range(self.cap + 1):
+            order = self.prisms[n][0].compact_layout()[0]
+            rows, index = [f.comp[d] for d, _ in order], E.index[n]
+            comp.append([index[tuple([row[v] for row, v in zip(rows, key)])]
+                         for key in self.keys[n]])
+        return SimplicialMap(self, E, comp)
+
+    def transposed(self, m, V):
+        """For ``[Delta[n] => Y]``, each degree-m simplex read as a
+        degree-n simplex of ``V = [Delta[m] => Y]`` (a list of V's ids):
+        its map precomposed with the swap ``Delta[n] x Delta[m] -> Delta[m]
+        x Delta[n]`` of the prism's factors."""
+        n = self.arg.counts[0] - 1
+        (P, _, pr2), (Q, q1, q2) = self.prisms[m], V.prisms[n]
+        width = pr2.codomain.counts
+        plan = compact_plan(P, Q, lambda d, t: q2.comp[d][t] * width[d]
+                            + q1.comp[d][t])
+        return [V.index[n][apply_plan(plan, key, self.target)]
+                for key in self.keys[m]]
 
 
 def coface_tuple(n, i):

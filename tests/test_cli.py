@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -268,15 +270,35 @@ def test_cli_validity_bound_exit_3():
                      "--max-degree", degree]) == 3
 
 
-def test_cli_bounds_refusal_exit_3():
-    for bound in (["--max-objects", "5"], ["--cap", "9"]):
-        assert main(["random-suite", "--seed", "0", "--count", "1"]
-                    + bound) == 3
+def test_cli_bounds_refusal_exit_3(capsys):
+    # above the exhaustively-checkable defaults, or below what the suite
+    # runs: cap 2 for the natural marking and the fibration audit
+    for bound in (["--max-objects", "5"], ["--cap", "9"], ["--cap", "1"],
+                  ["--cap", "0"], ["--max-objects", "0"],
+                  ["--max-objects", "-2"], ["--max-parallel", "-1"],
+                  ["--count", "-1"]):
+        code = main(["random-suite", "--seed", "0", "--count", "1"] + bound)
+        err = capsys.readouterr().err
+        assert code == 3, bound
+        assert err.startswith("refused:") and len(err.splitlines()) == 1, \
+            bound
+    # with no nondegenerate simplex allowed, drawing a value never ends;
+    # run apart, so that a hang fails the test instead of the suite
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(FIXTURES), os.pardir, "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for max_nondeg in ("0", "-1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "relnerve.cli", "random-suite", "--seed",
+             "0", "--count", "1", "--max-nondeg", max_nondeg],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3, max_nondeg
+        assert proc.stderr.startswith("refused:"), max_nondeg
 
 
 def test_cli_shallow_or_low_cap_exit_3(tmp_path, capsys):
     # caps the bar construction, the natural marking, the marked relative
-    # nerve or pi0 cannot serve
+    # nerve or pi0 cannot serve, and negative caps
     sset_like = ("span.rnspec", "interval_sharp.rnspec",
                  "interval_diagram_sharp.rnspec")
     shallow = tmp_path / "cap1.rnspec"
@@ -289,7 +311,13 @@ def test_cli_shallow_or_low_cap_exit_3(tmp_path, capsys):
              (["verify", "fibration", "--cap", "1", "--ncap", "1"],
               "span_cat.rnspec"),
              (["compare", "--cap", "2"], str(shallow)),
-             (["build", "hocolim", "--cap", "2"], str(shallow))]
+             (["build", "hocolim", "--cap", "2"], str(shallow)),
+             (["build", "groth-classic", "--cap", "-1"], "span_cat.rnspec"),
+             (["verify", "fibration", "--ncap", "-1"], "span_cat.rnspec")]
+    cases += [(argv + ["--cap", "-1"], "span.rnspec")
+              for argv in (["build", "relnerve"], ["verify", "c4-iso"],
+                           ["verify", "iota"], ["verify", "fibers"],
+                           ["compare", "--pi0"])]
     cases += [(["compare", "--pi0", "--cap", "0"], name) for name in sset_like]
     cases += [(argv, name) for name in intervals
               for argv in (["build", "marked-relnerve", "--cap", "0"],

@@ -1,6 +1,8 @@
 """Reports and dumps that must stay byte-identical: the quotient reports
-(localization, homotopy colimit, colimit comparison, pi0) on the fixtures.
-The files under tests/golden/ are the reference outputs."""
+(localization, homotopy colimit, colimit comparison, pi0) on the fixtures,
+and a short random suite, which runs the simplicial space and its
+bisimplicial audit.  The files under tests/golden/ are the reference
+outputs."""
 
 import os
 
@@ -22,6 +24,8 @@ CASES = [
     ("hocolim_span", ["build", "hocolim", "--input", fixture("span")], True),
     ("compare_j", ["compare", "--input",
                    os.path.join(GOLDEN, "one_object_j.rnspec")], False),
+    ("random_suite_seed0", ["random-suite", "--seed", "0", "--count", "3",
+                            "--cap", "4"], False),
 ] + [
     ("compare_%s_%s" % (mode, name),
      ["compare", "--" + mode, "--input", fixture(name)], False)

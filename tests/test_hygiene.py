@@ -1,8 +1,10 @@
-"""Source hygiene: every name a module of the package imports is used.
-``__init__.py`` is exempt; its imports are the package's re-exports."""
+"""Source hygiene: every name a module of the package imports is used
+(``__init__.py`` is exempt; its imports are the package's re-exports), and
+the compact-key format of mapping objects stays inside ``sset``."""
 
 import ast
 import os
+import re
 
 import pytest
 
@@ -36,3 +38,15 @@ def test_unused_import_is_found():
     source = "import os\nfrom .sset import compose, pushout\nos.sep\n" \
              "compose(1, 2)\n"
     assert unused_imports(source) == [(2, "pushout")]
+
+
+# the names that read or build compact keys (see ``sset.Exponential``)
+KEY_FORMAT = ("compact_plan", "product_plan", "apply_plan", "compact_layout")
+
+
+@pytest.mark.parametrize("name", sorted(
+    n for n in os.listdir(SRC) if n.endswith(".py") and n != "sset.py"))
+def test_compact_keys_stay_in_the_kernel(name):
+    with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+        assert re.findall(r"\b(%s)\b" % "|".join(KEY_FORMAT), fh.read()) \
+            == []

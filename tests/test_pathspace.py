@@ -158,9 +158,16 @@ def test_zeroth_row_is_relative_nerve(span3):
 
 
 def test_row_identification_with_cotensor(span3):
-    S = simplicial_space(span3, 2, 1)
-    f, g, target = row_identification(S, span3, 1, 2)
-    assert verify_iso_map(f, g).ok
+    # span3 at t = 1, and random diagrams where the rows and the cotensor's
+    # mapping objects have prisms Delta[t] x Delta[j] with t != j
+    rng = random.Random(5)
+    randoms = [random_sset_diagram(rng, SuiteBounds()) for _ in range(4)]
+    cases = [(span3, 1, 2)] + [(randoms[k], t, ncap) for k in (0, 3)
+                               for t, ncap in ((1, 2), (2, 1))]
+    for F, t, ncap in cases:
+        S = simplicial_space(F, ncap, t)
+        f, g, target = row_identification(S, F, t, ncap)
+        assert verify_iso_map(f, g).ok, (t, ncap)
 
 
 def test_columns_are_disjoint_unions_of_path_spaces():

@@ -7,7 +7,8 @@ import pytest
 
 from relnerve.certify import check_simplicial_identities, verify_iso_map
 from relnerve.fincat import cyclic_group_category, nerve
-from relnerve.randomgen import SuiteBounds, random_sub_delta
+from relnerve.randomgen import (SuiteBounds, random_sub_delta,
+                                random_sub_delta_map)
 from relnerve.sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
                            TruncationError, TruncSSet, boundary,
                            build_generated, classes, classifying_map,
@@ -346,7 +347,8 @@ def test_restrict_refuses_to_grow():
 
 def test_truncation_commutes_on_random_fixtures():
     import random
-    from relnerve.randomgen import SuiteBounds, random_sub_delta
+    from relnerve.randomgen import (SuiteBounds, random_sub_delta,
+                                random_sub_delta_map)
     rng = random.Random(2)
     bounds = SuiteBounds()
     for _ in range(8):
@@ -514,6 +516,85 @@ def test_compact_keys_match_full_tables():
             assert_matches_full_tables(E, FullTableExponential(Y, X,
                                                                cap_out))
             assert check_simplicial_identities(E).ok
+
+
+def by_hand(ref, target, cap, table_of):
+    """Per degree, the ids in the reference ``target`` of the full tables
+    ``table_of(n, d, t, T)`` gives from each full table T of ``ref``."""
+    return [[target.index[n][tuple(
+        tuple(table_of(n, d, t, ref.table(n, s)) for t in range(count))
+        for d, count in enumerate(target.prisms[n][0].counts))]
+        for s in ref.simplices(n)] for n in range(cap + 1)]
+
+
+def test_kernel_maps_match_full_tables():
+    # precompose, postcompose and transposed against the reference's full
+    # tables, precomposed, postcomposed or swapped by hand, for the Y of
+    # test_compact_keys_match_full_tables
+    cap = 3
+    rng = random.Random(13)
+    drawn = [random_sub_delta(rng, SuiteBounds(max_nondeg=10), cap)
+             for _ in range(12)]
+    targets = sorted(drawn, key=lambda Y: Y.counts)[-3:]
+    J = walking_iso(cap)
+    others = [J, nerve(cyclic_group_category(2), cap)]
+    D = [standard_simplex(i, cap) for i in range(3)]
+    built = {}
+
+    def exp(Y, X, cap_out):
+        key = (id(Y), id(X), cap_out)
+        if key not in built:
+            built[key] = (Exponential(Y, X, cap_out),
+                          FullTableExponential(Y, X, cap_out))
+        return built[key]
+
+    # along g: X' -> X, cofaces, codegeneracies, the horn's inclusion and
+    # an edge of J
+    maps = [delta_map(D[0], D[1], coface_tuple(1, 0)),
+            delta_map(D[1], D[0], codegen_tuple(0, 0)),
+            delta_map(D[1], D[2], coface_tuple(2, 0)),
+            delta_map(D[2], D[1], codegen_tuple(1, 0)),
+            delta_map(horn(2, 1, cap), D[2], (0, 1, 2)),
+            delta_map(D[1], J, (0, 1))]
+    for Y in targets + others:
+        for g in maps:
+            X, W = g.codomain, g.domain
+            cap_out = min(2, cap - max(X.nondeg_dim(), W.nondeg_dim()))
+            (E, ref), (E2, ref2) = exp(Y, X, cap_out), exp(Y, W, cap_out)
+
+            def along_g(n, d, t, T):
+                _, q1, q2 = ref2.prisms[n]
+                return T[d][q1.comp[d][t] * X.counts[d]
+                            + g.comp[d][q2.comp[d][t]]]
+
+            assert E.precompose(g, E2).comp == \
+                by_hand(ref, ref2, cap_out, along_g)
+    # along f: Y -> Y', a seeded random map between subcomplexes
+    for Y, Y2 in itertools.permutations(targets, 2):
+        f = random_sub_delta_map(rng, Y, Y2)
+        for X in D + [horn(2, 1, cap)]:
+            cap_out = min(2, cap - X.nondeg_dim())
+            (E, ref), (E2, ref2) = exp(Y, X, cap_out), exp(Y2, X, cap_out)
+            assert E.postcompose(f, E2).comp == by_hand(
+                ref, ref2, cap_out, lambda n, d, t, T: f.comp[d][T[d][t]])
+    # the swap of the prism's factors, between [Delta[k] => Y] in degree
+    # m and [Delta[m] => Y] in degree k
+    for Y in targets + others:
+        for k, m in itertools.product(range(3), repeat=2):
+            if k + m > cap:
+                continue
+            (E, ref), (V, refV) = exp(Y, D[k], cap - k), exp(Y, D[m], cap - m)
+            _, q1, q2 = refV.prisms[k]
+            swapped = [refV.index[k][tuple(
+                tuple(T[d][q2.comp[d][t] * D[k].counts[d] + q1.comp[d][t]]
+                      for t in range(count))
+                for d, count in enumerate(refV.prisms[k][0].counts))]
+                for T in map(functools.partial(ref.table, m),
+                             ref.simplices(m))]
+            there = E.transposed(m, V)
+            assert there == swapped
+            back = V.transposed(k, E)
+            assert [back[v] for v in there] == list(E.simplices(m))
 
 
 def test_compact_keys_match_full_tables_over_the_base():
