@@ -21,31 +21,25 @@ from .fincat import (RelNerveObject, SSetDiagram, chain_arrow,
                      chain_object_of_key, fiber_onto_value, nerve,
                      over_nerve)
 from .sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
-                   TruncationError, codegen_tuple, coface_tuple, delta_map,
-                   keyed_tables, standard_simplex)
+                   TruncationError, codegen_tuple, coface_tuple, keyed_tables,
+                   shared_simplex, shared_vertex_map)
 
 
 # -- shared caches within one construction ----------------------------------
 
 class _ExpCache:
-    """Memoizes the mapping objects out of standard simplices and the
-    kernel's maps between them (see ``Exponential``)."""
+    """Memoizes the mapping objects out of the shared standard simplices
+    and the kernel's maps between them (see ``Exponential``)."""
 
     def __init__(self, cap):
         self.cap = cap
-        self.deltas = {}
         self.exps = {}
         self.maps = {}
-
-    def delta(self, n):
-        if n not in self.deltas:
-            self.deltas[n] = standard_simplex(n, self.cap)
-        return self.deltas[n]
 
     def exp(self, Y, i, mcap):
         key = (id(Y), i, mcap)
         if key not in self.exps:
-            self.exps[key] = Exponential(Y, self.delta(i), mcap)
+            self.exps[key] = Exponential(Y, shared_simplex(i, self.cap), mcap)
         return self.exps[key]
 
     def _map(self, key, build):
@@ -55,13 +49,11 @@ class _ExpCache:
 
     def restriction(self, E, vmap):
         """``E = [Delta[k] => Y] -> [Delta[j] => Y]``, the restriction along
-        ``vmap: [j] -> [k]``; one vertex map per (vmap, k), so that every Y
-        shares its prism plans."""
-        j = len(vmap) - 1
-        g = self._map(("vertex map", vmap, E.arg),
-                      lambda: delta_map(self.delta(j), E.arg, vmap))
+        ``vmap: [j] -> [k]``, by the shared vertex map, whose prism plans are
+        cached on the shared Delta[k] for every Y and every diagram."""
         return self._map(("restriction", E, vmap), lambda: E.precompose(
-            g, self.exp(E.target, j, E.cap)))
+            shared_vertex_map(vmap, E.arg.counts[0] - 1, self.cap),
+            self.exp(E.target, len(vmap) - 1, E.cap)))
 
     def postcomposition(self, E, i, f):
         """``E = [Delta[i] => Y] -> [Delta[i] => Y']`` along ``f: Y ->
@@ -137,19 +129,14 @@ def path_structure_map(F, sigma_key, n, i, kind, mcap):
     cache = _ExpCache(F.cap)
     src = PathSpace(F, sigma_key, n, mcap, cache)
     NC = nerve(F.shape, n + 1)
-    sid = NC.id_of(n, sigma_key)
-    if kind == "face":
-        if not 0 <= i <= n or n == 0:
-            raise SSetError("face index out of range")
-        tgt_key = NC.key_of(n - 1, NC.faces[n][i][sid])
-        tgt = PathSpace(F, tgt_key, n - 1, mcap, cache)
-    elif kind == "degeneracy":
-        if not 0 <= i <= n:
-            raise SSetError("degeneracy index out of range")
-        tgt_key = NC.key_of(n + 1, NC.degens[n][i][sid])
-        tgt = PathSpace(F, tgt_key, n + 1, mcap, cache)
-    else:
+    shift = -1 if kind == "face" else 1 if kind == "degeneracy" else None
+    if shift is None:
         raise SSetError("unknown operator kind %r" % (kind,))
+    if not 0 <= i <= n or n + shift < 0:
+        raise SSetError("%s index out of range" % kind)
+    ops = NC.faces[n] if shift < 0 else NC.degens[n]
+    tgt = PathSpace(F, NC.key_of(n + shift, ops[i][NC.id_of(n, sigma_key)]),
+                    n + shift, mcap, cache)
     comp = []
     for m in range(mcap + 1):
         transport = _transport(src, tgt, m, i, kind)

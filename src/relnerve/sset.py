@@ -189,10 +189,11 @@ class TruncSSet:
         return self.op_table(n, tuple(u))[s]
 
     def prism(self, n):
-        """``product(Delta[n], X)`` with its two projections (cached), the
-        domain of the degree-n simplices of a mapping object out of X."""
+        """``product(Delta[n], X)``, with the shared Delta[n] (see
+        ``shared_simplex``), and its two projections (cached): the domain of
+        the degree-n simplices of a mapping object out of X."""
         if n not in self._prism_cache:
-            self._prism_cache[n] = product(standard_simplex(n, self.cap), self)
+            self._prism_cache[n] = product(shared_simplex(n, self.cap), self)
         return self._prism_cache[n]
 
     def prism_plan(self, n, u, g=None):
@@ -201,20 +202,22 @@ class TruncSSet:
         vertex tuple ``u: [l] -> [n]`` and a map ``g: W -> X``, the identity
         when None (cached per ``(n, u, g)``: pass the same g to reuse it)."""
         if (n, u, g) not in self._prism_plan_cache:
-            W = self if g is None else g.domain
-            target, source = self.prism(n), W.prism(len(u) - 1)
-            self._prism_plan_cache[n, u, g] = product_plan(
-                target, source,
-                delta_map(source[1].codomain, target[1].codomain, u).comp,
-                [range(c) for c in self.counts] if g is None else g.comp)
+            Q, q1, q2 = (self if g is None else g.domain).prism(len(u) - 1)
+            f = shared_vertex_map(u, n, self.cap).comp
+            h = [range(c) for c in self.counts] if g is None else g.comp
+            self._prism_plan_cache[n, u, g] = compact_plan(
+                self.prism(n)[0], Q, lambda d, t: f[d][q1.comp[d][t]]
+                * self.counts[d] + h[d][q2.comp[d][t]])
         return self._prism_plan_cache[n, u, g]
 
     def compact_layout(self):
         """The layout of a compact key of a map out of this object (cached):
         the nondegenerate simplices ``(n, s)`` by degree and then by id, the
-        position of each (``where[n][s]``, None when degenerate), and the
+        position of each (``where[n][s]``, None when degenerate), the
         degenerate ``(n, s, j, t)`` with ``s = s_j t``, from the lowest
-        degree up."""
+        degree up, and the maximal nondegenerate simplices, those that are
+        not the EZ root of a face of a higher one, from the top degree
+        down and by id."""
         if self._layout is None:
             order = [(n, s) for n in range(self.cap + 1)
                      for s in self.nondegenerate(n)]
@@ -224,7 +227,12 @@ class TruncSSet:
             fill = [(n, s, word[0], self.faces[n][word[0]][s])
                     for n in range(self.cap + 1)
                     for s, (word, _, _) in enumerate(self.ez_table(n)) if word]
-            self._layout = order, where, fill
+            roots = {self.ez_table(n - 1)[face[s]][1:]
+                     for n in range(1, self.cap + 1) for face in self.faces[n]
+                     for s in self.nondegenerate(n)}
+            top = [(n, s) for n in range(self.cap, -1, -1)
+                   for s in self.nondegenerate(n) if (n, s) not in roots]
+            self._layout = order, where, fill, top
         return self._layout
 
 
@@ -360,6 +368,21 @@ def tuple_sset(cap, keys):
 def standard_simplex(n, cap):
     """Delta[n] truncated at cap; simplices are monotone vertex tuples."""
     return tuple_sset(cap, [_monotone_tuples(m, n) for m in range(cap + 1)])
+
+
+@functools.lru_cache(maxsize=None)
+def shared_simplex(n, cap):
+    """``standard_simplex(n, cap)`` built once per process, with what is
+    cached on it (prisms, their layouts, prism plans); do not modify."""
+    return standard_simplex(n, cap)
+
+
+@functools.lru_cache(maxsize=None)
+def shared_vertex_map(vmap, k, cap):
+    """``delta_map`` along ``vmap`` into ``shared_simplex(k, cap)``, built
+    once per process, so that the prism plans along it are built once."""
+    return delta_map(shared_simplex(len(vmap) - 1, cap),
+                     shared_simplex(k, cap), vmap)
 
 
 def boundary(n, cap):
@@ -629,27 +652,27 @@ def _search(A, B, candidate_filter=None, limit=None):
     """Depth-first search for the simplicial maps A -> B, as compact keys
     (see ``compact_layout``); it stops once ``limit`` keys are found.
 
-    A map is determined by its values on the nondegenerate simplices of A,
-    which are visited from the top degree down, in id order within a
-    degree.  Assigning ``b`` to ``s`` fixes the value of every face of
-    ``s`` at once: a nondegenerate face takes ``d_i b`` and passes it on to
-    its own faces; a degenerate face ``s_w y`` (its EZ word ``w``) fixes
-    ``y`` to ``d_i b`` stripped of ``w`` by the matching faces, provided
-    ``w`` gives ``d_i b`` back.  A conflict undoes the assignments on the
-    trail.  A simplex not yet fixed tries the simplices of ``B`` with its
-    whole boundary when every face is fixed (``by_faces``), else those
-    with one of its fixed faces, the one with the fewest (``face_index``),
-    and all of ``B_n`` when no face is fixed.  The optional
-    ``candidate_filter(n, s, b)`` restricts the value of every
-    nondegenerate ``s``, chosen or propagated.  The EZ table of ``A`` is
-    cached on ``A``, so a prism ``X.prism(n)``, built once per ``X``, is
-    decomposed once for every search out of it.
+    A map is determined by its values on the nondegenerate simplices of A.
+    Only the maximal ones (see ``compact_layout``) are chosen, from the top
+    degree down, in id order within a degree; each other one is fixed with
+    a higher simplex whose face it roots.  Assigning ``b`` to ``s`` fixes
+    the value of every face of ``s`` at once: a nondegenerate face takes
+    ``d_i b`` and passes it on to its own faces; a degenerate face ``s_w
+    y`` (its EZ word ``w``) fixes ``y`` to ``d_i b`` stripped of ``w`` by
+    the matching faces, provided ``w`` gives ``d_i b`` back.  A conflict
+    undoes the assignments on the trail.  A chosen simplex tries the
+    simplices of ``B`` with its whole boundary when every face is fixed
+    (``by_faces``), else those with one of its fixed faces, the one with
+    the fewest (``face_index``), and all of ``B_n`` when no face is fixed.
+    The optional ``candidate_filter(n, s, b)`` restricts the value of every
+    nondegenerate ``s``, chosen or propagated.  The EZ table and layout of
+    ``A`` are cached on ``A``, so a prism ``X.prism(n)``, built once per
+    ``X``, is decomposed once for every search out of it.
     """
     cap = A.cap
     ez = [A.ez_table(n) for n in range(cap + 1)]
     val = [[None] * A.counts[n] for n in range(cap + 1)]
-    order = [(n, s) for n in range(cap, -1, -1) for s in A.nondegenerate(n)]
-    layout = A.compact_layout()[0]
+    layout, _, _, order = A.compact_layout()
     trail, results = [], []
 
     def fix(n, s, b):
@@ -687,9 +710,6 @@ def _search(A, B, candidate_filter=None, limit=None):
         return min((index[i].get(v, ()) for i, v in known.items()), key=len)
 
     def choose(idx):
-        while idx < len(order) and val[order[idx][0]][order[idx][1]] \
-                is not None:
-            idx += 1
         if idx == len(order):
             results.append(tuple([val[n][s] for n, s in layout]))
             return len(results) == limit
@@ -711,7 +731,7 @@ def expand_key(A, B, key):
     """The full value table, one list per degree, of the map A -> B with
     the compact key ``key``: each degenerate ``s_j t`` takes ``s_j`` of the
     value at ``t``."""
-    order, _, fill = A.compact_layout()
+    order, _, fill, _ = A.compact_layout()
     table = [[None] * c for c in A.counts]
     for (n, s), b in zip(order, key):
         table[n][s] = b
@@ -749,16 +769,6 @@ def compact_plan(P, Q, image):
             words.append((len(positions), m, word))
         positions.append(where[m][y])
     return positions, words
-
-
-def product_plan(target, source, f, g):
-    """``compact_plan`` of ``f x g`` between two ``product`` triples
-    ``(P, pr1, pr2)``, from ``source`` to ``target``; ``f`` and ``g`` are
-    per-degree tables of maps between the factors."""
-    (P, _, pr2), (Q, q1, q2) = target, source
-    width = pr2.codomain.counts
-    return compact_plan(P, Q, lambda n, t: f[n][q1.comp[n][t]] * width[n]
-                        + g[n][q2.comp[n][t]])
 
 
 def apply_plan(plan, key, Y):
@@ -882,10 +892,9 @@ class Exponential(KeyedSSet):
         its map precomposed with the swap ``Delta[n] x Delta[m] -> Delta[m]
         x Delta[n]`` of the prism's factors."""
         n = self.arg.counts[0] - 1
-        (P, _, pr2), (Q, q1, q2) = self.prisms[m], V.prisms[n]
-        width = pr2.codomain.counts
-        plan = compact_plan(P, Q, lambda d, t: q2.comp[d][t] * width[d]
-                            + q1.comp[d][t])
+        (P, _, _), (Q, q1, q2) = self.prisms[m], V.prisms[n]
+        plan = compact_plan(P, Q, lambda d, t: q2.comp[d][t]
+                            * self.arg.counts[d] + q1.comp[d][t])
         return [V.index[n][apply_plan(plan, key, self.target)]
                 for key in self.keys[m]]
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -17,7 +18,8 @@ from relnerve.pathspace import (compare_relnerve_iso, fiber_at,
                                 simplicial_space, space_projection_ok)
 from relnerve.randomgen import SuiteBounds, random_sset_diagram
 from relnerve.sset import (TruncationError, boundary, constant_map,
-                           disjoint_union, exponential, standard_simplex)
+                           disjoint_union, exponential, shared_simplex,
+                           shared_vertex_map, standard_simplex)
 
 
 # -- path spaces ---------------------------------------------------------------
@@ -168,6 +170,39 @@ def test_row_identification_with_cotensor(span3):
         S = simplicial_space(F, ncap, t)
         f, g, target = row_identification(S, F, t, ncap)
         assert verify_iso_map(f, g).ok, (t, ncap)
+
+
+def _path_space_digest(S):
+    return hashlib.sha256(repr([
+        (ps.sset.keys, ps.sset.faces, ps.sset.degens)
+        for row in S.spaces for ps in row]).encode()).hexdigest()
+
+
+def _shared_sizes(spaces):
+    """The memo's size, and the prism and prism-plan cache sizes of each
+    shared simplex the path spaces read, by object."""
+    shared = {id(D): D for S in spaces for row in S.spaces for ps in row
+              for E in ps.exps for D in [E.arg] + E.deltas}
+    return (shared_simplex.cache_info().currsize,
+            shared_vertex_map.cache_info().currsize,
+            {i: (len(D._prism_cache), len(D._prism_plan_cache))
+             for i, D in shared.items()})
+
+
+def test_shared_simplices_stay_bounded_and_intact():
+    # every path space reads Delta[n], its prisms and their plans from one
+    # process-wide memo: a second round over the same diagrams adds nothing
+    # to it, and a diagram gets the same tables whatever was built before
+    rng = random.Random(5)
+    diagrams = [random_sset_diagram(rng, SuiteBounds()) for _ in range(8)]
+    shared_simplex.cache_clear()
+    shared_vertex_map.cache_clear()
+    first = [simplicial_space(F, 2, 2) for F in diagrams]
+    sizes = _shared_sizes(first)
+    second = [simplicial_space(F, 2, 2) for F in diagrams]
+    assert _shared_sizes(second) == sizes
+    assert _path_space_digest(simplicial_space(diagrams[0], 2, 2)) == \
+        _path_space_digest(first[0])
 
 
 def test_columns_are_disjoint_unions_of_path_spaces():

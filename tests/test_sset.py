@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import os
 import random
@@ -23,6 +24,26 @@ from relnerve.sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
 def binomial(n, k):
     from math import comb
     return comb(n, k)
+
+
+def test_standard_simplex_stays_fresh():
+    # prisms and mapping objects read Delta[n] from a process-wide memo,
+    # which never hands out what standard_simplex returns: corrupting that
+    # leaves a later mapping object intact
+    assert standard_simplex(2, 4) is not standard_simplex(2, 4)
+    Y = walking_iso(4)
+
+    def digest():
+        E = Exponential(Y, standard_simplex(1, 4), 1)
+        return hashlib.sha256(repr((
+            E.keys, E.faces, E.degens,
+            [[E.table(n, s) for s in E.simplices(n)] for n in range(2)]))
+            .encode()).hexdigest()
+
+    before = digest()
+    D = standard_simplex(1, 4)
+    D.faces[1][0][D.id_of(1, (0, 1))] = D.id_of(0, (0,))
+    assert digest() == before
 
 
 def test_delta_counts():
