@@ -9,12 +9,11 @@ from relnerve.bisset import i1_star
 from relnerve.certify import check_bisimplicial, verify_iso_map
 from relnerve.fincat import SSetDiagram, span_category
 from relnerve.homology import format_homology, homology_table
-from relnerve.pathspace import (compare_relnerve_iso, fiber_at,
-                                lurie_grothendieck, path_space,
-                                path_space_zigzag, relative_nerve_direct,
-                                row_identification, simplicial_space,
-                                space_projection_ok)
-from relnerve.sset import (constant_map, discrete, exponential, identity_map,
+from relnerve.pathspace import (PathSpace, compare_relnerve_iso, fiber_at,
+                                lurie_grothendieck, path_space_zigzag,
+                                relative_nerve_direct, row_identification,
+                                simplicial_space, space_projection_ok)
+from relnerve.sset import (Exponential, constant_map, discrete, identity_map,
                            standard_simplex)
 
 cap = 3
@@ -26,7 +25,7 @@ F = SSetDiagram(C, [pt_a, pt_b, two],
                  constant_map(two, pt_a, 0), constant_map(two, pt_b, 0)])
 
 print("== path spaces over single base simplices ==")
-ps = path_space(F, (3,), 1, 2)         # over the arrow c -> a
+ps = PathSpace(F, (3,), 1, 2)         # over the arrow c -> a
 print("P^1 over c->a, internal counts:", ps.sset.counts)
 print("independent zig-zag limit oracle:", path_space_zigzag(F, (3,), 1, 2))
 
@@ -34,8 +33,8 @@ from relnerve.fincat import terminal_category
 
 Y = standard_simplex(1, 4)
 Ft = SSetDiagram(terminal_category(), [Y], [identity_map(Y)])
-pid = path_space(Ft, (0, 0), 2, 1)
-E = exponential(Y, standard_simplex(2, 4), 1)
+pid = PathSpace(Ft, (0, 0), 2, 1)
+E = Exponential(Y, standard_simplex(2, 4), 1)
 print("identity string: P^2 counts %s = mapping object counts %s"
       % (pid.sset.counts, E.counts))
 

@@ -13,13 +13,12 @@ from .hocolim import (bar_hocolim, colim_via_marked, counit_w2, eta_unit,
                       hocolim_qcat, iota)
 from .homology import homology_groups, normalized_chains, pi0
 from .marked import (MarkedDiagram, MarkedSSet, equivalences, extend_along_J,
-                     localize, mark, marked_rel_nerve, over_mapping_space,
-                     rectify_right, unstraighten_at)
+                     localize, mark, marked_rel_nerve, rectify_right,
+                     unstraighten_at)
 from .pathspace import (compare_relnerve_iso, fiber_at, lurie_grothendieck,
-                        path_space, path_structure_map,
-                        relative_nerve_direct, simplicial_space)
-from .sset import (SimplicialMap, TruncSSet, build_generated, exponential,
-                   ez_decompose, product, pushout)
+                        path_structure_map, relative_nerve_direct,
+                        simplicial_space)
+from .sset import SimplicialMap, TruncSSet, build_generated, product, pushout
 
 __version__ = "0.1.0"
 
@@ -33,9 +32,8 @@ __all__ = [
     "eta_unit", "hocolim_qcat", "iota", "homology_groups",
     "normalized_chains", "pi0", "MarkedDiagram", "MarkedSSet",
     "equivalences", "extend_along_J", "localize", "mark", "marked_rel_nerve",
-    "over_mapping_space", "rectify_right", "unstraighten_at",
-    "compare_relnerve_iso", "fiber_at", "lurie_grothendieck", "path_space",
-    "path_structure_map", "relative_nerve_direct", "simplicial_space",
-    "SimplicialMap", "TruncSSet", "build_generated", "exponential",
-    "ez_decompose", "product", "pushout",
+    "rectify_right", "unstraighten_at", "compare_relnerve_iso", "fiber_at",
+    "lurie_grothendieck", "path_structure_map", "relative_nerve_direct",
+    "simplicial_space", "SimplicialMap", "TruncSSet", "build_generated",
+    "product", "pushout",
 ]

@@ -154,12 +154,8 @@ class ClassicGrothendieck:
     objects: list          # (base object, fiber object)
     morphisms: list        # (base arrow, p_local)
     double: DoubleCategoryData
-
-    def obj_index_of(self, c, b0):
-        return self.objects.index((c, b0))
-
-    def mor_index_of(self, f, p):
-        return self.morphisms.index((f, p))
+    obj_index: dict        # object -> its position in ``objects``
+    mor_index: dict        # morphism -> its position in ``morphisms``
 
 
 def grothendieck_classic(F):
@@ -186,7 +182,8 @@ def grothendieck_classic(F):
                         obj_names=names)
     proj = CatFunctor(total, D, [c for (c, _) in objects],
                       [f for (f, _) in morphisms])
-    return ClassicGrothendieck(total, proj, objects, morphisms, dd)
+    return ClassicGrothendieck(total, proj, objects, morphisms, dd,
+                               obj_index, mor_index)
 
 
 def classical_cocartesian(G, mi):
@@ -247,7 +244,7 @@ def nerve_comparison(G, cap):
             if n == 0:
                 c = base_key[0]
                 x = NF.values[c].key_of(0, gamma[0])[0]
-                row.append(NG.id_of(0, (G.obj_index_of(c, x),)))
+                row.append(NG.id_of(0, (G.obj_index[c, x],)))
                 continue
             mors = []
             prev_obj = NF.values[chain_object_of_key(D, base_key, n, 0)
@@ -258,7 +255,7 @@ def nerve_comparison(G, cap):
                 phi = chain[-1]
                 f = base_key[i - 1]
                 p = G.double.path_cats[f].objects.index((prev_obj, phi))
-                mors.append(G.mor_index_of(f, p))
+                mors.append(G.mor_index[f, p])
                 prev_obj = F.values[ci].tgt[phi]
             row.append(NG.id_of(n, tuple(mors)))
         bwd.append(row)

@@ -101,12 +101,6 @@ def equivalences(X):
     return out
 
 
-def push_witness(f, w):
-    """Images of witness data under a simplicial map (always a witness)."""
-    return EquivalenceWitness(f.comp[1][w.edge], f.comp[1][w.inverse],
-                              f.comp[2][w.left], f.comp[2][w.right])
-
-
 def mark(X, mode):
     """flat: degenerate edges only; sharp: all; natural: equivalences."""
     if mode == "flat":
@@ -282,8 +276,8 @@ class OverMappingSpace:
     with the projections and preserve markings; an n-simplex is keyed as
     in ``Exponential``, and ``table``/``id_of`` take full value tables.
 
-    The sharp part (simplices all of whose edges are marked) is available as
-    a sub-simplicial set via ``sharp_ids``.
+    ``sharp()`` is its sharp part, the simplices all of whose edges are
+    marked.
     """
 
     def __init__(self, X, Y, cap_out):
@@ -319,36 +313,23 @@ class OverMappingSpace:
                    if self.X.marked.is_marked(pr2.comp[1][s]))
 
     def as_marked(self):
-        if self.cap_out >= 1:
-            return MarkedSSet(self.sset,
-                              self.marked_set | degenerate_edges(self.sset))
-        return MarkedSSet(self.sset, frozenset())
+        return MarkedSSet(self.sset,
+                          self.marked_set | degenerate_edges(self.sset))
 
-    def sharp_ids(self):
-        """Per-degree ids of simplices all of whose edges are marked."""
+    def sharp(self):
+        """The sub-simplicial set of the simplices all of whose edges are
+        marked, with every edge marked."""
         X = self.sset
-        marked = self.marked_set | degenerate_edges(X)
-        out = []
+        marked = self.as_marked().marked
+        ids = []
         for n in range(self.cap_out + 1):
             edges = [X.op_table(n, e)
                      for e in itertools.combinations(range(n + 1), 2)]
-            out.append([s for s in X.simplices(n)
+            ids.append([s for s in X.simplices(n)
                         if all(t[s] in marked for t in edges)])
-        return out
-
-
-def over_mapping_space(X, Y, variant, cap_out):
-    """Spec-level dispatcher: plus / flat / sharp over-base mapping objects."""
-    space = OverMappingSpace(X, Y, cap_out)
-    if variant == "plus":
-        return space
-    if variant == "flat":
-        return space.sset
-    if variant == "sharp":
-        sub, inc = sub_sset(space.sset, space.sharp_ids())
-        return MarkedSSet(sub, frozenset(range(sub.counts[1]))
-                          if cap_out >= 1 else frozenset())
-    raise SSetError("unknown variant %r" % (variant,))
+        sub, _ = sub_sset(X, ids)
+        # at cap_out 0 there are no edges to mark
+        return mark(sub, "sharp" if self.cap_out else "flat")
 
 
 # -- the two rectification functors -------------------------------------------

@@ -117,12 +117,6 @@ class PathSpace:
         return tuples
 
 
-def path_space(F, sigma_key, n, mcap):
-    """The spec-level operation; the ``PathSpace`` over one base simplex,
-    whose ``sset`` is its internal simplicial set."""
-    return PathSpace(F, sigma_key, n, mcap)
-
-
 def path_structure_map(F, sigma_key, n, i, kind, mcap):
     """Face (kind='face') or degeneracy (kind='degeneracy') operator of the
     path-space tower at index i, as a SimplicialMap."""
@@ -165,7 +159,7 @@ def _transport(src, tgt, m, i, kind):
 
 
 def path_space_zigzag(F, sigma_key, n, mcap):
-    """Independent oracle: the degreewise limit of the exponential zig-zag.
+    """Independent oracle: degreewise limit of the mapping-object zig-zag.
 
     Counts, for each internal degree m, the tuples (b_0, ..., b_n) with b_i
     in the mapping object [Delta[i] => F(sigma(i))] satisfying the pullback

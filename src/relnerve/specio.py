@@ -118,39 +118,28 @@ def _parse_sset_block(cur, cap, head_ln):
             raise SpecParseError("unknown directive %r in sset block"
                                  % toks[0], ln)
     clist = [counts.get(n, 0) for n in range(cap + 1)]
-    ftabs = [None]
-    for n in range(1, cap + 1):
-        tabs = []
-        for i in range(n + 1):
-            if (n, i) not in faces:
-                if clist[n]:
-                    raise SpecParseError("missing face table %d %d" % (n, i))
-                tabs.append([])
-                continue
-            row, ln = faces[(n, i)]
-            if len(row) != clist[n] or \
-                    any(v >= clist[n - 1] or v < 0 for v in row):
-                raise SpecParseError("bad face table %d %d" % (n, i), ln)
-            tabs.append(row)
-        ftabs.append(tabs)
-    dtabs = []
-    for n in range(cap):
-        tabs = []
-        for i in range(n + 1):
-            if (n, i) not in degens:
-                if clist[n]:
-                    raise SpecParseError(
-                        "missing degeneracy table %d %d" % (n, i))
-                tabs.append([])
-                continue
-            row, ln = degens[(n, i)]
-            if len(row) != clist[n] or \
-                    any(v >= clist[n + 1] or v < 0 for v in row):
-                raise SpecParseError("bad degeneracy table %d %d" % (n, i),
-                                     ln)
-            tabs.append(row)
-        dtabs.append(tabs)
-    X = TruncSSet(cap, clist, ftabs, dtabs)
+    tables = []
+    # d_i: degree n -> n - 1 for n in 1..cap, s_i: n -> n + 1 for n < cap
+    for what, given, lo, to in (("face", faces, 1, -1),
+                                ("degeneracy", degens, 0, 1)):
+        tables.append([None] * lo)
+        for n in range(lo, cap + lo):
+            tabs = []
+            for i in range(n + 1):
+                if (n, i) not in given:
+                    if clist[n]:
+                        raise SpecParseError("missing %s table %d %d"
+                                             % (what, n, i), head_ln)
+                    tabs.append([])
+                    continue
+                row, ln = given[(n, i)]
+                if len(row) != clist[n] or \
+                        any(v >= clist[n + to] or v < 0 for v in row):
+                    raise SpecParseError("bad %s table %d %d" % (what, n, i),
+                                         ln)
+                tabs.append(row)
+            tables[-1].append(tabs)
+    X = TruncSSet(cap, clist, *tables)
     cert = check_simplicial_identities(X, "explicit")
     if not cert.ok:
         raise SpecParseError("explicit value breaks the simplicial "
@@ -497,24 +486,6 @@ def serialize_marked(M, name="sset"):
     text = serialize_sset(M.sset, name)
     return text + "marked %s %s\n" % (
         name, " ".join(str(e) for e in sorted(M.marked)))
-
-
-def deserialize_sset(text):
-    """Inverse of ``serialize_sset`` (single block, any leading name)."""
-    rows = _tokenize(text)
-    cur = _Cursor(rows)
-    head_ln, head = cur.take()
-    if head[0] != "value" or head[-1] != "explicit":
-        raise SpecParseError("expected a 'value NAME explicit' block",
-                             head_ln)
-    cap = 0
-    for ln, toks in rows[cur.pos:]:
-        if toks[0] == "end":
-            break
-        if toks[0] == "count":
-            _arity(toks, ln, 3)
-            cap = max(cap, _to_int(toks[1], ln, "degree"))
-    return _parse_sset_block(cur, cap, head_ln)
 
 
 # -- reports -----------------------------------------------------------------

@@ -107,35 +107,12 @@ class TruncSSet:
                 top = n
         return top
 
-    def ez_decompose(self, n, s):
-        """Unique Eilenberg-Zilber decomposition of a simplex.
-
-        Returns ``(word, m, y)`` with ``word`` a strictly decreasing list of
-        degeneracy indices such that applying ``s_{word[0]} .. s_{word[-1]}``
-        (innermost last) to the nondegenerate ``y`` in degree ``m`` gives
-        back ``s``.
-        """
-        word = []
-        cur, d = s, n
-        while d > 0:
-            hit = None
-            for i in range(d - 1, -1, -1):
-                f = self.faces[d][i][cur]
-                if self.degens[d - 1][i][f] == cur:
-                    hit = i
-                    break
-            if hit is None:
-                break
-            word.append(hit)
-            cur = self.faces[d][hit][cur]
-            d -= 1
-        if any(a <= b for a, b in zip(word, word[1:])):
-            raise SSetError("EZ word not strictly decreasing: structure defect")
-        return word, d, cur
-
     def ez_table(self, n):
-        """``ez_decompose`` of every degree-n simplex (cached): ``s`` takes
-        the word of ``d_i s`` with ``i`` put in front, for the largest ``i``
+        """The unique Eilenberg-Zilber decomposition ``(word, m, y)`` of
+        every degree-n simplex ``s`` (cached): applying ``s_{word[0]} ..
+        s_{word[-1]}`` (innermost last) to the nondegenerate ``y`` in degree
+        ``m`` gives ``s``, and ``word`` strictly decreases.  ``s`` takes the
+        word of ``d_i s`` with ``i`` put in front, for the largest ``i``
         with ``s_i d_i s == s``."""
         if n not in self._ez_cache:
             table = [([], n, s) for s in self.simplices(n)]
@@ -152,16 +129,12 @@ class TruncSSet:
         return self._ez_cache[n]
 
     def apply_word(self, m, y, word):
-        """Apply a decreasing degeneracy word (as from ez_decompose)."""
+        """Apply a decreasing degeneracy word (as in ``ez_table``)."""
         cur, d = y, m
         for j in reversed(word):
             cur = self.degens[d][j][cur]
             d += 1
         return cur
-
-    def vertex_tuple(self, n, s):
-        """The n+1 vertices of a simplex."""
-        return tuple(self.op_table(n, (k,))[s] for k in range(n + 1))
 
     def op_table(self, n, u):
         """``X(u)`` on every degree-n simplex (cached; do not modify), for
@@ -811,10 +784,10 @@ class Exponential(KeyedSSet):
 
     def __init__(self, Y, X, cap_out, admissible=None):
         if X.cap != Y.cap:
-            raise SSetError("exponential requires equal caps")
+            raise SSetError("Exponential requires equal caps")
         if cap_out + X.nondeg_dim() > Y.cap:
             raise TruncationError(
-                "exponential(cap_out=%d) with nondeg_dim(X)=%d needs cap(Y)"
+                "Exponential(cap_out=%d) with nondeg_dim(X)=%d needs cap(Y)"
                 " >= %d, have %d" % (cap_out, X.nondeg_dim(),
                                      cap_out + X.nondeg_dim(), Y.cap))
         self.arg, self.target = X, Y
@@ -916,13 +889,3 @@ def delta_map(D_from, D_to, vmap):
              for t in D_from.simplices(m)]
             for m in range(D_from.cap + 1)]
     return SimplicialMap(D_from, D_to, comp)
-
-
-def exponential(Y, X, cap_out):
-    """The spec-level mapping object; see ``Exponential``."""
-    return Exponential(Y, X, cap_out)
-
-
-def ez_decompose(X, n, s):
-    word, m, y = X.ez_decompose(n, s)
-    return word, (m, y)

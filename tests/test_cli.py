@@ -183,6 +183,31 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
             assert err.rstrip().endswith("(line 5)"), body
 
 
+# the point as an explicit block (line 4 heads it), and the block with one
+# table line dropped or broken
+_POINT_BLOCK = ("diagram sset\ncap 1\nobject a\nvalue a explicit\n"
+                "count 0 1\ncount 1 1\nface 1 0 0\nface 1 1 0\n"
+                "degen 0 0 0\nend\n")
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("face 1 1 0\n", "", "missing face table 1 1 (line 4)"),
+    ("degen 0 0 0\n", "", "missing degeneracy table 0 0 (line 4)"),
+    ("face 1 1 0\n", "face 1 1 3\n", "bad face table 1 1 (line 8)"),
+    ("degen 0 0 0\n", "degen 0 0 0 0\n",
+     "bad degeneracy table 0 0 (line 9)")],
+    ids=["missing-face", "missing-degeneracy", "bad-face", "bad-degeneracy"])
+def test_cli_table_errors_name_a_line(tmp_path, capsys, old, new, message):
+    spec = tmp_path / "table.rnspec"
+    spec.write_text(_POINT_BLOCK)
+    assert main(["build", "relnerve", "--input", str(spec), "--cap", "1",
+                 "--out", str(tmp_path / "out.txt")]) == 0
+    spec.write_text(_POINT_BLOCK.replace(old, new))
+    assert main(["build", "relnerve", "--input", str(spec),
+                 "--cap", "1"]) == 2
+    assert capsys.readouterr().err == "parse error: %s\n" % message
+
+
 def test_cli_value_budget_exit_3(tmp_path, capsys):
     # delta 99 at cap 3 has C(100, 1) + .. + C(103, 4) simplices
     assert generated_size("delta", 3, n=99) > VALUE_BUDGET
@@ -501,14 +526,15 @@ def test_cli_marking_error_is_parse_error(tmp_path):
 
 
 def test_cli_dump_roundtrips(tmp_path):
-    from relnerve.specio import deserialize_sset
     from relnerve.pathspace import lurie_grothendieck
     dump = tmp_path / "dump.rnsset"
     code, text = run(["build", "relnerve", "--input",
                       fixture("span.rnspec"), "--cap", "3",
                       "--dump", str(dump)], tmp_path)
     assert code == 0
-    X = deserialize_sset(dump.read_text())
+    # the dump is a 'value built explicit' block: a spec once given a header
+    X = parse_spec("diagram sset\ncap 3\nobject built\n"
+                   + dump.read_text()).diagram.values[0]
     with open(fixture("span.rnspec")) as fh:
         spec = parse_spec(fh.read())
     R = lurie_grothendieck(spec.diagram, 3)

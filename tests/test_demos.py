@@ -1,4 +1,5 @@
-"""Each narrative script in demos/ runs to the end without a traceback."""
+"""Each narrative script in demos/ runs to the end without a traceback and
+prints the text that ``tests/golden/demo_<name>.txt`` holds."""
 
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = os.path.join(ROOT, "demos")
+GOLDEN = os.path.join(ROOT, "tests", "golden")
 
 
 @pytest.mark.parametrize("name", sorted(
@@ -22,3 +24,6 @@ def test_demo_runs(name):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    with open(os.path.join(GOLDEN, "demo_" + name[:-3] + ".txt"),
+              encoding="utf-8") as fh:
+        assert proc.stdout == fh.read()

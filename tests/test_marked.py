@@ -9,11 +9,11 @@ from relnerve.fincat import (arrow_category, chain_category,
                              cyclic_group_category, indiscrete_groupoid,
                              nerve, span_category)
 from relnerve.homology import homology_table
-from relnerve.marked import (MarkError, MarkedSSet, OverMarked,
-                             OverMappingSpace, degenerate_edges, equivalences,
-                             extend_along_J, localize, mark, mark_diagram,
-                             marked_rel_nerve, over_mapping_space,
-                             push_witness, rectify_right, under_nerve_sharp,
+from relnerve.marked import (EquivalenceWitness, MarkError, MarkedSSet,
+                             OverMarked, OverMappingSpace, _witness_ok,
+                             degenerate_edges, equivalences, extend_along_J,
+                             localize, mark, mark_diagram, marked_rel_nerve,
+                             rectify_right, under_nerve_sharp,
                              unstraighten_at, unstraighten_diagram)
 from relnerve.randomgen import SuiteBounds, random_sub_delta
 from relnerve.sset import (Exponential, SimplicialMap, classifying_map,
@@ -76,8 +76,9 @@ def test_witnesses_push_forward():
     f = SimplicialMap(J, N, [list(range(J.counts[n])) for n in range(3)])
     assert not f.validate()
     for e, w in equivalences(J).items():
-        from relnerve.marked import _witness_ok
-        assert _witness_ok(N, push_witness(f, w))
+        pushed = EquivalenceWitness(f.comp[1][w.edge], f.comp[1][w.inverse],
+                                    f.comp[2][w.left], f.comp[2][w.right])
+        assert _witness_ok(N, pushed)
 
 
 def test_localize_flat_is_identity():
@@ -264,7 +265,7 @@ def test_point_mapping_space_is_fiber():
     for d in (0, 1):
         ptover = OverMarked(mark(pt, "flat"),
                             constant_map(pt, NC, NC.id_of(0, (d,))), NC, C)
-        sp = over_mapping_space(ptover, OM, "plus", 2)
+        sp = OverMappingSpace(ptover, OM, 2)
         fib, inc, f, g = fiber_at(R, d)
         assert sp.sset.counts == fib.counts[:3]
 
@@ -273,7 +274,7 @@ def test_mapping_space_into_base_is_terminal():
     C = arrow_category()
     NC = nerve(C, 3)
     idbase = OverMarked(mark(NC, "sharp"), identity_map(NC), NC, C)
-    sp = over_mapping_space(idbase, idbase, "plus", 2)
+    sp = OverMappingSpace(idbase, idbase, 2)
     assert sp.sset.counts == [1, 1, 1]
 
 
@@ -282,10 +283,14 @@ def test_sharp_variant_keeps_marked_edge_simplices():
     OM, R = marked_rel_nerve(FM, 3)
     C = arrow_category()
     over, *_ = under_nerve_sharp(C, 0, 3, NC=R.base_nerve)
-    plus = over_mapping_space(over, OM, "plus", 1)
-    sharp = over_mapping_space(over, OM, "sharp", 1)
+    plus = OverMappingSpace(over, OM, 1)
+    sharp = plus.sharp()
     assert sharp.sset.counts[0] == plus.sset.counts[0]
-    assert sharp.sset.counts[1] <= plus.sset.counts[1]
+    # an edge is sharp iff it is marked, and the sharp part marks them all
+    assert sharp.sset.counts[1] == len(plus.as_marked().marked)
+    assert sharp.marked == frozenset(range(sharp.sset.counts[1]))
+    low = OverMappingSpace(over, OM, 0).sharp()
+    assert low.sset.counts == plus.sset.counts[:1] and not low.marked
 
 
 def test_over_mapping_space_is_the_filtered_mapping_object():

@@ -23,8 +23,8 @@ from relnerve.marked import (extend_along_J, localization_mediator, localize,
 from relnerve.pathspace import (compare_relnerve_iso, fiber_at,
                                 lurie_grothendieck)
 from relnerve.randomgen import SuiteBounds, random_cat_diagram
-from relnerve.sset import (SimplicialMap, SSetError, TruncSSet, constant_map,
-                           descend, enumerate_maps, exponential, identity_map,
+from relnerve.sset import (Exponential, SimplicialMap, SSetError, TruncSSet,
+                           constant_map, descend, enumerate_maps, identity_map,
                            standard_simplex, walking_iso)
 
 from conftest import span_diagram
@@ -208,7 +208,7 @@ def test_over_nerve_refuses_a_fibre_listed_out_of_order():
 def test_mapping_object_refuses_a_corrupted_degenerate_entry():
     # a key holds only the nondegenerate entries; id_of checks the others
     Y = walking_iso(3)
-    E = exponential(Y, standard_simplex(1, 3), 1)
+    E = Exponential(Y, standard_simplex(1, 3), 1)
     for n in range(2):
         P = E.prisms[n][0]
         degenerate = [(d, p) for d in range(1, 4) for p in P.simplices(d)

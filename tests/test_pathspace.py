@@ -11,14 +11,14 @@ from relnerve.certify import (check_bisimplicial, check_simplicial_identities,
 from relnerve.fincat import (arrow_category, constant_diagram, nerve,
                              span_category)
 from relnerve.homology import homology_table
-from relnerve.pathspace import (compare_relnerve_iso, fiber_at,
-                                lurie_grothendieck, path_space,
-                                path_space_zigzag, path_structure_map,
-                                relative_nerve_direct, row_identification,
-                                simplicial_space, space_projection_ok)
+from relnerve.pathspace import (PathSpace, compare_relnerve_iso, fiber_at,
+                                lurie_grothendieck, path_space_zigzag,
+                                path_structure_map, relative_nerve_direct,
+                                row_identification, simplicial_space,
+                                space_projection_ok)
 from relnerve.randomgen import SuiteBounds, random_sset_diagram
-from relnerve.sset import (TruncationError, boundary, constant_map,
-                           disjoint_union, exponential, shared_simplex,
+from relnerve.sset import (Exponential, TruncationError, boundary,
+                           constant_map, disjoint_union, shared_simplex,
                            shared_vertex_map, standard_simplex)
 
 
@@ -26,7 +26,7 @@ from relnerve.sset import (TruncationError, boundary, constant_map,
 
 def test_path_space_degree_zero_is_first_value():
     F = terminal_diagram(boundary(2, 4))
-    ps = path_space(F, (0,), 0, 2)
+    ps = PathSpace(F, (0,), 0, 2)
     assert ps.sset.counts == F.values[0].counts[:3]
 
 
@@ -35,7 +35,7 @@ def test_path_space_over_map_to_interval():
     X0 = standard_simplex(0, 4)
     X1 = standard_simplex(1, 4)
     F = arrow_diagram(X0, X1, constant_map(X0, X1, X1.id_of(0, (0,))))
-    ps = path_space(F, (1,), 1, 1)
+    ps = PathSpace(F, (1,), 1, 1)
     assert ps.sset.counts[0] == 2
     assert check_simplicial_identities(ps.sset).ok
 
@@ -45,8 +45,8 @@ def test_identity_string_path_space_is_exponential():
     F = terminal_diagram(Y)
     for n in range(4):
         key = (0,) * max(n, 1)
-        ps = path_space(F, key, n, 1)
-        E = exponential(Y, standard_simplex(n, 4), 1)
+        ps = PathSpace(F, key, n, 1)
+        E = Exponential(Y, standard_simplex(n, 4), 1)
         # the top coordinate is the whole datum: certified isomorphism
         fwd = [[E.id_of(m, ps.exps[n].table(m, ps.sset.key_of(m, s)[n]))
                 for s in ps.sset.simplices(m)] for m in range(2)]
@@ -61,7 +61,7 @@ def test_identity_string_path_space_is_exponential():
 def test_zigzag_limit_oracle_agrees(span3):
     for key, n in (((3,), 1), ((4,), 1), ((2, 2), 2)):
         kk = key if n > 0 else (key[0],)
-        ps = path_space(span3, kk, n, 1)
+        ps = PathSpace(span3, kk, n, 1)
         assert ps.sset.counts == path_space_zigzag(span3, kk, n, 1)
 
 
@@ -71,14 +71,14 @@ def test_zigzag_oracle_on_nondiscrete_values():
     X1 = standard_simplex(1, 4)
     F = arrow_diagram(X0, X1, constant_map(X0, X1, X1.id_of(0, (0,))))
     for key, n in (((1,), 1), ((0, 1), 2), ((1, 2), 2)):
-        ps = path_space(F, key, n, 1)
+        ps = PathSpace(F, key, n, 1)
         assert ps.sset.counts == path_space_zigzag(F, key, n, 1)
 
 
 def test_path_space_demand_check():
     F = terminal_diagram(standard_simplex(1, 2))
     with pytest.raises(TruncationError):
-        path_space(F, (0, 0), 2, 2)      # needs dimension 4 > 2
+        PathSpace(F, (0, 0), 2, 2)      # needs dimension 4 > 2
 
 
 def test_structure_maps_land_correctly(span3):

@@ -10,11 +10,10 @@ from relnerve.certify import (check_bisimplicial, check_simplicial_identities,
 from relnerve.classic import (audit_double_category, double_category,
                               grothendieck_classic, nerve_comparison)
 from relnerve.fincat import nerve
-from relnerve.hocolim import (bar_hocolim, colim_via_marked, iota,
-                              iota_fiber_bijective)
+from relnerve.hocolim import bar_hocolim, colim_via_marked, iota, iota_audit
 from relnerve.homology import homology_table
-from relnerve.pathspace import (compare_relnerve_iso, lurie_grothendieck,
-                                path_space, path_space_zigzag,
+from relnerve.pathspace import (PathSpace, compare_relnerve_iso,
+                                lurie_grothendieck, path_space_zigzag,
                                 relative_nerve_direct, simplicial_space)
 from relnerve.randomgen import (SuiteBounds, random_cat_diagram,
                                 random_sset_diagram)
@@ -34,15 +33,14 @@ def test_sset_diagram_sweep():
         assert verify_iso_map(f, g).ok
         bar = bar_hocolim(F, 4)
         io, _, _ = iota(F, 4, bar=bar, rel=R)
-        assert io.validate() == []
-        assert iota_fiber_bijective(io, bar, R, F)
+        assert iota_audit(io, bar, R, F).ok
         assert check_bisimplicial(simplicial_space(F, 2, 2).bisset).ok
         NC = R.base_nerve
         nondeg = [e for e in NC.simplices(1)
                   if not NC.degenerate_flags(1)[e]]
         if nondeg:
             key = NC.key_of(1, nondeg[0])
-            ps = path_space(F, key, 1, 2)
+            ps = PathSpace(F, key, 1, 2)
             assert ps.sset.counts == path_space_zigzag(F, key, 1, 2)
         assert colim_via_marked(F).ok
 

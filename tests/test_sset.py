@@ -14,8 +14,8 @@ from relnerve.sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
                            TruncationError, TruncSSet, boundary,
                            build_generated, classes, classifying_map,
                            codegen_tuple, coface_tuple, constant_map,
-                           delta_map, discrete, enumerate_maps, exponential,
-                           ez_decompose, first_map, generated_size, horn,
+                           delta_map, discrete, enumerate_maps, first_map,
+                           generated_size, horn,
                            identity_map, invert_bijection, keyed_tables,
                            product, pushout, restrict, standard_simplex,
                            sub_sset, walking_iso)
@@ -115,9 +115,10 @@ def test_apply_vertex_map_against_delta_composition():
 
 
 def test_vertex_tuple():
+    # the k-th vertex of a simplex is X(k: [0] -> [n]) of it
     D = standard_simplex(2, 2)
     for s in D.simplices(2):
-        assert D.vertex_tuple(2, s) == tuple(
+        assert tuple(D.op_table(2, (k,))[s] for k in range(3)) == tuple(
             D.id_of(0, (v,)) for v in D.key_of(2, s))
 
 
@@ -176,24 +177,19 @@ def test_degenerate_flags_match_the_definition():
                     for i in range(n)) for s in X.simplices(n)]
 
 
-def test_ez_decompose_unique_and_normalized():
+def test_ez_table_unique_and_normalized():
     P = standard_simplex(0, 2)
-    word, (m, y) = ez_decompose(P, 2, 0)
-    assert word == [1, 0] and m == 0 and y == 0
-    D = standard_simplex(1, 2)
-    for s in D.simplices(2):
-        word, (m, y) = ez_decompose(D, 2, s)
-        assert not D.degenerate_flags(m)[y]
-        assert all(a > b for a, b in zip(word, word[1:]))
-        assert D.apply_word(m, y, word) == s
+    assert P.ez_table(2)[0] == ([1, 0], 0, 0)
     # nondegenerate simplices decompose trivially
+    D = standard_simplex(1, 2)
     e = D.id_of(1, (0, 1))
-    assert ez_decompose(D, 1, e) == ([], (1, e))
+    assert D.ez_table(1)[e] == ([], 1, e)
 
 
-def test_ez_table_matches_ez_decompose():
+def test_ez_table_is_the_eilenberg_zilber_decomposition():
     # the table is built degree by degree from the one below; each entry
-    # must equal the simplex-by-simplex decomposition
+    # (word, m, y) must give s back from a nondegenerate y by a strictly
+    # decreasing word, which pins it by the uniqueness of the decomposition
     cap = 3
     fixtures = [standard_simplex(0, cap), standard_simplex(2, cap),
                 boundary(2, cap), horn(2, 1, cap), walking_iso(cap),
@@ -203,9 +199,12 @@ def test_ez_table_matches_ez_decompose():
     rng = random.Random(11)
     values = [random_sub_delta(rng, SuiteBounds(), 4) for _ in range(12)]
     for X in fixtures + values + list(_operator_table_objects()):
+        nondeg = [set(X.nondegenerate(m)) for m in range(X.cap + 1)]
         for n in range(X.cap + 1):
-            assert X.ez_table(n) == [X.ez_decompose(n, s)
-                                     for s in X.simplices(n)]
+            for s, (word, m, y) in enumerate(X.ez_table(n)):
+                assert X.apply_word(m, y, word) == s
+                assert y in nondeg[m]
+                assert all(a > b for a, b in zip(word, word[1:]))
 
 
 def test_ez_table_refuses_a_word_that_is_not_decreasing():
@@ -214,11 +213,8 @@ def test_ez_table_refuses_a_word_that_is_not_decreasing():
     # and its word would be [0, 0]
     bad = TruncSSet(2, [1, 1, 2], [None, [[0], [0]], [[0, 0]] * 3],
                     [[[0]], [[0], [1]]])
-    assert bad.ez_decompose(2, 1) == ([1, 0], 0, 0)
-    for decompose in (lambda: bad.ez_decompose(2, 0),
-                      lambda: bad.ez_table(2)):
-        with pytest.raises(SSetError):
-            decompose()
+    with pytest.raises(SSetError):
+        bad.ez_table(2)
 
 
 def test_product_of_intervals():
@@ -325,27 +321,27 @@ def test_pushout_along_identity_leg_gives_other_vertex():
 
 def test_exponential_interval_endomaps():
     D1 = standard_simplex(1, 3)
-    E = exponential(D1, D1, 1)
+    E = Exponential(D1, D1, 1)
     assert E.counts[0] == 3      # the three monotone endomaps of [1]
     assert check_simplicial_identities(E).ok
 
 
 def test_exponential_point_argument_recovers_target():
     Y = boundary(2, 3)
-    E = exponential(Y, standard_simplex(0, 3), 2)
+    E = Exponential(Y, standard_simplex(0, 3), 2)
     assert E.counts == Y.counts[:3]
 
 
 def test_exponential_point_target_terminal():
     X = boundary(2, 3)
-    E = exponential(standard_simplex(0, 3), X, 2)
+    E = Exponential(standard_simplex(0, 3), X, 2)
     assert E.counts == [1, 1, 1]
 
 
 def test_exponential_validity_bound():
     D1 = standard_simplex(1, 2)
     with pytest.raises(TruncationError):
-        exponential(D1, D1, 2)     # 2 + 1 > 2
+        Exponential(D1, D1, 2)     # 2 + 1 > 2
 
 
 def test_truncation_commutes_with_product_and_pushout():
@@ -407,7 +403,7 @@ def _brute_force_maps(A, B, keep=None):
             comp[n][s] = b
         for n in range(A.cap + 1):
             for s in A.simplices(n):
-                word, (m, y) = ez_decompose(A, n, s)
+                word, m, y = A.ez_table(n)[s]
                 if word:
                     comp[n][s] = B.apply_word(m, comp[m][y], word)
         if SimplicialMap(A, B, comp).validate() == []:
@@ -649,7 +645,7 @@ def test_exponential_adjunction_counts():
     # over the product)
     Y = standard_simplex(1, 3)
     X = standard_simplex(1, 3)
-    E = exponential(Y, X, 1)
+    E = Exponential(Y, X, 1)
     for Z3 in (standard_simplex(1, 3), boundary(2, 3)):
         Z1 = restrict(Z3, 1)
         lhs = len(enumerate_maps(Z1, E))
