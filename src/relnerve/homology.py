@@ -2,12 +2,18 @@
 
 Normalized chains (degenerate simplices killed) with arbitrary-precision
 integer Smith normal form; this matches classifying-space homology and never
-overflows.  Each table builds the chain complex once and reduces each
-boundary it needs once.  A reduction first eliminates the +-1 pivots of the
-sparse boundary columns (each gives an invariant factor 1), then runs a dense
-Smith normal form on the core that remains, which carries the torsion.  The
-trusted range of ``homology_groups`` is ``k <= cap - 1``: computing H_k needs
-boundaries out of degree k+1.
+overflows.  A boundary d_n is held as sparse columns: one ``{row:
+coefficient}`` dict per nondegenerate n-simplex, with no zero entries.  A
+reduction first eliminates the +-1 pivots of these columns (each gives an
+invariant factor 1), then runs a dense Smith normal form on the small core
+that remains, which carries the torsion.
+
+A table reduces each boundary it needs once, from the top degree down, and
+clears as it goes (Chen and Kerber, "Persistent homology computation with a
+twist", 2011): the n-simplices that were unit-pivot rows of d_{n+1} are left
+out of d_n.  This is exact over the integers, see ``_homology``.  The
+trusted range of ``homology_groups`` is ``k <= cap - 1``: computing H_k
+needs boundaries out of degree k+1.
 """
 
 from __future__ import annotations
@@ -20,61 +26,82 @@ class HomologyError(TruncationError):
 
 
 def normalized_chains(X):
-    """Ranks and boundary matrices of the normalized chain complex.
+    """Ranks and sparse boundary columns of the normalized chain complex.
 
-    Returns ``(ranks, boundaries)`` where ``boundaries[n]`` is the matrix of
-    the boundary C_n -> C_{n-1} as a list of rows (one per degree-(n-1)
-    generator), columns indexed by degree-n generators.
+    Returns ``(ranks, boundaries)``.  ``boundaries[n]`` (for n >= 1; entry 0
+    is None) is the boundary C_n -> C_{n-1} as a list of columns, one per
+    nondegenerate n-simplex in the order of ``X.nondegenerate(n)``.  Each
+    column is a dict from row (the position of a nondegenerate
+    (n-1)-simplex in ``X.nondegenerate(n - 1)``) to its nonzero coefficient;
+    a simplex whose faces cancel has an empty column.
     """
-    gens = [X.nondegenerate(n) for n in range(X.cap + 1)]
-    index = [{s: i for i, s in enumerate(g)} for g in gens]
-    ranks = [len(g) for g in gens]
-    boundaries = [None]
-    for n in range(1, X.cap + 1):
-        degflags = X.degenerate_flags(n - 1)
-        mat = [[0] * ranks[n] for _ in range(ranks[n - 1])]
-        for col, s in enumerate(gens[n]):
-            for i in range(n + 1):
-                f = X.faces[n][i][s]
-                if degflags[f]:
-                    continue
-                mat[index[n - 1][f]][col] += (-1) ** i
-        boundaries.append(mat)
-    return ranks, boundaries
+    ranks = [len(X.nondegenerate(n)) for n in range(X.cap + 1)]
+    return ranks, [None] + [_boundary_columns(X, n)
+                            for n in range(1, X.cap + 1)]
 
 
-def smith_normal_form(mat):
+def _boundary_columns(X, n, cleared=()):
+    """Sparse columns of d_n, leaving out the n-simplex positions in
+    ``cleared``."""
+    row_of = [None] * X.counts[n - 1]
+    for r, f in enumerate(X.nondegenerate(n - 1)):
+        row_of[f] = r
+    faces = X.faces[n]
+    cols = []
+    for c, s in enumerate(X.nondegenerate(n)):
+        if c in cleared:
+            continue
+        col = {}
+        sign = 1
+        for face in faces:
+            r = row_of[face[s]]
+            if r is not None:
+                w = col.get(r, 0) + sign
+                if w:
+                    col[r] = w
+                else:
+                    del col[r]
+            sign = -sign
+        cols.append(col)
+    return cols
+
+
+def smith_normal_form(cols):
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix given
-    as a list of rows."""
-    units, core = _eliminate_unit_pivots(mat)
-    return [1] * units + _dense_invariants(core)
+    as sparse columns (``{row: coefficient}`` dicts, reduced in place), and
+    the rows of its unit pivots in the order they were eliminated."""
+    pivots, core = _eliminate_unit_pivots(cols)
+    return [1] * len(pivots) + _dense_invariants(core), pivots
 
 
-def _eliminate_unit_pivots(mat):
+def _eliminate_unit_pivots(cols):
     """Remove every +-1 pivot by a Schur-complement update.
 
-    Works on sparse columns, one pass in column order; within a column the
-    unit entry whose row has the fewest entries is the pivot, which keeps
-    fill-in low.  Returns the number of pivots removed and the remaining
-    core as dense rows; a unit left in the core is found by the dense pass.
+    One pass in column order; within a column the unit entry whose row has
+    the fewest entries is the pivot, which keeps fill-in low.  Column
+    operations zero each pivot's row in every other column, then its column
+    is dropped.  Returns the pivot rows and the remaining core as
+    dense rows; a unit left in the core is found by the dense pass.
     """
-    cols = [{} for _ in range(len(mat[0]) if mat else 0)]
-    rows = [set() for _ in mat]
-    for r, row in enumerate(mat):
-        for c, v in enumerate(row):
-            if v:
-                cols[c][r] = v
-                rows[r].add(c)
-    units = 0
+    rows = {}
     for c, col in enumerate(cols):
-        unit_rows = [r for r, v in col.items() if v == 1 or v == -1]
-        if not unit_rows:
+        for r in col:
+            if r in rows:
+                rows[r].add(c)
+            else:
+                rows[r] = {c}
+    pivots = []
+    for c, col in enumerate(cols):
+        pr = fewest = None
+        for r, v in col.items():
+            if (v == 1 or v == -1) and (pr is None or len(rows[r]) < fewest):
+                pr, fewest = r, len(rows[r])
+        if pr is None:
             continue
-        pr = min(unit_rows, key=lambda r: len(rows[r]))
         p = col[pr]
-        for c2 in list(rows[pr]):
-            if c2 == c:
-                continue
+        others = rows[pr]
+        others.discard(c)
+        for c2 in list(others):
             col2 = cols[c2]
             f = col2[pr] * p           # p is its own inverse
             for r, v in col.items():
@@ -89,11 +116,11 @@ def _eliminate_unit_pivots(mat):
         for r in col:
             rows[r].discard(c)
         col.clear()
-        units += 1
-    live = [c for c in range(len(cols)) if cols[c]]
-    core = [[cols[c].get(r, 0) for c in live]
-            for r in range(len(rows)) if rows[r]]
-    return units, core
+        pivots.append(pr)
+    live = [col for col in cols if col]
+    core = [[col.get(r, 0) for col in live]
+            for r in sorted(r for r, cs in rows.items() if cs)]
+    return pivots, core
 
 
 def _dense_invariants(A):
@@ -156,20 +183,30 @@ def _dense_invariants(A):
 
 
 def _homology(X, degrees):
-    """(betti, torsion) of H_k for each k in ``degrees``, from one chain
-    complex whose boundaries are each reduced at most once."""
+    """(betti, torsion) of H_k for each k in ``degrees``, reducing each
+    boundary it needs once, from the top degree down."""
     for k in degrees:
         if k < 0 or k > X.cap - 1:
             raise HomologyError(
                 "H_%d is outside the trusted range (cap=%d needs k <= %d)"
                 % (k, X.cap, X.cap - 1))
-    ranks, boundaries = normalized_chains(X)
+    # Clearing: d_n leaves out the n-simplices that were unit-pivot rows of
+    # d_{n+1}.  When a column of d_{n+1} is eliminated it is, after the
+    # column operations before it, a boundary b = d_{n+1}(x) with +-1 at
+    # its pivot row and 0 at every earlier pivot row (those rows were
+    # zeroed in all other columns).  So swapping the pivot-row
+    # generators of C_n for these boundaries is a triangular, unimodular
+    # change of basis, and d_n(b) = d_n d_{n+1}(x) = 0: on the new basis d_n
+    # is its old columns with the cleared ones replaced by zeros, which have
+    # the same invariant factors as the old columns without them.
     invariants = {0: []}
-    for k in degrees:
-        for n in (k, k + 1):
-            if n not in invariants:
-                invariants[n] = smith_normal_form(boundaries[n])
-    return [(ranks[k] - len(invariants[k]) - len(invariants[k + 1]),
+    pivots = {}
+    for n in sorted({n for k in degrees for n in (k, k + 1)} - {0},
+                    reverse=True):
+        invariants[n], pivots[n] = smith_normal_form(
+            _boundary_columns(X, n, set(pivots.get(n + 1, ()))))
+    return [(len(X.nondegenerate(k)) - len(invariants[k])
+             - len(invariants[k + 1]),
              [d for d in invariants[k + 1] if d > 1]) for k in degrees]
 
 
