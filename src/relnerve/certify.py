@@ -99,33 +99,32 @@ def verify_iso_map(f, g, subject="iso"):
 
 
 def check_bisimplicial(B, subject="bisset"):
-    """Identity audit in both directions plus the mixed identities: faces
-    commute with faces, faces with degeneracies and degeneracies with
+    """Identity audit of every row and column plus the mixed identities:
+    faces commute with faces, faces with degeneracies and degeneracies with
     degeneracies across the two directions."""
-    rows = [check_simplicial_identities(B.row(m), "%s-row%d" % (subject, m))
-            for m in range(B.vcap + 1)]
-    cols = [check_simplicial_identities(B.column(n), "%s-col%d" % (subject, n))
-            for n in range(B.hcap + 1)]
+    rows = [check_simplicial_identities(R, "%s-row%d" % (subject, m))
+            for m, R in enumerate(B.rows)]
+    cols = [check_simplicial_identities(C, "%s-col%d" % (subject, n))
+            for n, C in enumerate(B.columns)]
     for c in rows + cols:
         if not c.ok:
             return c
-    # every horizontal operator commutes with every vertical one; the
-    # face/face family keeps its bare (n, m, i, j, s) witness
-    families = [((), B.hfaces, B.vfaces), (("dh-sv",), B.hfaces, B.vdegens),
-                (("dv-sh",), B.hdegens, B.vfaces),
-                (("sh-sv",), B.hdegens, B.vdegens)]
-    for prefix, hops, vops in families:
-        dn = -1 if hops is B.hfaces else 1
-        dm = -1 if vops is B.vfaces else 1
-        for n in range(B.hcap + 1):
-            for m in range(B.vcap + 1):
-                if not (0 <= n + dn <= B.hcap and 0 <= m + dm <= B.vcap):
-                    continue
-                for i in range(n + 1):
-                    for j in range(m + 1):
-                        h, v = hops[n][m][i], vops[n][m][j]
-                        h2, v2 = hops[n][m + dm][i], vops[n + dn][m][j]
-                        for s in range(B.counts[n][m]):
+    # every horizontal operator (in a row, moving n by dn) commutes with
+    # every vertical one (in a column, moving m by dm); the face/face
+    # family keeps its bare (n, m, i, j, s) witness
+    for prefix, dn, dm in (((), -1, -1), (("dh-sv",), -1, 1),
+                           (("dv-sh",), 1, -1), (("sh-sv",), 1, 1)):
+        for n in range(max(0, -dn), B.hcap + 1 - max(0, dn)):
+            for m in range(max(0, -dm), B.vcap + 1 - max(0, dm)):
+                R, R2 = B.rows[m], B.rows[m + dm]
+                C, C2 = B.columns[n], B.columns[n + dn]
+                hs = [(R.operator(n, i, dn), R2.operator(n, i, dn))
+                      for i in range(n + 1)]
+                vs = [(C.operator(m, j, dm), C2.operator(m, j, dm))
+                      for j in range(m + 1)]
+                for i, (h, h2) in enumerate(hs):
+                    for j, (v, v2) in enumerate(vs):
+                        for s in range(len(h)):
                             if h2[v[s]] != v2[h[s]]:
                                 return Certificate(
                                     "bi-identities", subject, "FAIL",

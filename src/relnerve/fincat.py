@@ -12,7 +12,7 @@ import operator
 from dataclasses import dataclass
 
 from .sset import (KeyedSSet, SimplicialMap, SSetError, TruncationError,
-                   TruncSSet, restrict, sub_sset)
+                   TruncSSet, operator_tables, restrict, sub_sset)
 
 
 class CatError(Exception):
@@ -383,25 +383,20 @@ def over_nerve(NC, cap, fiber, face, degen):
         fibres.append(fibs)
         index.append(_FibreIndex(ids))
 
-    def tables(n, to, operators, rule):
-        ids = index[to].ids
-        out = []
-        for i, targets in enumerate(operators):
-            row = []
-            for sid, fib in enumerate(fibres[n]):
-                if fib:
-                    t = targets[sid]
-                    images = rule(n, i, NC.keys[n][sid], NC.keys[to][t])(fib)
-                    row += map(ids[t].__getitem__, images)
-            out.append(row)
-        return out
+    def table(n, i, d):
+        ids, targets = index[n + d].ids, NC.operator(n, i, d)
+        rule, base, to = face if d < 0 else degen, NC.keys[n], NC.keys[n + d]
+        row = []
+        for sid, fib in enumerate(fibres[n]):
+            if fib:
+                t = targets[sid]
+                row += map(ids[t].__getitem__,
+                           rule(n, i, base[sid], to[t])(fib))
+        return row
 
     keys = [[(sid, p) for sid, fib in enumerate(fibs) for p in fib]
             for fibs in fibres]
-    faces = [None] + [tables(n, n - 1, NC.faces[n], face)
-                      for n in range(1, cap + 1)]
-    degens = [tables(n, n + 1, NC.degens[n], degen) for n in range(cap)]
-    total = KeyedSSet(cap, keys, index, faces, degens)
+    total = KeyedSSet(cap, keys, index, *operator_tables(cap, table))
     proj = SimplicialMap(total, NC, [[sid for sid, _ in keys[n]]
                                      for n in range(cap + 1)])
     return total, proj

@@ -144,11 +144,10 @@ def eta_unit(FM, d, cap_out):
     cap = FM.cap
     OM, R = marked_rel_nerve(FM, cap)
     NC = R.base_nerve
-    over, _, forget, objs, _ = under_nerve_sharp(C, d, cap, NC=NC)
+    over, Ucat, _, objs, _ = under_nerve_sharp(C, d, cap, NC=NC)
     space = OverMappingSpace(over, OM, cap_out)
-    NU = over.sset
+    NU, forget = over.sset, over.proj.comp
     U = FM.underlying()
-    Ucat = forget.domain
     Xd = U.values[d]
     comp = []
     for n in range(cap_out + 1):
@@ -161,17 +160,13 @@ def eta_unit(FM, d, cap_out):
             # the slice legs d -> e_i, and the resulting tuple sits over the
             # forgetful image of the chain
             alpha = delta_n.key_of(m, pr1.comp[m][s])   # [m] -> [n]
-            slice_key = NU.key_of(m, pr2.comp[m][s])
-            if m == 0:
-                base_key = (forget.obj_map[slice_key[0]],)
-            else:
-                base_key = tuple(forget.mor_map[mm] for mm in slice_key)
+            chain = pr2.comp[m][s]
+            slice_key = NU.key_of(m, chain)
             y = Xd.op_table(n, alpha)[x]
             beta = tuple([f[front[y]] for f, front in _front_reads(
                 U, Xd, m, [objs[chain_object_of_key(Ucat, slice_key, m, i)]
                            for i in range(m + 1)])])
-            sid = NC.id_of(m, base_key)
-            return space.Y.sset.id_of(m, (sid, beta))
+            return space.Y.sset.id_of(m, (forget[m][chain], beta))
         comp.append([space.sset.id_by_values(n, lambda m, s: value(x, m, s))
                      for x in Xd.simplices(n)])
     dom = Xd if Xd.cap == cap_out else restrict(Xd, cap_out)

@@ -350,20 +350,16 @@ def unstraighten_at(X, d):
                 layer.append((x, g))
         keys.append(layer)
 
-    def face_key(n, i, key):
-        x, g = key
-        if i < n:
-            return (X.sset.faces[n][i][x], g)
-        sid = X.proj.comp[n][x]
-        k = NC.key_of(n, sid)
-        tail = k[n - 1] if n >= 1 else C.identity[k[0]]
-        return (X.sset.faces[n][n][x], C.table[(g, tail)])
+    def op(n, i, d):
+        table = X.sset.operator(n, i, d)
+        if d > 0 or i < n:
+            return lambda key: (table[key[0]], key[1])
+        # d_n drops the last arrow of the base chain, so g takes it on
+        proj, chains = X.proj.comp[n], NC.keys[n]
+        return lambda key: (table[key[0]],
+                            C.table[key[1], chains[proj[key[0]]][n - 1]])
 
-    def deg_key(n, i, key):
-        x, g = key
-        return (X.sset.degens[n][i][x], g)
-
-    total = KeyedSSet(cap, *keyed_tables(cap, keys, face_key, deg_key))
+    total = KeyedSSet(cap, *keyed_tables(cap, keys, op))
     marked = frozenset(s for s in total.simplices(1)
                        if total.key_of(1, s)[0] in X.marked.marked)
     value = MarkedSSet(total, marked)

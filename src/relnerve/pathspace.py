@@ -21,8 +21,9 @@ from .fincat import (RelNerveObject, SSetDiagram, chain_arrow,
                      chain_object_of_key, fiber_onto_value, nerve,
                      over_nerve)
 from .sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
-                   TruncationError, codegen_tuple, coface_tuple, keyed_tables,
-                   shared_simplex, shared_vertex_map)
+                   TruncationError, TruncSSet, codegen_tuple, coface_tuple,
+                   keyed_tables, operator_tables, shared_simplex,
+                   shared_vertex_map)
 
 
 # -- shared caches within one construction ----------------------------------
@@ -93,12 +94,12 @@ class PathSpace:
         self.arrows = [chain_arrow(C, sigma_key, n, i - 1, i)
                        for i in range(1, n + 1)]
         keys = [self._tuples(m) for m in range(mcap + 1)]
-        self.sset = KeyedSSet(mcap, *keyed_tables(
-            mcap, keys,
-            lambda m, j, k: tuple(self.exps[i].faces[m][j][k[i]]
-                                  for i in range(n + 1)),
-            lambda m, j, k: tuple(self.exps[i].degens[m][j][k[i]]
-                                  for i in range(n + 1))))
+
+        def op(m, j, d):
+            tables = [e.operator(m, j, d) for e in self.exps]
+            return lambda k: tuple([t[c] for t, c in zip(tables, k)])
+
+        self.sset = KeyedSSet(mcap, *keyed_tables(mcap, keys, op))
 
     def _tuples(self, m):
         exps, cache = self.exps, self.cache
@@ -128,9 +129,8 @@ def path_structure_map(F, sigma_key, n, i, kind, mcap):
         raise SSetError("unknown operator kind %r" % (kind,))
     if not 0 <= i <= n or n + shift < 0:
         raise SSetError("%s index out of range" % kind)
-    ops = NC.faces[n] if shift < 0 else NC.degens[n]
-    tgt = PathSpace(F, NC.key_of(n + shift, ops[i][NC.id_of(n, sigma_key)]),
-                    n + shift, mcap, cache)
+    tgt = PathSpace(F, NC.key_of(n + shift, NC.operator(n, i, shift)[
+        NC.id_of(n, sigma_key)]), n + shift, mcap, cache)
     comp = []
     for m in range(mcap + 1):
         transport = _transport(src, tgt, m, i, kind)
@@ -186,18 +186,18 @@ def path_space_zigzag(F, sigma_key, n, mcap):
 
 @dataclass
 class SimplicialSpace:
-    bisset: BiTruncSSet
+    bisset: BiTruncSSet             # rows[m]: KeyedSSet of (sigma_id, tuple)
     base_nerve: object
     proj: list                      # proj[n][m][s] -> base simplex id
     spaces: list                    # spaces[n][sigma_id] -> PathSpace
-    rows: list                      # rows[m]: KeyedSSet of (sigma_id, tuple)
 
 
 def simplicial_space(F, ncap, mcap):
     """Row m is the total space over the base nerve of the degree-m path
     space simplices, with the path-space face/degeneracy formulas as its
-    horizontal operators; the vertical operators are those of each path
-    space."""
+    horizontal operators; column n is the disjoint union of the path spaces
+    over the n-simplices of the base, with their operators as its vertical
+    ones."""
     NC = nerve(F.shape, ncap)
     cache = _ExpCache(F.cap)
     spaces = [[PathSpace(F, k, n, mcap, cache) for k in NC.keys[n]]
@@ -219,49 +219,42 @@ def simplicial_space(F, ncap, mcap):
 
     rows, projs = zip(*[row(m) for m in range(mcap + 1)])
 
-    def vertical(n, m, j, to, ops):
+    def column(n):
         # the fibre of a row over sigma lists its path space in id order
-        out, offset = [], 0
-        for ps in spaces[n]:
-            out += map(offset.__add__, ops(ps.sset)[m][j])
-            offset += ps.sset.counts[to]
-        return out
+        def vertical(m, j, d):
+            out, offset = [], 0
+            for ps in spaces[n]:
+                out += map(offset.__add__, ps.sset.operator(m, j, d))
+                offset += ps.sset.counts[m + d]
+            return out
+        return TruncSSet(mcap, [sum(ps.sset.counts[m] for ps in spaces[n])
+                                for m in range(mcap + 1)],
+                         *operator_tables(mcap, vertical))
 
-    ms = range(mcap + 1)
-    counts = [[rows[m].counts[n] for m in ms] for n in range(ncap + 1)]
-    hfaces = [None] + [[rows[m].faces[n] for m in ms]
-                       for n in range(1, ncap + 1)]
-    hdegens = [[rows[m].degens[n] for m in ms] for n in range(ncap)]
-    vfaces = [[None] + [[vertical(n, m, j, m - 1, lambda X: X.faces)
-                         for j in range(m + 1)] for m in range(1, mcap + 1)]
-              for n in range(ncap + 1)]
-    vdegens = [[[vertical(n, m, j, m + 1, lambda X: X.degens)
-                 for j in range(m + 1)] for m in range(mcap)]
-               for n in range(ncap + 1)]
-    B = BiTruncSSet(ncap, mcap, counts, hfaces, hdegens, vfaces, vdegens)
-    proj = [[projs[m].comp[n] for m in ms] for n in range(ncap + 1)]
-    return SimplicialSpace(B, NC, proj, spaces, list(rows))
+    B = BiTruncSSet(list(rows), [column(n) for n in range(ncap + 1)])
+    proj = [[p.comp[n] for p in projs] for n in range(ncap + 1)]
+    return SimplicialSpace(B, NC, proj, spaces)
 
 
 def space_projection_ok(S):
-    """The map to Delta[0] box N(D) commutes with all four operator families."""
+    """The map to Delta[0] box N(D) commutes with all four operator families:
+    a horizontal operator moves the base simplex by the nerve's, a vertical
+    one keeps it."""
     B, NC, P = S.bisset, S.base_nerve, S.proj
     for n in range(B.hcap + 1):
         for m in range(B.vcap + 1):
-            for s in range(B.counts[n][m]):
-                base = P[n][m][s]
-                for i in range(n + 1):
-                    if n > 0 and P[n - 1][m][B.hface(n, m, i, s)] != \
-                            NC.faces[n][i][base]:
+            for d in (-1, 1):
+                hs = range(n + 1) if 0 <= n + d <= B.hcap else ()
+                vs = range(m + 1) if 0 <= m + d <= B.vcap else ()
+                for i in hs:
+                    base, to = NC.operator(n, i, d), P[n + d][m]
+                    if any(to[t] != base[b] for t, b in zip(
+                            B.rows[m].operator(n, i, d), P[n][m])):
                         return False
-                    if n < B.hcap and P[n + 1][m][B.hdegen(n, m, i, s)] != \
-                            NC.degens[n][i][base]:
-                        return False
-                for j in range(m + 1):
-                    if m > 0 and P[n][m - 1][B.vface(n, m, j, s)] != base:
-                        return False
-                    if m < B.vcap and P[n][m + 1][B.vdegen(n, m, j, s)] != \
-                            base:
+                for j in vs:
+                    to = P[n][m + d]
+                    if any(to[t] != b for t, b in zip(
+                            B.columns[n].operator(m, j, d), P[n][m])):
                         return False
     return True
 
@@ -384,16 +377,14 @@ def relative_nerve_direct(F, cap):
                          tuple(image.index(vmap[v]) for v in J)))
         return plan
 
-    # a coface maps each subposet isomorphically onto its image, so d_i
-    # keeps the simplex at the image of each subposet
-    face_at = [None] + [[[p for _, p, _, _ in restriction(
-        n, n - 1, coface_tuple(n, i))] for i in range(n + 1)]
-        for n in range(1, cap + 1)]
-    degen_plans = [[restriction(n, n + 1, codegen_tuple(n, i))
-                    for i in range(n + 1)] for n in range(cap)]
+    face_plans, degen_plans = operator_tables(cap, lambda n, i, d: restriction(
+        n, n + d, (coface_tuple if d < 0 else codegen_tuple)(n, i)))
 
     def face(n, i, k, new_k):
-        return _columnwise(lambda cols: [cols[p] for p in face_at[n][i]])
+        # a coface maps each subposet isomorphically onto its image, so d_i
+        # keeps the simplex at the image of each subposet
+        at = [p for _, p, _, _ in face_plans[n][i]]
+        return _columnwise(lambda cols: [cols[p] for p in at])
 
     def degen(n, i, k, new_k):
         # the operator tables of the values along new_k, read once
@@ -463,14 +454,14 @@ def row_identification(S, F, t, ncap):
     """Rem-style identification of the vertical-degree-t row of the
     simplicial space with the relative nerve of the cotensor diagram.
 
-    Returns the mutually-inverse pair between ``S.bisset.row(t)`` and
+    Returns the mutually-inverse pair between ``S.bisset.rows[t]`` and
     ``lurie_grothendieck(F^{Delta[t]}, ncap).total``: the j-th coordinate,
     a degree-t simplex of ``[Delta[j] => Y]``, is transposed to a degree-j
     simplex of ``[Delta[t] => Y]`` and back.
     """
     G, cache = row_cotensor_diagram(F, t, ncap)
     target = lurie_grothendieck(G, ncap)
-    row, keyed = S.bisset.row(t), S.rows[t]
+    row = S.bisset.rows[t]
 
     def transpose(n, sid, coords, forward):
         ps = S.spaces[n][sid]
@@ -481,8 +472,8 @@ def row_identification(S, F, t, ncap):
                 ps.exps, [G.values[o] for o in ps.objects], coords))])
 
     fwd = [[target.total.id_of(n, (sid, transpose(n, sid, tup, True)))
-            for sid, tup in keyed.keys[n]] for n in range(ncap + 1)]
-    bwd = [[keyed.id_of(n, (sid, transpose(n, sid, gamma, False)))
+            for sid, tup in row.keys[n]] for n in range(ncap + 1)]
+    bwd = [[row.id_of(n, (sid, transpose(n, sid, gamma, False)))
             for sid, gamma in target.total.keys[n]] for n in range(ncap + 1)]
     f = SimplicialMap(row, target.total, fwd)
     g = SimplicialMap(target.total, row, bwd)

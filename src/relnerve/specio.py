@@ -14,7 +14,7 @@ from .fincat import CatDiagram, CatFunctor, FinCategory, SSetDiagram
 from .marked import MarkedDiagram, MarkedSSet, MarkError, mark
 from .sset import (SimplicialMap, SSetError, TruncationError, TruncSSet,
                    build_generated, constant_map, generated_size,
-                   identity_map)
+                   identity_map, operator_tables)
 
 # the most simplices, over degrees 0..cap, a generator value may have
 VALUE_BUDGET = 100_000
@@ -90,8 +90,7 @@ def _parse_sset_block(cur, cap, head_ln):
     """The explicit block after a ``value NAME explicit`` line (line
     ``head_ln``), checked against the simplicial identities."""
     counts = {}
-    faces = {}
-    degens = {}
+    given = {}          # (n, i, d): the table of d_i (d = -1) or s_i (d = 1)
     while True:
         ln, toks = cur.take()
         if toks[0] == "end":
@@ -107,39 +106,33 @@ def _parse_sset_block(cur, cap, head_ln):
         elif toks[0] in ("face", "degen"):
             _arity(toks, ln, 3, exact=False)
             # d_i acts on degrees 1..cap, s_i on degrees 0..cap-1
-            lo = 1 if toks[0] == "face" else 0
+            d = -1 if toks[0] == "face" else 1
+            lo = int(d < 0)
             n = _in_range(_to_int(toks[1], ln, "degree"), lo, cap - 1 + lo,
                           "%s degree" % toks[0], ln)
             i = _in_range(_to_int(toks[2], ln, "index"), 0, n,
                           "%s index" % toks[0], ln)
-            (faces if lo else degens)[(n, i)] = (
+            given[n, i, d] = (
                 [_to_int(t, ln, "entry") for t in toks[3:]], ln)
         else:
             raise SpecParseError("unknown directive %r in sset block"
                                  % toks[0], ln)
     clist = [counts.get(n, 0) for n in range(cap + 1)]
-    tables = []
-    # d_i: degree n -> n - 1 for n in 1..cap, s_i: n -> n + 1 for n < cap
-    for what, given, lo, to in (("face", faces, 1, -1),
-                                ("degeneracy", degens, 0, 1)):
-        tables.append([None] * lo)
-        for n in range(lo, cap + lo):
-            tabs = []
-            for i in range(n + 1):
-                if (n, i) not in given:
-                    if clist[n]:
-                        raise SpecParseError("missing %s table %d %d"
-                                             % (what, n, i), head_ln)
-                    tabs.append([])
-                    continue
-                row, ln = given[(n, i)]
-                if len(row) != clist[n] or \
-                        any(v >= clist[n + to] or v < 0 for v in row):
-                    raise SpecParseError("bad %s table %d %d" % (what, n, i),
-                                         ln)
-                tabs.append(row)
-            tables[-1].append(tabs)
-    X = TruncSSet(cap, clist, *tables)
+
+    def table(n, i, d):
+        what = "face" if d < 0 else "degeneracy"
+        if (n, i, d) not in given:
+            if clist[n]:
+                raise SpecParseError("missing %s table %d %d" % (what, n, i),
+                                     head_ln)
+            return []
+        row, ln = given[n, i, d]
+        if len(row) != clist[n] or \
+                any(v >= clist[n + d] or v < 0 for v in row):
+            raise SpecParseError("bad %s table %d %d" % (what, n, i), ln)
+        return row
+
+    X = TruncSSet(cap, clist, *operator_tables(cap, table))
     cert = check_simplicial_identities(X, "explicit")
     if not cert.ok:
         raise SpecParseError("explicit value breaks the simplicial "
@@ -148,24 +141,41 @@ def _parse_sset_block(cur, cap, head_ln):
     return X
 
 
+def _category_line(ln, toks, objs, arrows, composes):
+    """Take an ``object``, ``arrow`` or ``compose`` line, at the top level
+    or in a category block; False for any other directive.  An object name
+    must be new, and ``_build_category`` checks the arrow names."""
+    if toks[0] == "object":
+        for name in toks[1:]:
+            if name in objs:
+                raise SpecParseError("duplicate object name %r" % name, ln)
+            objs.append(name)
+    elif toks[0] in ("arrow", "compose"):
+        _arity(toks, ln, 4)
+        (arrows if toks[0] == "arrow" else composes).append(
+            (toks[1], toks[2], toks[3], ln))
+    else:
+        return False
+    return True
+
+
 def _parse_category_block(cur):
-    objs = []
-    arrows = []          # (name, src, tgt)
-    composes = []        # (g, f, h) names
+    objs, arrows, composes = [], [], []
     while True:
         ln, toks = cur.take()
         if toks[0] == "end":
             break
-        if toks[0] == "object":
-            objs.extend(toks[1:])
-        elif toks[0] in ("arrow", "compose"):
-            _arity(toks, ln, 4)
-            (arrows if toks[0] == "arrow" else composes).append(
-                (toks[1], toks[2], toks[3], ln))
-        else:
+        if not _category_line(ln, toks, objs, arrows, composes):
             raise SpecParseError("unknown directive %r in category block"
                                  % toks[0], ln)
     return _build_category(objs, arrows, composes)
+
+
+def _once(defs, name, what, ln):
+    """Refuse a second ``what`` line for ``name``."""
+    if name in defs:
+        raise SpecParseError("a second %s line for %r, after line %d"
+                             % (what, name, defs[name][-1]), ln)
 
 
 def _build_category(objs, arrows, composes):
@@ -201,9 +211,8 @@ def _build_category(objs, arrows, composes):
 
 
 # directive -> (token count, exact); the count includes the directive
-_ARITY = {"diagram": (2,), "cap": (2,), "arrow": (4,), "compose": (4,),
-          "value": (3, False), "map": (3, False), "marking": (3,),
-          "marked": (2, False)}
+_ARITY = {"diagram": (2,), "cap": (2,), "value": (3, False),
+          "map": (3, False), "marking": (3,), "marked": (2, False)}
 
 # generator -> the names of its integer parameters, in order
 _GENERATORS = {"point": (), "J": (), "delta": ("n",), "boundary": ("n",),
@@ -226,6 +235,8 @@ def parse_spec(text):
         head = toks[0]
         if head in _ARITY:
             _arity(toks, ln, *_ARITY[head])
+        if _category_line(ln, toks, objs, arrows, composes):
+            continue
         if head == "diagram":
             kind = toks[1]
             if kind not in ("sset", "cat", "marked"):
@@ -237,14 +248,10 @@ def parse_spec(text):
             if cap > CAP_BOUND:
                 raise TruncationError("cap %d is above the bound of %d "
                                       "(line %d)" % (cap, CAP_BOUND, ln))
-        elif head == "object":
-            objs.extend(toks[1:])
-        elif head in ("arrow", "compose"):
-            (arrows if head == "arrow" else composes).append(
-                (toks[1], toks[2], toks[3], ln))
         elif head == "value":
             name = toks[1]
             spec = toks[2:]
+            _once(value_defs, name, "value", ln)
             if spec[0] == "explicit" and cap is None:
                 raise SpecParseError("an explicit value needs the 'cap' "
                                      "line before it", ln)
@@ -258,6 +265,7 @@ def parse_spec(text):
         elif head == "map":
             name = toks[1]
             spec = toks[2:]
+            _once(map_defs, name, "map", ln)
             if spec[0] in ("explicit", "functor"):
                 rows = []
                 while True:
@@ -271,6 +279,7 @@ def parse_spec(text):
         elif head == "marking":
             if toks[2] not in ("flat", "sharp", "natural"):
                 raise SpecParseError("unknown marking %r" % toks[2], ln)
+            _once(markings, toks[1], "marking", ln)
             markings[toks[1]] = (toks[2], ln)
         elif head == "marked":
             marked_extra.append(
@@ -289,6 +298,13 @@ def parse_spec(text):
             raise SpecParseError("marking lines need 'diagram marked'", ln)
         if name not in objs:
             raise SpecParseError("marking of unknown object %r" % name, ln)
+    for what, defs, known, kind_of in (
+            ("value", value_defs, objs, "object"),
+            ("map", map_defs, [a[0] for a in arrows], "arrow")):
+        for name, (_, _, ln) in defs.items():
+            if name not in known:
+                raise SpecParseError("%s of unknown %s %r"
+                                     % (what, kind_of, name), ln)
     C = _build_category(objs, arrows, composes)[0]
     from .fincat import CatError, validate_category
     bad = validate_category(C)
@@ -423,10 +439,15 @@ def _assemble_cat(C, value_defs, map_defs, objs):
             if t2[0] not in ("obj", "mor"):
                 raise SpecParseError("expected obj/mor rows", ln2)
             _arity(t2, ln2, 3)
-            if t2[0] == "obj":
-                obj_map[oi_a[t2[1]]] = oi_b[t2[2]]
-            else:
-                mor_map[mi_a[t2[1]]] = mi_b[t2[2]]
+            images, index = (obj_map, (oi_a, oi_b)) if t2[0] == "obj" else \
+                (mor_map, (mi_a, mi_b))
+            for tok, names, o in zip(t2[1:], index, (a, b)):
+                if tok not in names:
+                    raise SpecParseError(
+                        "functor %r row: %r is not %s of the value at %r"
+                        % (name, tok, "an object" if t2[0] == "obj" else
+                           "a morphism", objs[o]), ln2)
+            images[index[0][t2[1]]] = index[1][t2[2]]
         for o in range(values[a].n_objects):
             if obj_map[o] is None:
                 raise SpecParseError("functor %r misses object %s"

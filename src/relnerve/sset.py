@@ -11,6 +11,8 @@ Conventions:
 * ``faces[n][i][s]`` is ``d_i(s)`` for a degree-``n`` simplex ``s``
   (``1 <= n <= cap``, ``0 <= i <= n``).
 * ``degens[n][i][s]`` is ``s_i(s)`` (``0 <= n < cap``, ``0 <= i <= n``).
+* ``operator_tables`` is the only code that lays these tables out, and
+  ``operator(n, i, d)`` reads ``d_i`` (``d = -1``) or ``s_i`` (``d = 1``).
 * Simplex identity is id equality within a fixed ``TruncSSet``.
 """
 
@@ -54,6 +56,11 @@ class TruncSSet:
 
     def simplices(self, n):
         return range(self.counts[n])
+
+    def operator(self, n, i, d):
+        """The table of ``d_i`` (``d = -1``) or ``s_i`` (``d = 1``) on the
+        degree-n simplices, into degree ``n + d``."""
+        return (self.faces if d < 0 else self.degens)[n][i]
 
     # -- degeneracy structure ----------------------------------------------
 
@@ -234,18 +241,16 @@ class SimplicialMap:
         """Return the list of commutation violations (empty iff simplicial)."""
         bad = []
         X, Y = self.domain, self.codomain
-        for n in range(1, X.cap + 1):
-            for s in X.simplices(n):
-                for i in range(n + 1):
-                    if self.comp[n - 1][X.faces[n][i][s]] != \
-                            Y.faces[n][i][self.comp[n][s]]:
-                        bad.append(("face", n, i, s))
-        for n in range(X.cap):
-            for s in X.simplices(n):
-                for i in range(n + 1):
-                    if self.comp[n + 1][X.degens[n][i][s]] != \
-                            Y.degens[n][i][self.comp[n][s]]:
-                        bad.append(("degeneracy", n, i, s))
+        for d, kind in ((-1, "face"), (1, "degeneracy")):
+            lo = int(d < 0)     # d_i acts on degrees 1..cap, s_i on 0..cap-1
+            for n in range(lo, X.cap + lo):
+                ops = [(X.operator(n, i, d), Y.operator(n, i, d))
+                       for i in range(n + 1)]
+                to, here = self.comp[n + d], self.comp[n]
+                for s in X.simplices(n):
+                    for i, (x, y) in enumerate(ops):
+                        if to[x[s]] != y[here[s]]:
+                            bad.append((kind, n, i, s))
         return bad
 
     def is_injective(self):
@@ -309,17 +314,25 @@ class KeyedSSet(TruncSSet):
         return self.index[n][key]
 
 
-def keyed_tables(cap, keys_by_degree, face_key, deg_key):
-    """The arguments of ``KeyedSSet`` after the cap, read off one key at a
-    time: each degree's keys sorted and indexed, and ``face_key(n, i, k)``
-    and ``deg_key(n, i, k)`` called for every key."""
+def operator_tables(cap, table):
+    """The face and degeneracy tables of a ``TruncSSet`` of this cap:
+    ``faces`` is None in degree 0 and ``table(n, i, -1)``, the table of
+    ``d_i`` into degree n - 1, in degrees 1..cap; ``degens`` is ``table(n,
+    i, 1)``, that of ``s_i`` into degree n + 1, in degrees 0..cap-1."""
+    return ([None] + [[table(n, i, -1) for i in range(n + 1)]
+                      for n in range(1, cap + 1)],
+            [[table(n, i, 1) for i in range(n + 1)] for n in range(cap)])
+
+
+def keyed_tables(cap, keys_by_degree, op):
+    """The arguments of ``KeyedSSet`` after the cap: each degree's keys
+    sorted and indexed, and the operator tables read off the keys, where
+    ``op(n, i, d)`` is the function on degree-n keys of ``d_i`` (``d =
+    -1``) or ``s_i`` (``d = 1``)."""
     keys = [sorted(keys_by_degree[n]) for n in range(cap + 1)]
     index = [{k: i for i, k in enumerate(ks)} for ks in keys]
-    faces = [None] + [[[index[n - 1][face_key(n, i, k)] for k in keys[n]]
-                       for i in range(n + 1)] for n in range(1, cap + 1)]
-    degens = [[[index[n + 1][deg_key(n, i, k)] for k in keys[n]]
-               for i in range(n + 1)] for n in range(cap)]
-    return keys, index, faces, degens
+    return (keys, index) + operator_tables(cap, lambda n, i, d: list(map(
+        index[n + d].__getitem__, map(op(n, i, d), keys[n]))))
 
 
 # -- generators ------------------------------------------------------------
@@ -334,8 +347,8 @@ def tuple_sset(cap, keys):
     """Simplices are the vertex tuples ``keys[m]``; ``d_i`` drops entry
     ``i`` and ``s_i`` repeats it, so each list must be closed under both."""
     return KeyedSSet(cap, *keyed_tables(
-        cap, keys, lambda m, i, k: k[:i] + k[i + 1:],
-        lambda m, i, k: k[:i] + (k[i],) + k[i:]))
+        cap, keys, lambda m, i, d: (lambda k: k[:i] + k[i + 1:]) if d < 0
+        else (lambda k: k[:i] + (k[i],) + k[i:])))
 
 
 def standard_simplex(n, cap):
@@ -440,20 +453,12 @@ def product(X, Y):
     cap = X.cap
     counts = [X.counts[n] * Y.counts[n] for n in range(cap + 1)]
 
-    def pid(n, x, y):
-        return x * Y.counts[n] + y
+    def table(n, i, d):
+        # the pair (x, y) has id x * |Y_n| + y
+        width, ys = Y.counts[n + d], Y.operator(n, i, d)
+        return [x * width + y for x in X.operator(n, i, d) for y in ys]
 
-    faces = [None]
-    for n in range(1, cap + 1):
-        faces.append([[pid(n - 1, X.faces[n][i][s // Y.counts[n]],
-                           Y.faces[n][i][s % Y.counts[n]])
-                       for s in range(counts[n])] for i in range(n + 1)])
-    degens = []
-    for n in range(cap):
-        degens.append([[pid(n + 1, X.degens[n][i][s // Y.counts[n]],
-                            Y.degens[n][i][s % Y.counts[n]])
-                        for s in range(counts[n])] for i in range(n + 1)])
-    P = TruncSSet(cap, counts, faces, degens)
+    P = TruncSSet(cap, counts, *operator_tables(cap, table))
     pr1 = SimplicialMap(P, X, [[s // Y.counts[n] for s in range(counts[n])]
                                for n in range(cap + 1)])
     pr2 = SimplicialMap(P, Y, [[s % Y.counts[n] for s in range(counts[n])]
@@ -473,19 +478,9 @@ def disjoint_union(parts):
         offs.append(list(run))
         for n in range(cap + 1):
             run[n] += p.counts[n]
-    faces = [None]
-    for n in range(1, cap + 1):
-        faces.append([
-            [offs[j][n - 1] + p.faces[n][i][s]
-             for j, p in enumerate(parts) for s in range(p.counts[n])]
-            for i in range(n + 1)])
-    degens = []
-    for n in range(cap):
-        degens.append([
-            [offs[j][n + 1] + p.degens[n][i][s]
-             for j, p in enumerate(parts) for s in range(p.counts[n])]
-            for i in range(n + 1)])
-    U = TruncSSet(cap, counts, faces, degens)
+    U = TruncSSet(cap, counts, *operator_tables(cap, lambda n, i, d: [
+        off[n + d] + t for p, off in zip(parts, offs)
+        for t in p.operator(n, i, d)]))
     injections = [
         SimplicialMap(p, U, [[offs[j][n] + s for s in range(p.counts[n])]
                              for n in range(cap + 1)])
@@ -538,11 +533,12 @@ def coequalize_disjoint(parts, relations):
                          injections[jb].comp[n][sb]))
     cls, reps = zip(*(classes(U.counts[n], pairs[n])
                       for n in range(cap + 1)))
-    faces = [None] + [[[cls[n - 1][U.faces[n][i][r]] for r in reps[n]]
-                       for i in range(n + 1)] for n in range(1, cap + 1)]
-    degens = [[[cls[n + 1][U.degens[n][i][r]] for r in reps[n]]
-               for i in range(n + 1)] for n in range(cap)]
-    Q = TruncSSet(cap, [len(r) for r in reps], faces, degens)
+
+    def table(n, i, d):
+        op, to = U.operator(n, i, d), cls[n + d]
+        return [to[op[r]] for r in reps[n]]
+
+    Q = TruncSSet(cap, [len(r) for r in reps], *operator_tables(cap, table))
     maps = [SimplicialMap(p, Q, [[cls[n][t] for t in inj.comp[n]]
                                  for n in range(cap + 1)])
             for p, inj in zip(parts, injections)]
@@ -597,16 +593,13 @@ def sub_sset(X, selected):
     """
     sel = [sorted(selected[n]) for n in range(X.cap + 1)]
     index = [{s: i for i, s in enumerate(sn)} for sn in sel]
-    counts = [len(sn) for sn in sel]
-    faces = [None]
-    for n in range(1, X.cap + 1):
-        faces.append([[index[n - 1][X.faces[n][i][s]] for s in sel[n]]
-                      for i in range(n + 1)])
-    degens = []
-    for n in range(X.cap):
-        degens.append([[index[n + 1][X.degens[n][i][s]] for s in sel[n]]
-                       for i in range(n + 1)])
-    S = TruncSSet(X.cap, counts, faces, degens)
+
+    def table(n, i, d):
+        op, to = X.operator(n, i, d), index[n + d]
+        return [to[op[s]] for s in sel[n]]
+
+    S = TruncSSet(X.cap, [len(sn) for sn in sel],
+                  *operator_tables(X.cap, table))
     inc = SimplicialMap(S, X, [list(sel[n]) for n in range(X.cap + 1)])
     return S, inc
 
@@ -798,16 +791,10 @@ class Exponential(KeyedSSet):
             filt = None if admissible is None else \
                 functools.partial(admissible, prism)
             keys.append(sorted(_search(prism[0], Y, filt)))
-        face_plans = [None] + [
-            [X.prism_plan(n, coface_tuple(n, i)) for i in range(n + 1)]
-            for n in range(1, cap_out + 1)]
-        degen_plans = [
-            [X.prism_plan(n, codegen_tuple(n, i)) for i in range(n + 1)]
-            for n in range(cap_out)]
         super().__init__(cap_out, *keyed_tables(
-            cap_out, keys,
-            lambda n, i, k: apply_plan(face_plans[n][i], k, Y),
-            lambda n, i, k: apply_plan(degen_plans[n][i], k, Y)))
+            cap_out, keys, lambda n, i, d: functools.partial(
+                apply_plan, X.prism_plan(n, (coface_tuple if d < 0 else
+                                             codegen_tuple)(n, i)), Y=Y)))
 
     def table(self, n, s):
         """The full value table of the map ``s``, a tuple per degree."""

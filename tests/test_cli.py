@@ -137,6 +137,12 @@ _BAD_MARKINGS = (_MARKED + "marking zz sharp\n",
                  _MARKED.replace("cap 2", "cap 1") + "marking a natural\n",
                  _MARKED.replace("marked", "sset") + "marking a sharp\n")
 
+with open(fixture("span_cat.rnspec")) as fh:
+    _SPAN_CAT = fh.read()
+# functor rows naming an object or a morphism their value does not have
+_BAD_FUNCTOR_ROWS = tuple(_SPAN_CAT.replace("  obj u x\n", row) for row in
+                          ("  obj w x\n", "  obj u x\n  mor zz x\n"))
+
 
 def test_cli_parse_error_exit_2(tmp_path, capsys):
     one = "diagram sset\ncap 2\nobject a\n"
@@ -171,7 +177,8 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
                  _README_SPEC.replace("end", "degen 1 0 0\nend"),
                  _README_SPEC.replace("end", "degen 0 1 0 1\nend"),
                  _TWO_POINTS + "map f explicit\nrow 0 0 1\nrow 1 0 1\n"
-                 "row 2 0 1\nrow 3 0 1\nend\n") + _BAD_MARKINGS:
+                 "row 2 0 1\nrow 3 0 1\nend\n") + _BAD_MARKINGS + \
+            _BAD_FUNCTOR_ROWS:
         bad = tmp_path / "bad.rnspec"
         bad.write_text(body)
         code = main(["build", "relnerve", "--input", str(bad), "--cap", "2"])
@@ -181,6 +188,47 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
             len(err.splitlines()) == 1, body
         if body in _BAD_MARKINGS:
             assert err.rstrip().endswith("(line 5)"), body
+
+
+@pytest.mark.parametrize("name,old,new,message", [
+    ("span", "object a b c\n", "object a b c a\n",
+     "duplicate object name 'a' (line 6)"),
+    ("span_cat", "  object u v\n", "  object u v u\n",
+     "duplicate object name 'u' (line 16)"),
+    ("span", "", "value a point\n",
+     "a second value line for 'a', after line 10 (line 16)"),
+    ("span", "", "map p constant 0\n",
+     "a second map line for 'p', after line 14 (line 16)"),
+    ("interval_diagram_sharp", "", "marking a flat\n",
+     "a second marking line for 'a', after line 14 (line 16)"),
+    ("span", "", "value z point\n", "value of unknown object 'z' (line 16)"),
+    ("span", "", "map zz constant 0\n", "map of unknown arrow 'zz' (line 16)"),
+    ("span_cat", "  obj u x\n", "  obj w x\n",
+     "functor 'p' row: 'w' is not an object of the value at 'c' (line 20)"),
+    ("span_cat", "  obj u x\n", "  obj u z\n",
+     "functor 'p' row: 'z' is not an object of the value at 'a' (line 20)"),
+    ("span_cat", "  obj u x\n", "  obj u x\n  mor zz x\n",
+     "functor 'p' row: 'zz' is not a morphism of the value at 'c' "
+     "(line 21)")],
+    ids=["object", "block-object", "value", "map", "marking",
+         "unknown-value", "unknown-map", "functor-source-object",
+         "functor-target-object", "functor-morphism"])
+def test_cli_names_are_unique_and_known(tmp_path, capsys, name, old, new,
+                                        message):
+    # the fixture with ``old`` replaced by ``new``, or ``new`` appended
+    with open(fixture(name + ".rnspec")) as fh:
+        text = fh.read()
+    assert old in text
+    spec = tmp_path / "names.rnspec"
+    spec.write_text(text.replace(old, new, 1) if old else text + new)
+    assert main(["build", "groth-classic" if name == "span_cat" else
+                 "relnerve", "--input", str(spec)]) == 2
+    assert capsys.readouterr().err == "parse error: %s\n" % message
+
+
+def test_repeated_marked_lines_add_up():
+    spec = parse_spec(_MARKED + "marked a 1\nmarked a 2\n")
+    assert {1, 2} <= spec.diagram.values[0].marked
 
 
 # the point as an explicit block (line 4 heads it), and the block with one

@@ -217,7 +217,15 @@ def _reference_nerve(C, cap):
         obj = chain_object_of_key(C, key, n, i)
         return key[:i] + (C.identity[obj],) + key[i:]
 
-    return KeyedSSet(cap, *keyed_tables(cap, keys, face_key, degen_key))
+    return KeyedSSet(cap, *keyed_tables(cap, keys, _per_key(face_key,
+                                                            degen_key)))
+
+
+def _per_key(face_key, degen_key):
+    """The ``op`` of ``keyed_tables`` that calls ``face_key(n, i, key)`` or
+    ``degen_key(n, i, key)`` on each key."""
+    return lambda n, i, d: lambda key: (face_key if d < 0 else degen_key)(
+        n, i, key)
 
 
 def _reference_over_nerve(NC, cap, fiber, face, degen):
@@ -239,7 +247,8 @@ def _reference_over_nerve(NC, cap, fiber, face, degen):
         return tid, list(degen(n, i, NC.keys[n][sid],
                                NC.keys[n + 1][tid])([p]))[0]
 
-    total = KeyedSSet(cap, *keyed_tables(cap, keys, face_key, degen_key))
+    total = KeyedSSet(cap, *keyed_tables(cap, keys, _per_key(face_key,
+                                                             degen_key)))
     return total, [[key[0] for key in ks] for ks in total.keys]
 
 

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module of the package imports is used
 (``__init__.py`` is exempt; its imports are the package's re-exports),
 every function, class and method it defines is named somewhere, and the
-compact-key format of mapping objects stays inside ``sset``."""
+compact-key format of mapping objects and the layout of the face and
+degeneracy tables stay inside ``sset``."""
 
 import ast
 import functools
@@ -113,3 +114,28 @@ def test_compact_keys_stay_in_the_kernel(name):
     with open(os.path.join(SRC, name), encoding="utf-8") as fh:
         assert re.findall(r"\b(%s)\b" % "|".join(KEY_FORMAT), fh.read()) \
             == []
+
+
+def layout_spellings(source):
+    """The lines of ``source`` that lay out face tables by hand: a name
+    with ``face`` in it set to a list that starts ``[None]``, the empty
+    degree 0 that ``sset.operator_tables`` writes."""
+    return [line.strip() for line in source.splitlines()
+            if re.search(r"\w*face\w*\s*=\s*\[*\[None\]", line)]
+
+
+@pytest.mark.parametrize("name", sorted(
+    n for n in os.listdir(SRC) if n.endswith(".py") and n != "sset.py"))
+def test_operator_layout_stays_in_the_kernel(name):
+    with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+        assert layout_spellings(fh.read()) == []
+
+
+def test_layout_spelling_is_found():
+    source = ("faces = [None]\nhfaces = [None] + [t(n) for n in ns]\n"
+              "vfaces = [[None] + [t(n, m)] for m in ms]\n"
+              "boundaries = [None] + [t(n) for n in ns]\n"
+              "faces = operator_tables(cap, table)[0]\n")
+    assert layout_spellings(source) == [
+        "faces = [None]", "hfaces = [None] + [t(n) for n in ns]",
+        "vfaces = [[None] + [t(n, m)] for m in ms]"]

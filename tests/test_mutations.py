@@ -68,11 +68,11 @@ def test_bisimplicial_audit_fails_on_each_mixed_family():
     # rows and columns stay simplicial: a vertical s_0 (resp. horizontal
     # s_0) of the circle's vertex is sent to the loop in one column (row)
     B = box_product(standard_simplex(1, 1), _circle())
-    B.vdegens[1][0][0][0] = 1
+    B.columns[1].degens[0][0][0] = 1
     cert = check_bisimplicial(B)
     assert not cert.ok and cert.witness[0] == "dh-sv"
     B = box_product(_circle(), standard_simplex(1, 1))
-    B.hdegens[0][1][0][1] = 4
+    B.rows[1].degens[0][0][1] = 4
     cert = check_bisimplicial(B)
     assert not cert.ok and cert.witness[0] == "dv-sh"
 

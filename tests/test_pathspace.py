@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (arrow_diagram, identity_arrow_diagram, span_diagram,
                       terminal_diagram)
-from relnerve.bisset import box_product, i1_star
+from relnerve.bisset import BiTruncSSet, box_product, i1_star
 from relnerve.certify import (check_bisimplicial, check_simplicial_identities,
                               verify_iso_map)
 from relnerve.fincat import (arrow_category, constant_diagram, nerve,
@@ -17,9 +17,10 @@ from relnerve.pathspace import (PathSpace, compare_relnerve_iso, fiber_at,
                                 row_identification, simplicial_space,
                                 space_projection_ok)
 from relnerve.randomgen import SuiteBounds, random_sset_diagram
-from relnerve.sset import (Exponential, TruncationError, boundary,
-                           constant_map, disjoint_union, shared_simplex,
-                           shared_vertex_map, standard_simplex)
+from relnerve.sset import (Exponential, SSetError, TruncationError, boundary,
+                           constant_map, discrete, disjoint_union,
+                           shared_simplex, shared_vertex_map,
+                           standard_simplex)
 
 
 # -- path spaces ---------------------------------------------------------------
@@ -212,7 +213,7 @@ def test_columns_are_disjoint_unions_of_path_spaces():
     for F in (span_diagram(4), random_sset_diagram(rng, SuiteBounds())):
         S = simplicial_space(F, 2, 2)
         for n in range(3):
-            col = S.bisset.column(n)
+            col = S.bisset.columns[n]
             U, _ = disjoint_union([ps.sset for ps in S.spaces[n]])
             assert col.counts == U.counts
             assert col.faces == U.faces and col.degens == U.degens
@@ -242,6 +243,35 @@ def test_box_product_shape():
         for m in range(3):
             assert B.counts[n][m] == K.counts[n] * L.counts[m]
     assert check_bisimplicial(B).ok
+
+
+def test_box_product_rows_and_columns_share_ids():
+    # (x, y) has id x * |L_m| + y both in row m and in column n
+    K, L = standard_simplex(1, 2), boundary(2, 2)
+    B = box_product(K, L)
+    for n in range(3):
+        for m in range(3):
+            pairs = [(x, y) for x in K.simplices(n) for y in L.simplices(m)]
+            for d in (-1, 1):
+                for i in range(n + 1 if 0 <= n + d <= 2 else 0):
+                    op = K.operator(n, i, d)
+                    assert B.rows[m].operator(n, i, d) == [
+                        op[x] * L.counts[m] + y for x, y in pairs]
+                for j in range(m + 1 if 0 <= m + d <= 2 else 0):
+                    op = L.operator(m, j, d)
+                    assert B.columns[n].operator(m, j, d) == [
+                        x * L.counts[m + d] + op[y] for x, y in pairs]
+
+
+def test_rows_and_columns_must_agree():
+    rows = [discrete(2, 1)]                     # hcap 1, vcap 0
+    assert BiTruncSSet(rows, [discrete(2, 0)] * 2).counts == [[2], [2]]
+    with pytest.raises(SSetError):
+        BiTruncSSet(rows, [discrete(2, 0), discrete(3, 0)])
+    with pytest.raises(SSetError):
+        BiTruncSSet(rows, [discrete(2, 1)] * 2)
+    with pytest.raises(SSetError):
+        BiTruncSSet(rows, [discrete(2, 0)] * 3)
 
 
 # -- the relative nerve --------------------------------------------------------

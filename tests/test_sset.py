@@ -17,8 +17,8 @@ from relnerve.sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
                            delta_map, discrete, enumerate_maps, first_map,
                            generated_size, horn,
                            identity_map, invert_bijection, keyed_tables,
-                           product, pushout, restrict, standard_simplex,
-                           sub_sset, walking_iso)
+                           operator_tables, product, pushout, restrict,
+                           standard_simplex, sub_sset, walking_iso)
 
 
 def binomial(n, k):
@@ -243,6 +243,30 @@ def test_product_unit_and_swap():
     from relnerve.sset import SimplicialMap
     sw = SimplicialMap(XY, YX, swap)
     assert not sw.validate() and sw.is_bijective()
+
+
+def test_operator_tables_layout_and_operator():
+    faces, degens = operator_tables(2, lambda n, i, d: (n, i, d))
+    assert faces == [None, [(1, 0, -1), (1, 1, -1)],
+                     [(2, 0, -1), (2, 1, -1), (2, 2, -1)]]
+    assert degens == [[(0, 0, 1)], [(1, 0, 1), (1, 1, 1)]]
+    X = standard_simplex(2, 2)
+    assert X.operator(2, 1, -1) is X.faces[2][1]
+    assert X.operator(1, 0, 1) is X.degens[1][0]
+
+
+def test_product_ids_are_pairs():
+    # the pair (x, y) has id x * |Y_n| + y in every degree, so each
+    # operator acts on both coordinates
+    X, Y = boundary(2, 2), standard_simplex(1, 2)
+    P, _, _ = product(X, Y)
+    for n in range(3):
+        for d in (-1, 1):
+            for i in range(n + 1 if 0 <= n + d <= 2 else 0):
+                x, y = X.operator(n, i, d), Y.operator(n, i, d)
+                assert P.operator(n, i, d) == [
+                    x[a] * Y.counts[n + d] + y[b]
+                    for a in X.simplices(n) for b in Y.simplices(n)]
 
 
 def test_classes_numbered_by_least_member():
@@ -490,9 +514,8 @@ class FullTableExponential(KeyedSSet):
             [precomposition(n, n + 1, codegen_tuple(n, i))
              for i in range(n + 1)] for n in range(cap_out)]
         super().__init__(cap_out, *keyed_tables(
-            cap_out, tables,
-            lambda n, i, k: precompose(k, face_pms[n][i]),
-            lambda n, i, k: precompose(k, degen_pms[n][i])))
+            cap_out, tables, lambda n, i, d: lambda k: precompose(
+                k, (face_pms if d < 0 else degen_pms)[n][i])))
 
     def table(self, n, s):
         return self.keys[n][s]
