@@ -356,19 +356,21 @@ class _FibreIndex:
         return self.ids[sid][p]
 
 
-def over_nerve(NC, cap, fiber, face, degen):
+def over_nerve(NC, cap, fiber, op):
     """The KeyedSSet of keys (sid, p), p in ``fiber(n, key)`` for the chain
     key of sid, with its projection to the nerve NC.
 
     Each fibre must be listed in sorted order.  The key (sid, p) then has
     id offset + position: the number of simplices over the base simplices
     before sid, plus the place of p in its fibre, which is its place among
-    all the sorted keys.  d_i and s_i move sid by the operators of NC, the
-    nerve rule, and the whole fibre over sid by the map p -> new p that
-    ``face(n, i, key, new_key)`` and ``degen(n, i, key, new_key)`` return,
-    given the chain keys before and after: a function from the fibre over
-    key, as listed, to an iterable of its images over new_key, in the same
-    order.  So each rule is called once per base simplex and operator.
+    all the sorted keys.  d_i (``d = -1``) and s_i (``d = 1``) move sid by
+    the operators of NC, the nerve rule, and p by the reads that ``op(n, i,
+    d, key, new_key)`` returns, given the chain keys before and after: one
+    ``(k, table)`` per entry of the new p, which is ``p[k]`` when ``table``
+    is None and ``table[p[k]]`` otherwise.  A fibre of scalars, not tuples,
+    is read as its one column, k = 0.  So ``op`` is called once per base
+    simplex and operator, and each fibre is split into columns once per
+    degree.
     """
     fibres, index = [], []
     for n in range(cap + 1):
@@ -383,20 +385,32 @@ def over_nerve(NC, cap, fiber, face, degen):
         fibres.append(fibs)
         index.append(_FibreIndex(ids))
 
-    def table(n, i, d):
-        ids, targets = index[n + d].ids, NC.operator(n, i, d)
-        rule, base, to = face if d < 0 else degen, NC.keys[n], NC.keys[n + d]
-        row = []
-        for sid, fib in enumerate(fibres[n]):
-            if fib:
+    # the tables are laid out empty, then filled one degree at a time
+    faces, degens = operator_tables(cap, lambda n, i, d: [])
+    for n in range(cap + 1):
+        ops = [(i, d, NC.operator(n, i, d), NC.keys[n + d], index[n + d].ids,
+                (faces if d < 0 else degens)[n][i])
+               for d in (-1, 1) if 0 <= n + d <= cap for i in range(n + 1)]
+        for sid, (key, fib) in enumerate(zip(NC.keys[n], fibres[n])):
+            if not fib:
+                continue
+            tuples = isinstance(fib[0], tuple)
+            cols = list(zip(*fib)) if tuples else None
+            for i, d, targets, to, ids, row in ops:
                 t = targets[sid]
-                row += map(ids[t].__getitem__,
-                           rule(n, i, base[sid], to[t])(fib))
-        return row
+                reads = op(n, i, d, key, to[t])
+                if tuples:
+                    new = zip(*[cols[k] if table is None
+                                else map(table.__getitem__, cols[k])
+                                for k, table in reads])
+                else:               # the one read of a scalar fibre
+                    (_, table), = reads
+                    new = fib if table is None else map(table.__getitem__, fib)
+                row += map(ids[t].__getitem__, new)
 
     keys = [[(sid, p) for sid, fib in enumerate(fibs) for p in fib]
             for fibs in fibres]
-    total = KeyedSSet(cap, keys, index, *operator_tables(cap, table))
+    total = KeyedSSet(cap, keys, index, faces, degens)
     proj = SimplicialMap(total, NC, [[sid for sid, _ in keys[n]]
                                      for n in range(cap + 1)])
     return total, proj

@@ -31,19 +31,15 @@ def bar_hocolim(F, cap):
     def value(n, k):
         return U.values[chain_object_of_key(C, k, n, 0)]
 
-    def face(n, i, k, nk):
-        d = value(n, k).faces[n][i]
-        if i:
-            return lambda xs: map(d.__getitem__, xs)
-        transport = U.maps[k[0]].comp[n - 1]
-        return lambda xs: map(transport.__getitem__, map(d.__getitem__, xs))
-
-    def degen(n, i, k, nk):
-        s = value(n, k).degens[n][i]
-        return lambda xs: map(s.__getitem__, xs)
+    def op(n, i, d, k, nk):
+        table = value(n, k).operator(n, i, d)
+        if d < 0 and not i:
+            transport = U.maps[k[0]].comp[n - 1]
+            table = list(map(transport.__getitem__, table))
+        return [(0, table)]
 
     total, proj = over_nerve(
-        NC, cap, lambda n, k: value(n, k).simplices(n), face, degen)
+        NC, cap, lambda n, k: value(n, k).simplices(n), op)
     marked = None if U is F else frozenset(
         s for s, (sid, x) in enumerate(total.keys[1])
         if x in F.values[C.src[NC.keys[1][sid][0]]].marked)

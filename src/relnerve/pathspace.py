@@ -21,9 +21,9 @@ from .fincat import (RelNerveObject, SSetDiagram, chain_arrow,
                      chain_object_of_key, fiber_onto_value, nerve,
                      over_nerve)
 from .sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
-                   TruncationError, TruncSSet, codegen_tuple, coface_tuple,
-                   keyed_tables, operator_tables, shared_simplex,
-                   shared_vertex_map)
+                   TruncationError, codegen_tuple, coface_tuple,
+                   disjoint_union, keyed_tables, operator_tables,
+                   shared_simplex, shared_vertex_map)
 
 
 # -- shared caches within one construction ----------------------------------
@@ -133,29 +133,29 @@ def path_structure_map(F, sigma_key, n, i, kind, mcap):
         NC.id_of(n, sigma_key)]), n + shift, mcap, cache)
     comp = []
     for m in range(mcap + 1):
-        transport = _transport(src, tgt, m, i, kind)
-        comp.append([tgt.sset.id_of(m, transport(tup))
-                     for tup in src.sset.keys[m]])
+        reads = _transport(src, m, i, shift)
+        comp.append([tgt.sset.id_of(m, tuple([
+            tup[k] if ids is None else ids[tup[k]] for k, ids in reads]))
+            for tup in src.sset.keys[m]])
     return SimplicialMap(src.sset, tgt.sset, comp), src, tgt
 
 
-def _transport(src, tgt, m, i, kind):
-    """The i-th face/degeneracy on the degree-m tuples of ``src``: the
-    coordinates before i are kept, with their ids, as ``src`` and ``tgt``
-    share their cache; the others are restricted from the neighbouring
-    coordinate along a coface/codegeneracy."""
-    face = kind == "face"
+def _transport(src, m, i, d):
+    """The reads (see ``over_nerve``) of d_i (``d = -1``) or s_i (``d =
+    1``) on the degree-m tuples of ``src``: the coordinates before i are
+    kept, with their ids, as the path spaces of one construction share
+    their cache; the others are restricted from the neighbouring coordinate
+    along a coface/codegeneracy."""
     reads = []
-    for j in range(src.n if face else src.n + 2):
-        if j < i or (j == i and not face):
+    for j in range(src.n + 1 + d):
+        if j < i or (j == i and d > 0):
             reads.append((j, None))
         else:
-            k = j + 1 if face else j - 1
-            vmap = coface_tuple(k, i) if face else codegen_tuple(k, i)
+            k = j - d
+            vmap = coface_tuple(k, i) if d < 0 else codegen_tuple(k, i)
             reads.append((k, src.cache.restriction(src.exps[k],
                                                    vmap).comp[m]))
-    return lambda tup: tuple([tup[k] if ids is None else ids[tup[k]]
-                              for k, ids in reads])
+    return reads
 
 
 def path_space_zigzag(F, sigma_key, n, mcap):
@@ -207,31 +207,15 @@ def simplicial_space(F, ncap, mcap):
         return spaces[n][NC.id_of(n, k)]
 
     def row(m):
-        def transport(kind, shift):
-            def rule(n, i, k, nk):
-                transport = _transport(space(n, k), space(n + shift, nk), m,
-                                       i, kind)
-                return lambda tups: list(map(transport, tups))
-            return rule
-
         return over_nerve(NC, ncap, lambda n, k: space(n, k).sset.keys[m],
-                          transport("face", -1), transport("degeneracy", 1))
+                          lambda n, i, d, k, nk: _transport(space(n, k), m,
+                                                            i, d))
 
     rows, projs = zip(*[row(m) for m in range(mcap + 1)])
-
-    def column(n):
-        # the fibre of a row over sigma lists its path space in id order
-        def vertical(m, j, d):
-            out, offset = [], 0
-            for ps in spaces[n]:
-                out += map(offset.__add__, ps.sset.operator(m, j, d))
-                offset += ps.sset.counts[m + d]
-            return out
-        return TruncSSet(mcap, [sum(ps.sset.counts[m] for ps in spaces[n])
-                                for m in range(mcap + 1)],
-                         *operator_tables(mcap, vertical))
-
-    B = BiTruncSSet(list(rows), [column(n) for n in range(ncap + 1)])
+    # the fibre of a row over sigma lists its path space in id order
+    columns = [disjoint_union([ps.sset for ps in spaces[n]])[0]
+               for n in range(ncap + 1)]
+    B = BiTruncSSet(list(rows), columns)
     proj = [[p.comp[n] for p in projs] for n in range(ncap + 1)]
     return SimplicialSpace(B, NC, proj, spaces)
 
@@ -261,14 +245,6 @@ def space_projection_ok(S):
 
 # -- the relative nerve (two constructions) ----------------------------------
 
-def _columnwise(columns_map):
-    """The map on lists of equal-length tuples that applies
-    ``columns_map`` to their columns and returns the rows of the columns it
-    gives."""
-    return lambda rows: list(zip(*columns_map(list(zip(*rows))))) \
-        if rows else []
-
-
 def lurie_grothendieck(F, cap):
     """The zeroth-row construction: n-simplices are pairs (sigma, beta) with
     beta_i an i-simplex of the value at sigma(i), each beta_{i-1} transported
@@ -293,21 +269,13 @@ def lurie_grothendieck(F, cap):
                       for y in by_face.get(fmap.comp[i - 1][t[-1]], ())]
         return tuples
 
-    def face(n, i, k, nk):
-        # beta_j for j >= i is d_i of beta_{j+1}
+    def op(n, i, d, k, nk):
+        # beta_j for j > i is d_i beta_{j+1} or s_i beta_{j-1}
         Xs = values[n][k]
-        rows = [Xs[j + 1].faces[j + 1][i] for j in range(i, n)]
-        return _columnwise(lambda cols: cols[:i] + [
-            map(row.__getitem__, col) for row, col in zip(rows, cols[i + 1:])])
+        return [(j, None) for j in range(i + (d > 0))] + [
+            (j, Xs[j].operator(j, i, d)) for j in range(i + (d < 0), n + 1)]
 
-    def degen(n, i, k, nk):
-        # beta_j for j > i is s_i of beta_{j-1}
-        Xs = values[n][k]
-        rows = [Xs[j].degens[j][i] for j in range(i, n + 1)]
-        return _columnwise(lambda cols: cols[:i + 1] + [
-            map(row.__getitem__, col) for row, col in zip(rows, cols[i:])])
-
-    total, proj = over_nerve(NC, cap, fiber, face, degen)
+    total, proj = over_nerve(NC, cap, fiber, op)
     return RelNerveObject(total, proj, NC, F)
 
 
@@ -380,20 +348,16 @@ def relative_nerve_direct(F, cap):
     face_plans, degen_plans = operator_tables(cap, lambda n, i, d: restriction(
         n, n + d, (coface_tuple if d < 0 else codegen_tuple)(n, i)))
 
-    def face(n, i, k, new_k):
+    def op(n, i, d, k, new_k):
         # a coface maps each subposet isomorphically onto its image, so d_i
-        # keeps the simplex at the image of each subposet
-        at = [p for _, p, _, _ in face_plans[n][i]]
-        return _columnwise(lambda cols: [cols[p] for p in at])
+        # keeps the simplex at the image of each subposet; s_i reads the
+        # operator tables of the values along new_k
+        if d < 0:
+            return [(p, None) for _, p, _, _ in face_plans[n][i]]
+        return [(p, F.values[chain_object_of_key(C, new_k, n + 1, j)]
+                 .op_table(r, u)) for j, p, r, u in degen_plans[n][i]]
 
-    def degen(n, i, k, new_k):
-        # the operator tables of the values along new_k, read once
-        reads = [(F.values[chain_object_of_key(C, new_k, n + 1, j)]
-                  .op_table(r, u), p) for j, p, r, u in degen_plans[n][i]]
-        return _columnwise(lambda cols: [map(table.__getitem__, cols[p])
-                                         for table, p in reads])
-
-    total, proj = over_nerve(NC, cap, families, face, degen)
+    total, proj = over_nerve(NC, cap, families, op)
     return RelNerveObject(total, proj, NC, F)
 
 

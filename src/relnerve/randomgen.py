@@ -8,6 +8,7 @@ Cat-valued generator).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -89,19 +90,22 @@ def random_sub_delta_map(rng, A, B):
     return delta_map(A, B, rng.choice(candidates))
 
 
+def _along_paths(C, identity, after, images):
+    """The image of each morphism of the free category C, in id order: the
+    composite ``after(images[g_k], .. after(images[g_1], identity(a)))``
+    along its generator path ``g_1, .., g_k`` out of a."""
+    return [functools.reduce(lambda f, gi: after(images[gi], f), p,
+                             identity(a)) for (a, _, p) in C.gen_paths]
+
+
 def random_sset_diagram(rng, bounds):
     C, generators = random_shape(rng, bounds)
     values = [random_sub_delta(rng, bounds, bounds.cap)
               for _ in range(C.n_objects)]
     gen_maps = [random_sub_delta_map(rng, values[a], values[b])
                 for (a, b) in generators]
-    maps = []
-    for (a, b, p) in C.gen_paths:
-        f = identity_map(values[a])
-        for gi in p:
-            f = compose(gen_maps[gi], f)
-        maps.append(f)
-    return SSetDiagram(C, values, maps)
+    return SSetDiagram(C, values, _along_paths(
+        C, lambda a: identity_map(values[a]), compose, gen_maps))
 
 
 def _catalog_category(rng, bounds):
@@ -125,13 +129,9 @@ def random_functor(rng, A, B):
     if hasattr(A, "gen_paths"):
         obj_map = [rng.randint(0, B.n_objects - 1)
                    for _ in range(A.n_objects)]
-        paths = A.gen_paths
         # assign per generating arrow a morphism of B with correct endpoints
-        gen_list = []
-        for mid, (a, b, p) in enumerate(paths):
-            if len(p) == 1:
-                gen_list.append((p[0], a, b))
-        gen_list.sort()
+        gen_list = sorted((p[0], a, b) for (a, b, p) in A.gen_paths
+                          if len(p) == 1)
         images = {}
         for (gi, a, b) in gen_list:
             opts = B.hom(obj_map[a], obj_map[b])
@@ -143,13 +143,9 @@ def random_functor(rng, A, B):
                     A, B, obj_map,
                     [B.identity[tgt] for _ in range(A.n_morphisms)])
             images[gi] = rng.choice(opts)
-        mor_map = []
-        for (a, b, p) in paths:
-            m = B.identity[obj_map[a]]
-            for gi in p:
-                m = B.table[(images[gi], m)]
-            mor_map.append(m)
-        return CatFunctor(A, B, obj_map, mor_map)
+        return CatFunctor(A, B, obj_map, _along_paths(
+            A, lambda a: B.identity[obj_map[a]],
+            lambda g, f: B.table[(g, f)], images))
     if A.n_objects == 1 and B.n_objects >= 1:
         # group source: send the generator to an invertible endomorphism
         o = rng.randint(0, B.n_objects - 1)
@@ -184,10 +180,6 @@ def random_cat_diagram(rng, bounds):
     values = [_catalog_category(rng, bounds) for _ in range(C.n_objects)]
     gen_functors = [random_functor(rng, values[a], values[b])
                     for (a, b) in generators]
-    maps = []
-    for (a, b, p) in C.gen_paths:
-        F = identity_functor(values[a])
-        for gi in p:
-            F = compose_functors(gen_functors[gi], F)
-        maps.append(F)
-    return CatDiagram(C, values, maps)
+    return CatDiagram(C, values, _along_paths(
+        C, lambda a: identity_functor(values[a]), compose_functors,
+        gen_functors))

@@ -230,6 +230,7 @@ def parse_spec(text):
     map_defs = {}
     markings = {}
     marked_extra = []
+    heads = {}                  # 'diagram' and 'cap' -> the line of each
     while cur.peek() is not None:
         ln, toks = cur.take()
         head = toks[0]
@@ -237,6 +238,11 @@ def parse_spec(text):
             _arity(toks, ln, *_ARITY[head])
         if _category_line(ln, toks, objs, arrows, composes):
             continue
+        if head in ("diagram", "cap"):
+            if head in heads:
+                raise SpecParseError("a second %s line, after line %d"
+                                     % (head, heads[head]), ln)
+            heads[head] = ln
         if head == "diagram":
             kind = toks[1]
             if kind not in ("sset", "cat", "marked"):

@@ -467,7 +467,8 @@ def product(X, Y):
 
 
 def disjoint_union(parts):
-    """Coproduct with injections; ids are offset blockwise."""
+    """Coproduct with injections; ids are offset blockwise, so each
+    injection is one ``range`` per degree."""
     cap = parts[0].cap
     if any(p.cap != cap for p in parts):
         raise SSetError("disjoint union requires equal caps")
@@ -481,10 +482,9 @@ def disjoint_union(parts):
     U = TruncSSet(cap, counts, *operator_tables(cap, lambda n, i, d: [
         off[n + d] + t for p, off in zip(parts, offs)
         for t in p.operator(n, i, d)]))
-    injections = [
-        SimplicialMap(p, U, [[offs[j][n] + s for s in range(p.counts[n])]
-                             for n in range(cap + 1)])
-        for j, p in enumerate(parts)]
+    injections = [SimplicialMap(p, U, [range(off[n], off[n] + p.counts[n])
+                                       for n in range(cap + 1)])
+                  for p, off in zip(parts, offs)]
     return U, injections
 
 

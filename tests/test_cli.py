@@ -201,6 +201,9 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
      "a second map line for 'p', after line 14 (line 16)"),
     ("interval_diagram_sharp", "", "marking a flat\n",
      "a second marking line for 'a', after line 14 (line 16)"),
+    ("span", "", "cap 2\n", "a second cap line, after line 4 (line 16)"),
+    ("span", "", "diagram sset\n",
+     "a second diagram line, after line 3 (line 16)"),
     ("span", "", "value z point\n", "value of unknown object 'z' (line 16)"),
     ("span", "", "map zz constant 0\n", "map of unknown arrow 'zz' (line 16)"),
     ("span_cat", "  obj u x\n", "  obj w x\n",
@@ -210,8 +213,8 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
     ("span_cat", "  obj u x\n", "  obj u x\n  mor zz x\n",
      "functor 'p' row: 'zz' is not a morphism of the value at 'c' "
      "(line 21)")],
-    ids=["object", "block-object", "value", "map", "marking",
-         "unknown-value", "unknown-map", "functor-source-object",
+    ids=["object", "block-object", "value", "map", "marking", "cap",
+         "diagram", "unknown-value", "unknown-map", "functor-source-object",
          "functor-target-object", "functor-morphism"])
 def test_cli_names_are_unique_and_known(tmp_path, capsys, name, old, new,
                                         message):

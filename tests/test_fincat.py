@@ -228,27 +228,24 @@ def _per_key(face_key, degen_key):
         n, i, key)
 
 
-def _reference_over_nerve(NC, cap, fiber, face, degen):
+def _reference_over_nerve(NC, cap, fiber, op):
     """The total space with all keys (sid, p) sorted together and each
-    face and degeneracy found by applying a whole-fibre rule to one key;
+    face and degeneracy found by applying the reads of ``op`` to one key;
     returns the total and its projection table."""
     keys = [[(sid, p) for sid, k in enumerate(NC.keys[n])
              for p in fiber(n, k)] for n in range(cap + 1)]
 
-    def face_key(n, i, key):
+    def op_key(n, i, d, key):
         sid, p = key
-        tid = NC.faces[n][i][sid]
-        return tid, list(face(n, i, NC.keys[n][sid],
-                              NC.keys[n - 1][tid])([p]))[0]
+        tid = NC.operator(n, i, d)[sid]
+        coords = p if isinstance(p, tuple) else (p,)
+        new = tuple(coords[k] if table is None else table[coords[k]]
+                    for k, table in op(n, i, d, NC.keys[n][sid],
+                                       NC.keys[n + d][tid]))
+        return tid, new if isinstance(p, tuple) else new[0]
 
-    def degen_key(n, i, key):
-        sid, p = key
-        tid = NC.degens[n][i][sid]
-        return tid, list(degen(n, i, NC.keys[n][sid],
-                               NC.keys[n + 1][tid])([p]))[0]
-
-    total = KeyedSSet(cap, *keyed_tables(cap, keys, _per_key(face_key,
-                                                             degen_key)))
+    total = KeyedSSet(cap, *keyed_tables(cap, keys, lambda n, i, d: (
+        lambda key: op_key(n, i, d, key))))
     return total, [[key[0] for key in ks] for ks in total.keys]
 
 

@@ -185,24 +185,29 @@ def test_descend_fails_on_a_quotient_that_is_not_covered():
 
 
 def test_over_nerve_refuses_a_fibre_listed_out_of_order():
-    # Delta[1] x N(C), with Delta[1] the fibre over every base simplex;
-    # listing one fibre backwards must be refused, not numbered by it
+    # Delta[1] x N(C), with Delta[1] the fibre over every base simplex, its
+    # simplices listed as scalars and as 1-tuples; listing one fibre
+    # backwards must be refused, not numbered by it
     X, NC = standard_simplex(1, 2), nerve(arrow_category(), 2)
 
-    def rule(tables):
-        return lambda n, i, k, nk: lambda xs: [tables[n][i][x] for x in xs]
+    def op(n, i, d, k, nk):
+        return [(0, X.operator(n, i, d))]
 
-    def fiber(backwards):
+    def fiber(wrap, backwards):
         def listed(n, k):
-            fib = list(X.simplices(n))
+            fib = list(map(wrap, X.simplices(n)))
             return fib[::-1] if (n, k) == backwards else fib
         return listed
 
-    total, _ = over_nerve(NC, 2, fiber(None), rule(X.faces), rule(X.degens))
-    assert check_simplicial_identities(total).ok
-    with pytest.raises(SSetError, match="base simplex 2 in degree 1"):
-        over_nerve(NC, 2, fiber((1, NC.key_of(1, 2))), rule(X.faces),
-                   rule(X.degens))
+    totals = []
+    for wrap in (int, lambda x: (x,)):
+        total, _ = over_nerve(NC, 2, fiber(wrap, None), op)
+        assert check_simplicial_identities(total).ok
+        totals.append(total)
+        with pytest.raises(SSetError, match="base simplex 2 in degree 1"):
+            over_nerve(NC, 2, fiber(wrap, (1, NC.key_of(1, 2))), op)
+    assert totals[0].faces == totals[1].faces
+    assert totals[0].degens == totals[1].degens
 
 
 def test_mapping_object_refuses_a_corrupted_degenerate_entry():

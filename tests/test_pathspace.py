@@ -18,9 +18,8 @@ from relnerve.pathspace import (PathSpace, compare_relnerve_iso, fiber_at,
                                 space_projection_ok)
 from relnerve.randomgen import SuiteBounds, random_sset_diagram
 from relnerve.sset import (Exponential, SSetError, TruncationError, boundary,
-                           constant_map, discrete, disjoint_union,
-                           shared_simplex, shared_vertex_map,
-                           standard_simplex)
+                           constant_map, discrete, shared_simplex,
+                           shared_vertex_map, standard_simplex)
 
 
 # -- path spaces ---------------------------------------------------------------
@@ -207,16 +206,24 @@ def test_shared_simplices_stay_bounded_and_intact():
 
 
 def test_columns_are_disjoint_unions_of_path_spaces():
-    # an independent route to the id layout: column n is the blockwise
-    # disjoint union of the path spaces over the base n-simplices
+    # an independent route to the id layout: column n lists the path spaces
+    # over the base n-simplices one after another, each block with its own
+    # operators shifted by the sizes of the blocks before it
     rng = random.Random(5)
     for F in (span_diagram(4), random_sset_diagram(rng, SuiteBounds())):
         S = simplicial_space(F, 2, 2)
         for n in range(3):
-            col = S.bisset.columns[n]
-            U, _ = disjoint_union([ps.sset for ps in S.spaces[n]])
-            assert col.counts == U.counts
-            assert col.faces == U.faces and col.degens == U.degens
+            col, blocks = S.bisset.columns[n], [ps.sset for ps in S.spaces[n]]
+            assert col.counts == [sum(P.counts[m] for P in blocks)
+                                  for m in range(3)]
+            for d, lo in ((-1, 1), (1, 0)):
+                for m in range(lo, 2 + lo):
+                    for j in range(m + 1):
+                        want, offset = [], 0
+                        for P in blocks:
+                            want += [offset + t for t in P.operator(m, j, d)]
+                            offset += P.counts[m + d]
+                        assert col.operator(m, j, d) == want
             for m in range(3):
                 assert S.proj[n][m] == [sid for sid, ps
                                         in enumerate(S.spaces[n])
