@@ -10,8 +10,13 @@ are exactly these objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .fincat import CatError, CatFunctor, FinCategory
+from .fincat import (CatError, CatFunctor, FinCategory, chain_arrow,
+                     chain_object_of_key, keyed_category, nerve,
+                     validate_category)
+from .pathspace import lurie_grothendieck
+from .sset import SimplicialMap
 
 
 @dataclass
@@ -20,6 +25,7 @@ class MappingPathCategory:
     objects: list          # (b0, b1) pairs
     morphisms: list        # (src_local, tgt_local, f0, f1)
     arrow: int             # the base arrow f
+    index: dict            # object -> its position in ``objects``
 
 
 def mapping_path_category(F, f):
@@ -39,19 +45,15 @@ def mapping_path_category(F, f):
                     # commuting square: c1 o F(f)(f0) = f1 o b1
                     if B.table[(c1, Ff.mor_map[f0])] == B.table[(f1, b1)]:
                         morphisms.append((si, ti, f0, f1))
-    mor_index = {m: i for i, m in enumerate(morphisms)}
-    src = [m[0] for m in morphisms]
-    tgt = [m[1] for m in morphisms]
-    identity = [mor_index[(i, i, A.identity[b0], B.identity[B.tgt[b1]])]
-                for i, (b0, b1) in enumerate(objects)]
-    table = {}
-    for gi, (sg, tg, g0, g1) in enumerate(morphisms):
-        for hi, (sh, th, h0, h1) in enumerate(morphisms):
-            if th == sg:
-                table[(gi, hi)] = mor_index[(sh, tg, A.table[(g0, h0)],
-                                             B.table[(g1, h1)])]
-    cat = FinCategory(len(objects), src, tgt, identity, table)
-    return MappingPathCategory(cat, objects, morphisms, f)
+    # morphisms compose componentwise; ids are positions in ``objects``
+    cat = keyed_category(
+        range(len(objects)), morphisms, itemgetter(0), itemgetter(1),
+        lambda i: (i, i, A.identity[objects[i][0]],
+                   B.identity[B.tgt[objects[i][1]]]),
+        lambda g, h: (h[0], g[1], A.table[g[2], h[2]],
+                      B.table[g[3], h[3]]))[0]
+    return MappingPathCategory(cat, objects, morphisms, f,
+                               {o: i for i, o in enumerate(objects)})
 
 
 @dataclass
@@ -74,8 +76,7 @@ class DoubleCategoryData:
         """u on O-objects: (b0, id)."""
         B = self.diagram.values[c]
         f = self.diagram.shape.identity[c]
-        pc = self.path_cats[f]
-        return (f, pc.objects.index((b0, B.identity[b0])))
+        return (f, self.path_cats[f].index[b0, B.identity[b0]])
 
     def hcompose(self, f2, q_local, f1, p_local):
         """Horizontal composition of M-objects over composable base arrows."""
@@ -91,7 +92,7 @@ class DoubleCategoryData:
         f21 = D.table[(f2, f1)]
         moved = self.diagram.maps[f2].mor_map[b1]
         comp = B2.table[(c1, moved)]
-        return (f21, self.path_cats[f21].objects.index((b0, comp)))
+        return (f21, self.path_cats[f21].index[b0, comp])
 
 
 def double_category(F):
@@ -101,50 +102,29 @@ def double_category(F):
         F)
 
 
-def audit_double_category(dd):
-    """Exhaustive unit and associativity audit of the horizontal structure."""
+def horizontal_category(dd):
+    """The total category composed from the horizontal structure of dd:
+    objects (c, b0), morphisms (f, p) the M-objects, composed by
+    ``hcompose``; with the key -> id dicts of its objects and morphisms."""
     F = dd.diagram
     D = F.shape
-    problems = []
-    # s(u(x)) = t(u(x)) = x
-    for c in range(D.n_objects):
-        for b0 in range(F.values[c].n_objects):
-            f, loc = dd.unit_of(c, b0)
-            if dd.source_of(f, loc) != (c, b0) or dd.target_of(f, loc) != (c, b0):
-                problems.append(("unit-endpoints", c, b0))
-    # unit laws and associativity for object-level horizontal composition
-    for f1 in range(D.n_morphisms):
-        pc1 = dd.path_cats[f1]
-        for p in range(len(pc1.objects)):
-            c, b = dd.target_of(f1, p)
-            fu, u = dd.unit_of(c, b)
-            if dd.hcompose(fu, u, f1, p) != (f1, p):
-                problems.append(("left-unit", f1, p))
-            c0, b0 = dd.source_of(f1, p)
-            fu0, u0 = dd.unit_of(c0, b0)
-            if dd.hcompose(f1, p, fu0, u0) != (f1, p):
-                problems.append(("right-unit", f1, p))
-    for f1 in range(D.n_morphisms):
-        for f2 in range(D.n_morphisms):
-            if D.tgt[f1] != D.src[f2]:
-                continue
-            for f3 in range(D.n_morphisms):
-                if D.tgt[f2] != D.src[f3]:
-                    continue
-                for p in range(len(dd.path_cats[f1].objects)):
-                    for q in range(len(dd.path_cats[f2].objects)):
-                        if dd.source_of(f2, q) != dd.target_of(f1, p):
-                            continue
-                        for r in range(len(dd.path_cats[f3].objects)):
-                            if dd.source_of(f3, r) != dd.target_of(f2, q):
-                                continue
-                            a = dd.hcompose(f3, r, *dd.hcompose(f2, q, f1, p))
-                            b = dd.hcompose(*dd.hcompose(f3, r, f2, q),
-                                            f1, p)
-                            if a != b:
-                                problems.append(
-                                    ("associativity", f1, f2, f3, p, q, r))
-    return problems
+    objects = [(c, b0) for c in range(D.n_objects)
+               for b0 in range(F.values[c].n_objects)]
+    morphisms = [(f, p) for f in range(D.n_morphisms)
+                 for p in range(len(dd.path_cats[f].objects))]
+    names = ["(%s,%s)" % (D.obj_names[c],
+                          F.values[c].obj_names[b0]) for (c, b0) in objects]
+    return keyed_category(objects, morphisms, lambda m: dd.source_of(*m),
+                          lambda m: dd.target_of(*m),
+                          lambda o: dd.unit_of(*o),
+                          lambda g, f: dd.hcompose(*g, *f), obj_names=names)
+
+
+def audit_double_category(dd):
+    """Every unit, associativity, typing and completeness law that the
+    horizontal structure breaks, as ``validate_category`` reports it on
+    the total category composed from it."""
+    return validate_category(horizontal_category(dd)[0])
 
 
 @dataclass
@@ -160,27 +140,10 @@ class ClassicGrothendieck:
 
 def grothendieck_classic(F):
     """Total category over the base, from the horizontal structure."""
-    D = F.shape
     dd = double_category(F)
-    objects = [(c, b0) for c in range(D.n_objects)
-               for b0 in range(F.values[c].n_objects)]
-    obj_index = {o: i for i, o in enumerate(objects)}
-    morphisms = [(f, p) for f in range(D.n_morphisms)
-                 for p in range(len(dd.path_cats[f].objects))]
-    mor_index = {m: i for i, m in enumerate(morphisms)}
-    src = [obj_index[dd.source_of(f, p)] for (f, p) in morphisms]
-    tgt = [obj_index[dd.target_of(f, p)] for (f, p) in morphisms]
-    identity = [mor_index[dd.unit_of(c, b0)] for (c, b0) in objects]
-    table = {}
-    for mi, (f1, p) in enumerate(morphisms):
-        for mj, (f2, q) in enumerate(morphisms):
-            if tgt[mi] == src[mj]:
-                table[(mj, mi)] = mor_index[dd.hcompose(f2, q, f1, p)]
-    names = ["(%s,%s)" % (D.obj_names[c],
-                          F.values[c].obj_names[b0]) for (c, b0) in objects]
-    total = FinCategory(len(objects), src, tgt, identity, table,
-                        obj_names=names)
-    proj = CatFunctor(total, D, [c for (c, _) in objects],
+    total, obj_index, mor_index = horizontal_category(dd)
+    objects, morphisms = list(obj_index), list(mor_index)
+    proj = CatFunctor(total, F.shape, [c for (c, _) in objects],
                       [f for (f, _) in morphisms])
     return ClassicGrothendieck(total, proj, objects, morphisms, dd,
                                obj_index, mor_index)
@@ -199,10 +162,6 @@ def classical_cocartesian(G, mi):
 def nerve_comparison(G, cap):
     """The mutually-inverse pair between N(total) and the relative nerve of
     the nerve-composed diagram."""
-    from .fincat import chain_arrow, chain_object_of_key, nerve
-    from .pathspace import lurie_grothendieck
-    from .sset import SimplicialMap
-
     F = G.double.diagram
     D = F.shape
     NG = nerve(G.total, cap)
@@ -254,7 +213,7 @@ def nerve_comparison(G, cap):
                 chain = NF.values[ci].key_of(i, gamma[i])
                 phi = chain[-1]
                 f = base_key[i - 1]
-                p = G.double.path_cats[f].objects.index((prev_obj, phi))
+                p = G.double.path_cats[f].index[prev_obj, phi]
                 mors.append(G.mor_index[f, p])
                 prev_obj = F.values[ci].tgt[phi]
             row.append(NG.id_of(n, tuple(mors)))

@@ -13,8 +13,9 @@ import sys
 import time
 from dataclasses import replace
 
-from .certify import (check_bisimplicial, check_simplicial_identities,
-                      cocartesian_edge, cocartesian_fibration, verify_iso_map)
+from .certify import (Certificate, check_bisimplicial,
+                      check_simplicial_identities, cocartesian_edge,
+                      cocartesian_fibration, verify_iso_map)
 from .classic import grothendieck_classic
 from .fincat import nerve
 from .hocolim import (bar_hocolim, colim_via_marked, hocolim_qcat, iota,
@@ -26,7 +27,8 @@ from .pathspace import (compare_relnerve_iso, fiber_at, lurie_grothendieck,
                         space_projection_ok)
 from .randomgen import SuiteBounds, random_cat_diagram, random_sset_diagram
 from .sset import TruncationError, restrict
-from .specio import Report, SpecParseError, parse_spec
+from .specio import (Report, SpecParseError, parse_spec, serialize_marked,
+                     serialize_sset)
 
 
 EXIT_OK, EXIT_FAIL, EXIT_PARSE, EXIT_BOUND = 0, 1, 2, 3
@@ -96,7 +98,6 @@ def cmd_build(spec, what, cap, rep, dump=None):
     else:
         raise SpecParseError("unknown build target %r" % what)
     if dump is not None and built is not None:
-        from .specio import serialize_marked, serialize_sset
         text = serialize_marked(built, "built") \
             if isinstance(built, MarkedSSet) else \
             serialize_sset(built, "built")
@@ -105,43 +106,46 @@ def cmd_build(spec, what, cap, rep, dump=None):
     return fails
 
 
+def _emit(rep, cert, *prefix):
+    """Write the certificate's line after ``prefix``; 1 if it failed."""
+    rep.add(*prefix, cert.line())
+    return 0 if cert.ok else 1
+
+
+def _agreement(kind, ok, subject=""):
+    """The certificate of a comparison that either agrees or does not."""
+    return Certificate(kind, subject, "PASS" if ok else "FAIL")
+
+
 def cmd_verify(spec, what, cap, ncap, rep):
-    fails = 0
-
-    def emit(cert):
-        nonlocal fails
-        rep.add(cert.line())
-        if not cert.ok:
-            fails += 1
-
+    certs = []
     if what == "identities":
         _require_kind(spec, ("sset", "marked"))
         F = spec.diagram.underlying()
         R = lurie_grothendieck(F, cap)
-        emit(check_simplicial_identities(R.total, "relnerve"))
+        certs.append(check_simplicial_identities(R.total, "relnerve"))
         Rd = relative_nerve_direct(F, cap)
-        emit(check_simplicial_identities(Rd.total, "relnerve-direct"))
+        certs.append(check_simplicial_identities(Rd.total, "relnerve-direct"))
         bar = bar_hocolim(F, cap)
-        emit(check_simplicial_identities(bar.total, "bar"))
+        certs.append(check_simplicial_identities(bar.total, "bar"))
         ncap2 = min(2, cap)
         mcap = min(2, F.cap - ncap2)
         S = simplicial_space(F, ncap2, mcap)
-        emit(check_bisimplicial(S.bisset, "space"))
-        ok = space_projection_ok(S)
-        rep.add("PASS" if ok else "FAIL", "space-projection", "over-box")
-        if not ok:
-            fails += 1
+        certs.append(check_bisimplicial(S.bisset, "space"))
+        certs.append(_agreement("space-projection", space_projection_ok(S),
+                        "over-box"))
     elif what == "c4-iso":
         _require_kind(spec, ("sset", "marked"))
         f, g, L, Rd = compare_relnerve_iso(spec.diagram.underlying(), cap)
-        emit(verify_iso_map(f, g, "relnerve-comparison"))
+        certs.append(verify_iso_map(f, g, "relnerve-comparison"))
     elif what == "fibers":
         _require_kind(spec, ("sset", "marked"))
         F = spec.diagram.underlying()
         R = lurie_grothendieck(F, cap)
         for c in range(F.shape.n_objects):
             fib, inc, ff, gg = fiber_at(R, c)
-            emit(verify_iso_map(ff, gg, "fiber-%s" % spec.obj_names[c]))
+            certs.append(verify_iso_map(ff, gg,
+                                        "fiber-%s" % spec.obj_names[c]))
     elif what == "fibration":
         _require_kind(spec, ("cat", "marked"))
         if ncap > cap:
@@ -153,19 +157,19 @@ def cmd_verify(spec, what, cap, ncap, rep):
         else:
             FM = spec.diagram
         OM, R = marked_rel_nerve(FM, cap)
-        emit(cocartesian_fibration(OM.proj, ncap, "projection"))
+        certs.append(cocartesian_fibration(OM.proj, ncap, "projection"))
         degflags = OM.sset.degenerate_flags(1)
         for e in sorted(OM.marked.marked):
             if degflags[e]:
                 continue
-            emit(cocartesian_edge(OM.proj, e, ncap))
+            certs.append(cocartesian_edge(OM.proj, e, ncap))
     elif what == "iota":
         _require_kind(spec, ("sset", "marked"))
         F = spec.diagram.underlying()
-        emit(iota_audit(*iota(F, cap), F))
+        certs.append(iota_audit(*iota(F, cap), F))
     else:
         raise SpecParseError("unknown verify target %r" % what)
-    return fails
+    return sum(_emit(rep, cert) for cert in certs)
 
 
 def _max_degree(args, cap):
@@ -178,7 +182,6 @@ def _max_degree(args, cap):
 
 
 def cmd_compare(spec, args, cap, rep):
-    fails = 0
     if args.thomason:
         _require_kind(spec, ("cat",))
         maxk = _max_degree(args, cap)
@@ -192,10 +195,8 @@ def cmd_compare(spec, args, cap, rep):
             rep.add("hocolim", line)
         for line in format_homology(hn):
             rep.add("grothendieck", line)
-        verdict = "PASS" if hb == hn else "FAIL"
-        rep.add(verdict, "thomason-agreement", "max-degree=%d" % maxk)
-        if hb != hn:
-            fails += 1
+        cert = _agreement("thomason-agreement", hb == hn,
+                          "max-degree=%d" % maxk)
     elif args.homology:
         _require_kind(spec, ("sset", "marked"))
         maxk = _max_degree(args, cap)
@@ -208,10 +209,8 @@ def cmd_compare(spec, args, cap, rep):
             rep.add("relnerve", line)
         for line in format_homology(hb):
             rep.add("bar", line)
-        verdict = "PASS" if hr == hb else "FAIL"
-        rep.add(verdict, "homology-agreement", "max-degree=%d" % maxk)
-        if hr != hb:
-            fails += 1
+        cert = _agreement("homology-agreement", hr == hb,
+                          "max-degree=%d" % maxk)
     elif args.pi0:
         _require_kind(spec, ("sset", "marked"))
         F = spec.diagram.underlying()
@@ -220,9 +219,7 @@ def cmd_compare(spec, args, cap, rep):
         a, b = len(pi0(R.total)), len(pi0(bar.total))
         rep.add("pi0 relnerve", a)
         rep.add("pi0 bar", b)
-        rep.add("PASS" if a == b else "FAIL", "pi0-agreement")
-        if a != b:
-            fails += 1
+        cert = _agreement("pi0-agreement", a == b)
     else:
         _require_kind(spec, ("sset", "marked"))
         if cap < 2:
@@ -230,11 +227,9 @@ def cmd_compare(spec, args, cap, rep):
         cc = colim_via_marked(spec.diagram.underlying())
         rep.add("colim-direct", *cc.colimit.counts)
         rep.add("colim-composite", *cc.composite.counts)
-        rep.add("PASS" if cc.ok else "FAIL", "colimit-composite",
-                "mode=%s" % cc.mode, cc.detail)
-        if not cc.ok:
-            fails += 1
-    return fails
+        cert = _agreement("colimit-composite", cc.ok,
+                          "mode=%s %s" % (cc.mode, cc.detail))
+    return _emit(rep, cert)
 
 
 def run_random_suite(seed, count, bounds, rep):
@@ -264,10 +259,7 @@ def run_random_suite(seed, count, bounds, rep):
         # the suite's iota line has always left out the bound
         certs.append(replace(iota_audit(*iota(F, bounds.cap, bar=bar, rel=R),
                                         F), bound=None))
-        for cert in certs:
-            rep.add("item", item, cert.line())
-            if not cert.ok:
-                fails += 1
+        fails += sum(_emit(rep, cert, "item", item) for cert in certs)
 
         G = random_cat_diagram(rng, bounds)
         NF = G.nerve_diagram(bounds.cap)
@@ -276,16 +268,12 @@ def run_random_suite(seed, count, bounds, rep):
         NG = nerve(Gr.total, bounds.cap)
         hb = homology_table(barg.total, bounds.cap - 1)
         hn = homology_table(NG, bounds.cap - 1)
-        rep.add("item", item,
-                "PASS" if hb == hn else "FAIL", "thomason-homology")
-        if hb != hn:
-            fails += 1
+        fails += _emit(rep, _agreement("thomason-homology", hb == hn),
+                       "item", item)
         FM = mark_diagram(NF, "natural")
         OM, _ = marked_rel_nerve(FM, bounds.cap)
-        cert = cocartesian_fibration(OM.proj, 2, "projection")
-        rep.add("item", item, cert.line())
-        if not cert.ok:
-            fails += 1
+        fails += _emit(rep, cocartesian_fibration(OM.proj, 2, "projection"),
+                       "item", item)
     rep.add("items", count, "failures", fails)
     print("identity-suite-seconds %.2f" % t_identity, file=sys.stderr)
     return fails

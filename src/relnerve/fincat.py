@@ -12,7 +12,8 @@ import operator
 from dataclasses import dataclass
 
 from .sset import (KeyedSSet, SimplicialMap, SSetError, TruncationError,
-                   TruncSSet, operator_tables, restrict, sub_sset)
+                   TruncSSet, discrete, identity_map, operator_tables,
+                   restrict, sub_sset)
 
 
 class CatError(Exception):
@@ -97,11 +98,36 @@ def validate_category(C):
     return report
 
 
+def keyed_category(objects, morphisms, src, tgt, unit, compose, **names):
+    """The one builder of a FinCategory from keys, with the key -> id dict
+    of its objects and of its morphisms.
+
+    Ids are the positions of the keys in ``objects`` and ``morphisms``,
+    taken in the order given.  ``src(m)`` and ``tgt(m)`` return object
+    keys, ``unit(o)`` a morphism key, and ``compose(g, f)`` the key of
+    g o f; it is called only on composable pairs, found by grouping the
+    morphisms by their source.  ``names`` are passed to FinCategory.
+    """
+    obj_id = {o: i for i, o in enumerate(objects)}
+    mor_id = {m: i for i, m in enumerate(morphisms)}
+    s = [obj_id[src(m)] for m in morphisms]
+    t = [obj_id[tgt(m)] for m in morphisms]
+    out_of = [[] for _ in obj_id]
+    for i, m in enumerate(morphisms):
+        out_of[s[i]].append((i, m))
+    table = {(j, i): mor_id[compose(g, f)]
+             for i, f in enumerate(morphisms) for j, g in out_of[t[i]]}
+    C = FinCategory(len(obj_id), s, t, [mor_id[unit(o)] for o in objects],
+                    table, **names)
+    return C, obj_id, mor_id
+
+
 def category_from_generators(n_objects, generators):
     """Free category on a DAG of generators (src, tgt) with src < tgt.
 
     Acyclicity keeps the morphism set finite; composition is path
-    concatenation.  Morphisms are identity paths plus all generator paths.
+    concatenation.  Morphisms are identity paths plus all generator paths,
+    keyed (src, tgt, path) and numbered in sorted order.
     """
     for (a, b) in generators:
         if not a < b:
@@ -117,22 +143,13 @@ def category_from_generators(n_objects, generators):
                 if a == at:
                     stack.append((b, p + (gi,)))
     all_paths.sort()
-    src, tgt, keys = [], [], {}
-    for (a, b, p) in all_paths:
-        keys[(a, b, p)] = len(src)
-        src.append(a)
-        tgt.append(b)
-    identity = [keys[(o, o, ())] for o in range(n_objects)]
-    table = {}
-    for (a, b, p) in all_paths:
-        for (c, d, q) in all_paths:
-            if b == c:
-                table[(keys[(c, d, q)], keys[(a, b, p)])] = keys[(a, d, p + q)]
     mor_names = ["id_%d" % a if not p else "*".join("g%d" % gi
                                                     for gi in reversed(p))
                  for (a, b, p) in all_paths]
-    C = FinCategory(n_objects, src, tgt, identity, table,
-                    mor_names=mor_names)
+    C = keyed_category(range(n_objects), all_paths, operator.itemgetter(0),
+                       operator.itemgetter(1), lambda o: (o, o, ()),
+                       lambda g, f: (f[0], g[1], f[2] + g[2]),
+                       mor_names=mor_names)[0]
     C.gen_paths = all_paths
     C.generators = list(generators)
     return C
@@ -151,16 +168,11 @@ def _thin_category(n_objects, related):
     """The category with one morphism a -> b for each pair with
     ``related(a, b)`` (reflexive and transitive), numbered in the
     lexicographic order of the pairs."""
-    keys = {}
-    for a in range(n_objects):
-        for b in range(n_objects):
-            if related(a, b):
-                keys[(a, b)] = len(keys)
-    identity = [keys[(o, o)] for o in range(n_objects)]
-    table = {(keys[(c, d)], keys[(a, b)]): keys[(a, d)]
-             for (a, b) in keys for (c, d) in keys if b == c}
-    return FinCategory(n_objects, [a for a, _ in keys], [b for _, b in keys],
-                       identity, table)
+    pairs = [(a, b) for a in range(n_objects) for b in range(n_objects)
+             if related(a, b)]
+    return keyed_category(range(n_objects), pairs, operator.itemgetter(0),
+                          operator.itemgetter(1), lambda o: (o, o),
+                          lambda g, f: (f[0], g[1]))[0]
 
 
 def chain_category(n):
@@ -450,57 +462,40 @@ def fiber_onto_value(R, c, X, to_value, from_value):
 # -- slice categories --------------------------------------------------------
 
 def under_category(C, d):
-    """d/C: arrows out of d, with commuting triangles; plus the forgetful
-    functor to C."""
-    objs = sorted(m for m in range(C.n_morphisms) if C.src[m] == d)
-    obj_index = {m: i for i, m in enumerate(objs)}
-    src, tgt, keys = [], [], {}
-    for gi, g in enumerate(objs):
-        for e in range(C.n_morphisms):
-            if C.src[e] == C.tgt[g]:
-                h = C.table[(e, g)]
-                keys[(gi, e)] = len(src)
-                src.append(gi)
-                tgt.append(obj_index[h])
-    identity = [keys[(gi, C.identity[C.tgt[g]])] for gi, g in enumerate(objs)]
-    table = {}
-    for (gi, e), m1 in keys.items():
-        for (gj, e2), m2 in keys.items():
-            if tgt[m1] == gj:
-                table[(m2, m1)] = keys[(gi, C.table[(e2, e)])]
-    U = FinCategory(len(objs), src, tgt, identity, table,
-                    obj_names=[C.mor_names[m] for m in objs])
-    pairs = sorted(keys.items(), key=lambda kv: kv[1])
-    forget = CatFunctor(U, C, [C.tgt[g] for g in objs],
-                        [e for ((gi, e), _) in pairs])
-    return U, forget, objs, keys
+    """d/C: arrows g out of d, listed in id order as ``objs``; a morphism is
+    keyed (gi, e), e an arrow out of the target of the gi-th object, from
+    that object to e o g.  Returns the category, its forgetful functor to
+    C, ``objs`` and the key -> id dict of the morphisms."""
+    objs = [m for m in range(C.n_morphisms) if C.src[m] == d]
+    position = {g: gi for gi, g in enumerate(objs)}
+    keys = [(gi, e) for gi, g in enumerate(objs)
+            for e in range(C.n_morphisms) if C.src[e] == C.tgt[g]]
+    U, _, mor_id = keyed_category(
+        range(len(objs)), keys, operator.itemgetter(0),
+        lambda k: position[C.table[k[1], objs[k[0]]]],
+        lambda gi: (gi, C.identity[C.tgt[objs[gi]]]),
+        lambda g, f: (f[0], C.table[g[1], f[1]]),
+        obj_names=[C.mor_names[m] for m in objs])
+    forget = CatFunctor(U, C, [C.tgt[g] for g in objs], [e for _, e in keys])
+    return U, forget, objs, mor_id
 
 
 def over_category(C, d):
-    """C/d: arrows into d; the dual slice used by the unstraightening
-    formula."""
-    objs = sorted(m for m in range(C.n_morphisms) if C.tgt[m] == d)
-    obj_index = {m: i for i, m in enumerate(objs)}
-    src, tgt, keys = [], [], {}
-    for gi, g in enumerate(objs):
-        for e in range(C.n_morphisms):
-            if C.tgt[e] == C.src[g]:
-                h = C.table[(g, e)]
-                keys[(obj_index[h], e)] = len(src)
-                src.append(obj_index[h])
-                tgt.append(gi)
-    identity = [keys[(gi, C.identity[C.src[g]])] for gi, g in enumerate(objs)]
-    table = {}
-    for (gi, e), m1 in keys.items():
-        for (gj, e2), m2 in keys.items():
-            if src[m2] == tgt[m1]:
-                table[(m2, m1)] = keys[(gi, C.table[(e2, e)])]
-    O = FinCategory(len(objs), src, tgt, identity, table,
-                    obj_names=[C.mor_names[m] for m in objs])
-    pairs = sorted(keys.items(), key=lambda kv: kv[1])
-    forget = CatFunctor(O, C, [C.src[g] for g in objs],
-                        [e for ((gi, e), _) in pairs])
-    return O, forget, objs, keys
+    """C/d: arrows g into d, the mirror image of ``under_category``; a
+    morphism is keyed (gi, e), e an arrow into the source of the gi-th
+    object, from g o e to that object.  The dual slice used by the
+    unstraightening formula."""
+    objs = [m for m in range(C.n_morphisms) if C.tgt[m] == d]
+    position = {g: gi for gi, g in enumerate(objs)}
+    keys = [(gi, e) for gi, g in enumerate(objs)
+            for e in range(C.n_morphisms) if C.tgt[e] == C.src[g]]
+    O, _, mor_id = keyed_category(
+        range(len(objs)), keys, lambda k: position[C.table[objs[k[0]], k[1]]],
+        operator.itemgetter(0), lambda gi: (gi, C.identity[C.src[objs[gi]]]),
+        lambda g, f: (g[0], C.table[g[1], f[1]]),
+        obj_names=[C.mor_names[m] for m in objs])
+    forget = CatFunctor(O, C, [C.src[g] for g in objs], [e for _, e in keys])
+    return O, forget, objs, mor_id
 
 
 # -- diagrams ----------------------------------------------------------------
@@ -602,14 +597,12 @@ class CatDiagram:
 
 
 def constant_diagram(C, X):
-    from .sset import identity_map
     return SSetDiagram(C, [X] * C.n_objects,
                        [identity_map(X)] * C.n_morphisms)
 
 
 def corepresentable_diagram(C, d, cap):
     """D(d,-) as a diagram of discrete simplicial sets."""
-    from .sset import discrete
     values = []
     homs = []
     for o in range(C.n_objects):

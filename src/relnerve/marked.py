@@ -417,12 +417,9 @@ def rectify_right(X, cap_out):
         Ub, _, objs_b, keys_b = unders[b]
         # slice functor b/D -> a/D: (g: b -> e) -> (g o m : a -> e)
         obj_map = [objs_a.index(C.table[(g, m)]) for g in objs_b]
-        inv_b = {i: pair for pair, i in keys_b.items()}
-        mor_map = []
-        for mi in range(Ub.n_morphisms):
-            gi, e = inv_b[mi]
-            mor_map.append(keys_a[(obj_map[gi], e)])
-        slice_fun = CatFunctor(Ub, Ua, obj_map, mor_map)
+        # keys_b lists the morphisms of b/D in id order
+        slice_fun = CatFunctor(Ub, Ua, obj_map, [keys_a[obj_map[gi], e]
+                                                 for gi, e in keys_b])
         nm = nerve_map(slice_fun, cap, overs[b].sset, overs[a].sset)
         maps.append(spaces[a].sset.precompose(nm, spaces[b].sset))
     diagram = MarkedDiagram(C, values, maps)

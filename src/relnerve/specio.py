@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certify import check_simplicial_identities
-from .fincat import CatDiagram, CatFunctor, FinCategory, SSetDiagram
+from .fincat import (CatDiagram, CatError, CatFunctor, FinCategory,
+                     SSetDiagram, identity_functor, validate_category)
 from .marked import MarkedDiagram, MarkedSSet, MarkError, mark
 from .sset import (SimplicialMap, SSetError, TruncationError, TruncSSet,
                    build_generated, constant_map, generated_size,
@@ -312,7 +313,6 @@ def parse_spec(text):
                 raise SpecParseError("%s of unknown %s %r"
                                      % (what, kind_of, name), ln)
     C = _build_category(objs, arrows, composes)[0]
-    from .fincat import CatError, validate_category
     bad = validate_category(C)
     if bad:
         raise SpecParseError("shape is not a category: %r" % (bad[0],))
@@ -431,7 +431,6 @@ def _assemble_cat(C, value_defs, map_defs, objs):
         name = C.mor_names[m]
         a, b = C.src[m], C.tgt[m]
         if C.is_identity(m):
-            from .fincat import identity_functor
             maps.append(identity_functor(values[a]))
             continue
         if name not in map_defs or map_defs[name][0] != "functor":

@@ -10,7 +10,8 @@ from relnerve.fincat import (CatDiagram, CatFunctor, FinCategory,
                              chain_arrow, chain_category,
                              chain_object_of_key, corepresentable_diagram,
                              cyclic_group_category, identity_functor,
-                             indiscrete_groupoid, nerve, nerve_map,
+                             indiscrete_groupoid, keyed_category, nerve,
+                             nerve_map,
                              over_category, over_nerve, span_category,
                              terminal_category, under_category,
                              validate_category)
@@ -100,6 +101,39 @@ def test_over_category_dual():
     assert forget.validate() == []
     O0, _, _, _ = over_category(C, 0)
     assert O0.n_objects == 1
+
+
+def test_slices_key_each_morphism_by_its_end_object():
+    # {id, z} with z o z = z: z is not epi, so the morphisms id and z of
+    # C/0 into the object z share their source z o id = z o z = z
+    C = FinCategory(1, [0, 0], [0, 0], [0],
+                    {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1})
+    for S, forget, objs, keys in (under_category(C, 0),
+                                  over_category(C, 0)):
+        assert objs == [0, 1]
+        assert S.n_morphisms == len(keys) == 4
+        assert validate_category(S) == []
+        assert forget.validate() == []
+
+
+def test_keyed_category_numbers_keys_in_the_order_given():
+    calls = []
+
+    def compose(g, f):
+        calls.append((g, f))
+        return f[0] + g[1]
+
+    # the chain b -> a with objects listed out of sorted order
+    C, obj_id, mor_id = keyed_category(
+        ["b", "a"], ["aa", "bb", "ba"], lambda m: m[0], lambda m: m[1],
+        lambda o: o + o, compose, obj_names=["b", "a"])
+    assert obj_id == {"b": 0, "a": 1}
+    assert mor_id == {"aa": 0, "bb": 1, "ba": 2}
+    assert (C.src, C.tgt, C.identity) == ([1, 0, 0], [1, 0, 1], [1, 0])
+    assert C.obj_names == ["b", "a"] and validate_category(C) == []
+    # compose sees only the composable pairs, each once
+    assert sorted(calls) == [("aa", "aa"), ("aa", "ba"), ("ba", "bb"),
+                             ("bb", "bb")]
 
 
 def test_under_nerve_is_corepresentable_relative_nerve():

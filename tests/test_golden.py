@@ -1,5 +1,6 @@
 """Reports and dumps that must stay byte-identical: the quotient reports
 (localization, homotopy colimit, colimit comparison, pi0) on the fixtures,
+the classical Grothendieck construction and its Thomason comparison,
 a short random suite, which runs the simplicial space and its
 bisimplicial audit, the relative nerves with their dumps, and the
 verification reports on every input that each accepts.  The files under
@@ -60,7 +61,13 @@ CASES = [
     # the sharp-marked intervals have marked edges that are not coCartesian
     ("verify_fibration_%s" % name, ["verify", "fibration", "--input", path],
      False, 1 if name in dict(MARKED) else 0)
-    for name, path in inputs("span_cat") + MARKED]
+    for name, path in inputs("span_cat") + MARKED
+] + [
+    ("%s_span_cat_cap%d" % (name, cap),
+     args + ["--input", fixture("span_cat"), "--cap", str(cap)], False, 0)
+    for name, args in (("build_groth-classic", ["build", "groth-classic"]),
+                       ("compare_thomason", ["compare", "--thomason"]))
+    for cap in (3, 4)]
 
 
 def read(path):

@@ -1,8 +1,9 @@
 """Source hygiene: every name a module of the package imports is used
 (``__init__.py`` is exempt; its imports are the package's re-exports),
-every function, class and method it defines is named somewhere, and the
-compact-key format of mapping objects and the layout of the face and
-degeneracy tables stay inside ``sset``."""
+every function, class and method it defines is named somewhere, no import
+sits inside a function, the compact-key format of mapping objects and the
+layout of the face and degeneracy tables stay inside ``sset``, and only
+``fincat`` and ``specio`` call ``FinCategory`` directly."""
 
 import ast
 import functools
@@ -139,3 +140,51 @@ def test_layout_spelling_is_found():
     assert layout_spellings(source) == [
         "faces = [None]", "hfaces = [None] + [t(n) for n in ns]",
         "vfaces = [[None] + [t(n, m)] for m in ms]"]
+
+
+def nested_imports(source):
+    """The lines of the imports that sit inside a function body."""
+    return sorted(node.lineno for fn in ast.walk(ast.parse(source))
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)))
+
+
+@pytest.mark.parametrize("name", sorted(
+    n for n in os.listdir(SRC) if n.endswith(".py")))
+def test_imports_sit_at_the_top_of_the_module(name):
+    with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+        assert nested_imports(fh.read()) == []
+
+
+def test_nested_import_is_found():
+    source = ("import os\n\n\ndef f():\n    from .sset import compose\n"
+              "    return compose\n\n\nclass K:\n    def g(self):\n"
+              "        import sys\n")
+    assert nested_imports(source) == [5, 11]
+
+
+# a category is built from keys by ``fincat.keyed_category``; the explicit
+# tables of ``fincat`` and the spec reader's are the other constructors
+BUILDERS = ("fincat.py", "specio.py")
+
+
+def category_constructions(source):
+    """The lines of ``source`` that call ``FinCategory(``."""
+    return [line.strip() for line in source.splitlines()
+            if re.search(r"\bFinCategory\(", line)]
+
+
+@pytest.mark.parametrize("name", sorted(
+    n for n in os.listdir(SRC) if n.endswith(".py") and n not in BUILDERS))
+def test_categories_are_built_from_keys(name):
+    with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+        assert category_constructions(fh.read()) == []
+
+
+def test_category_construction_is_found():
+    source = ("class Cat(FinCategory):\n    pass\n\n\n"
+              "total: FinCategory\nC = FinCategory(1, [0], [0], [0], t)\n"
+              "D = keyed_category(objs, mors, s, t, u, c)[0]\n")
+    assert category_constructions(source) == [
+        "C = FinCategory(1, [0], [0], [0], t)"]

@@ -12,10 +12,13 @@ from relnerve.certify import (check_bisimplicial,
                               check_simplicial_identities, cocartesian_edge,
                               cocartesian_fibration, inner_horn_lifts,
                               verify_iso_map)
+from relnerve.classic import (DoubleCategoryData, audit_double_category,
+                              double_category, grothendieck_classic)
 from relnerve.fincat import (CatDiagram, arrow_category, constant_diagram,
                              cyclic_group_category, identity_functor,
                              indiscrete_groupoid, nerve, over_nerve,
-                             span_category, terminal_category)
+                             span_category, terminal_category,
+                             validate_category)
 from relnerve.hocolim import (colim_via_marked, hocolim_qcat, iota,
                               iota_audit, iota_fiber_bijective)
 from relnerve.marked import (extend_along_J, localization_mediator, localize,
@@ -104,6 +107,38 @@ def test_cocartesian_fibration_audit_fails_on_corrupted_face():
     X.faces[1][1][ebar] = X.faces[1][0][ebar]   # its source moves away
     cert = cocartesian_fibration(R.proj, 3)
     assert not cert.ok and cert.witness[0] == "no-lift"
+
+
+def _z2_over_the_arrow():
+    """Z/2 at both ends of [1], the identity along the arrow, g0 = 1."""
+    V = cyclic_group_category(2)
+    return CatDiagram(arrow_category(), [V, V], [identity_functor(V)] * 3)
+
+
+def test_classical_audit_fails_on_a_corrupted_horizontal_composite(
+        monkeypatch):
+    dd = double_category(_z2_over_the_arrow())
+    assert audit_double_category(dd) == []
+    unit = dd.unit_of(1, 0)
+    hcompose = DoubleCategoryData.hcompose
+
+    def corrupted(self, f2, q, f1, p):
+        # u o (g0, 0) over the arrow moves to the other M-object (g0, 1)
+        if (f2, q, f1, p) == unit + (1, 0):
+            return (1, 1)
+        return hcompose(self, f2, q, f1, p)
+
+    monkeypatch.setattr(DoubleCategoryData, "hcompose", corrupted)
+    report = audit_double_category(dd)
+    assert report and report[0][0] == "left-unit"
+
+
+def test_category_audit_fails_on_a_corrupted_total_composite():
+    G = grothendieck_classic(_z2_over_the_arrow())
+    assert validate_category(G.total) == []
+    a, b = G.mor_index[1, 0], G.mor_index[1, 1]
+    G.total.table[a, G.total.identity[G.total.src[a]]] = b
+    assert validate_category(G.total)[0] == ("right-unit", a)
 
 
 def test_extension_is_the_first_pinned_map():
