@@ -336,13 +336,6 @@ def chain_arrow(C, key, n, i, j):
     return m
 
 
-def constant_chain(NC, C, obj, n):
-    """The n-simplex of the nerve constant at an object."""
-    if n == 0:
-        return NC.id_of(0, (obj,))
-    return NC.id_of(n, (C.identity[obj],) * n)
-
-
 # -- total spaces over the nerve ---------------------------------------------
 
 @dataclass
@@ -375,14 +368,12 @@ def over_nerve(NC, cap, fiber, op):
     Each fibre must be listed in sorted order.  The key (sid, p) then has
     id offset + position: the number of simplices over the base simplices
     before sid, plus the place of p in its fibre, which is its place among
-    all the sorted keys.  d_i (``d = -1``) and s_i (``d = 1``) move sid by
-    the operators of NC, the nerve rule, and p by the reads that ``op(n, i,
-    d, key, new_key)`` returns, given the chain keys before and after: one
-    ``(k, table)`` per entry of the new p, which is ``p[k]`` when ``table``
-    is None and ``table[p[k]]`` otherwise.  A fibre of scalars, not tuples,
-    is read as its one column, k = 0.  So ``op`` is called once per base
-    simplex and operator, and each fibre is split into columns once per
-    degree.
+    all the sorted keys.  The ids of the fibre over sid, a p -> id dict, are
+    ``index[n].ids[sid]``.  d_i (``d = -1``) and s_i (``d = 1``) move sid by
+    the operators of NC, the nerve rule, and p by the reads (see ``_read``)
+    that ``op(n, i, d, key, new_key)`` returns, given the chain keys before
+    and after.  So ``op`` is called once per base simplex and operator, and
+    each fibre is split into columns once per degree.
     """
     fibres, index = [], []
     for n in range(cap + 1):
@@ -407,18 +398,11 @@ def over_nerve(NC, cap, fiber, op):
             if not fib:
                 continue
             tuples = isinstance(fib[0], tuple)
-            cols = list(zip(*fib)) if tuples else None
+            cols = list(zip(*fib)) if tuples else [fib]
             for i, d, targets, to, ids, row in ops:
                 t = targets[sid]
-                reads = op(n, i, d, key, to[t])
-                if tuples:
-                    new = zip(*[cols[k] if table is None
-                                else map(table.__getitem__, cols[k])
-                                for k, table in reads])
-                else:               # the one read of a scalar fibre
-                    (_, table), = reads
-                    new = fib if table is None else map(table.__getitem__, fib)
-                row += map(ids[t].__getitem__, new)
+                row += map(ids[t].__getitem__,
+                           _read(cols, op(n, i, d, key, to[t]), tuples))
 
     keys = [[(sid, p) for sid, fib in enumerate(fibs) for p in fib]
             for fibs in fibres]
@@ -428,15 +412,45 @@ def over_nerve(NC, cap, fiber, op):
     return total, proj
 
 
+def map_over_nerve(NC, S, T, op):
+    """The map between the ``over_nerve`` totals S and T over NC that keeps
+    each base simplex.  ``op(n, key)`` gives the reads (see ``_read``) of the
+    new data, once per base simplex; they are applied to the columns of the
+    fibre ``S.index[n].ids[sid]`` and zipped straight into
+    ``T.index[n].ids[sid]``, so a read that leaves that fibre is a KeyError."""
+    comp = []
+    for n in range(S.cap + 1):
+        row = []
+        # the data of one degree are all tuples or all scalars
+        source, target = (bool(X.keys[n]) and
+                          isinstance(X.keys[n][0][1], tuple) for X in (S, T))
+        for key, fib, to in zip(NC.keys[n], S.index[n].ids, T.index[n].ids):
+            if fib:
+                cols = list(zip(*fib)) if source else [fib]
+                row += map(to.__getitem__, _read(cols, op(n, key), target))
+        comp.append(row)
+    return SimplicialMap(S, T, comp)
+
+
+def _read(cols, reads, tuples):
+    """The new data that the reads make of a fibre's columns ``cols``: one
+    read ``(k, table)`` per entry of the new data tuple, which is ``p[k]``
+    when ``table`` is None and ``table[p[k]]`` otherwise.  Scalar data
+    (``tuples`` false) is its one read column, taken directly, as the bar
+    construction makes one such read per base simplex and operator."""
+    if not tuples:
+        (k, table), = reads
+        return cols[k] if table is None else map(table.__getitem__, cols[k])
+    return zip(*[cols[k] if table is None else map(table.__getitem__, cols[k])
+                 for k, table in reads])
+
+
 def over_constant(R, c):
-    """Per degree, the ids of ``R.total`` over the constant chain at c."""
+    """Per degree, the fibre of the ``over_nerve`` total ``R.total`` over
+    the constant chain at c: its data -> id dict, read from the index."""
     C, NC = R.diagram.shape, R.base_nerve
-    out = []
-    for n in range(R.total.cap + 1):
-        const = constant_chain(NC, C, c, n)
-        out.append([s for s in R.total.simplices(n)
-                    if R.proj.comp[n][s] == const])
-    return out
+    chains = [(c,)] + [(C.identity[c],) * n for n in range(1, R.total.cap + 1)]
+    return [R.total.index[n].ids[NC.id_of(n, k)] for n, k in enumerate(chains)]
 
 
 def fiber_onto_value(R, c, X, to_value, from_value):
@@ -444,18 +458,15 @@ def fiber_onto_value(R, c, X, to_value, from_value):
     inclusion, and the mutually inverse pair onto the value X at c:
     ``to_value(n, p)`` is the n-simplex of X named by fiber data p, and
     ``from_value(n, x)`` the fiber data of x."""
-    C, NC, cap = R.diagram.shape, R.base_nerve, R.total.cap
-    selected = over_constant(R, c)
+    fibres = over_constant(R, c)
+    selected = [list(f.values()) for f in fibres]
     fib, inc = sub_sset(R.total, selected)
-    to = [[to_value(n, R.total.key_of(n, s)[1]) for s in selected[n]]
-          for n in range(cap + 1)]
-    fro = []
-    for n in range(cap + 1):
-        position = {s: p for p, s in enumerate(selected[n])}
-        const = constant_chain(NC, C, c, n)
-        fro.append([position[R.total.id_of(n, (const, from_value(n, x)))]
-                    for x in X.simplices(n)])
-    X = X if X.cap == cap else restrict(X, cap)
+    to = [[to_value(n, p) for p in f] for n, f in enumerate(fibres)]
+    # the ids of a fibre are consecutive, so an id's place in the fiber is
+    # the id less the fibre's first
+    fro = [[f[from_value(n, x)] - ids[0] for x in X.simplices(n)]
+           for n, (f, ids) in enumerate(zip(fibres, selected))]
+    X = X if X.cap == R.total.cap else restrict(X, R.total.cap)
     return fib, inc, SimplicialMap(fib, X, to), SimplicialMap(X, fib, fro)
 
 

@@ -8,8 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certify import Certificate
-from .fincat import (RelNerveObject, chain_arrow, chain_object_of_key, nerve,
-                     over_constant, over_nerve)
+from .fincat import (RelNerveObject, chain_arrow, chain_object_of_key,
+                     map_over_nerve, nerve, over_constant, over_nerve)
 from .marked import (MarkedSSet, Localization, OverMappingSpace,
                      colim_marked, degenerate_edges, extend_along_J,
                      localization_mediator, localize, mark_diagram,
@@ -56,20 +56,16 @@ def iota(F, cap, bar=None, rel=None):
     C = U.shape
     bar = bar if bar is not None else bar_hocolim(F, cap)
     rel = rel if rel is not None else lurie_grothendieck(U, cap)
-    NC = bar.base_nerve
-    comp = []
-    for n in range(cap + 1):
-        row, reads = [], {}
-        for sid, x in bar.total.keys[n]:
-            if sid not in reads:
-                k = NC.keys[n][sid]
-                reads[sid] = _front_reads(
-                    U, U.values[chain_object_of_key(C, k, n, 0)], n,
-                    [chain_arrow(C, k, n, 0, i) for i in range(n + 1)])
-            beta = tuple([f[front[x]] for f, front in reads[sid]])
-            row.append(rel.total.id_of(n, (sid, beta)))
-        comp.append(row)
-    return SimplicialMap(bar.total, rel.total, comp), bar, rel
+
+    def op(n, k):
+        # entry i is the i-th front face, transported along sigma(0, i)
+        return [(0, list(map(f.__getitem__, front))) for f, front in
+                _front_reads(U, U.values[chain_object_of_key(C, k, n, 0)],
+                             n, [chain_arrow(C, k, n, 0, i)
+                                 for i in range(n + 1)])]
+
+    return (map_over_nerve(bar.base_nerve, bar.total, rel.total, op), bar,
+            rel)
 
 
 def _front_reads(U, X, n, arrows):
@@ -86,8 +82,8 @@ def _fiber_defect(io, bar, rel, F):
     for c in range(F.shape.n_objects):
         for n, (bar_fib, rel_fib) in enumerate(zip(over_constant(bar, c),
                                                    over_constant(rel, c))):
-            image = set(io.comp[n][s] for s in bar_fib)
-            if image != set(rel_fib) or len(image) != len(bar_fib):
+            image = set(map(io.comp[n].__getitem__, bar_fib.values()))
+            if image != set(rel_fib.values()) or len(image) != len(bar_fib):
                 return c, n
     return None
 

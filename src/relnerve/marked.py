@@ -249,15 +249,12 @@ def marked_rel_nerve(F, cap):
         raise TruncationError("the marked relative nerve needs cap >= 1 "
                               "for its edges")
     R = lurie_grothendieck(F.underlying(), cap)
-    C = F.shape
-    NC = R.base_nerve
-    marked = set()
-    for s in R.total.simplices(1):
-        sid, (b0, b1) = R.total.key_of(1, s)
-        arrow = NC.key_of(1, sid)[0]
-        if b1 in F.values[C.tgt[arrow]].marked:
-            marked.add(s)
-    return OverMarked(MarkedSSet(R.total, frozenset(marked)), R.proj, NC, C), R
+    C, NC = F.shape, R.base_nerve
+    # the fibre over each base edge, read from the index of the total
+    marked = frozenset(s for sid, (arrow,) in enumerate(NC.keys[1])
+                       for (_, b1), s in R.total.index[1].ids[sid].items()
+                       if b1 in F.values[C.tgt[arrow]].marked)
+    return OverMarked(MarkedSSet(R.total, marked), R.proj, NC, C), R
 
 
 def under_nerve_sharp(C, d, cap, NC=None):

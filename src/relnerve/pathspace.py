@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .bisset import BiTruncSSet
 from .fincat import (RelNerveObject, SSetDiagram, chain_arrow,
-                     chain_object_of_key, fiber_onto_value, nerve,
-                     over_nerve)
+                     chain_object_of_key, fiber_onto_value, map_over_nerve,
+                     nerve, over_nerve)
 from .sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
                    TruncationError, codegen_tuple, coface_tuple,
                    disjoint_union, keyed_tables, operator_tables,
@@ -368,28 +368,15 @@ def compare_relnerve_iso(F, cap):
     L = lurie_grothendieck(F, cap)
     R = relative_nerve_direct(F, cap)
     C = F.shape
-    NC = L.base_nerve
     subs = [_subsets(n) for n in range(cap + 1)]
-    fwd = []
-    for n in range(cap + 1):
-        row, reads = [], {}
-        for sid, beta in L.total.keys[n]:
-            if sid not in reads:
-                # the simplex at J is the face J of beta at its last vertex
-                k = NC.keys[n][sid]
-                reads[sid] = [(F.values[chain_object_of_key(C, k, n, J[-1])]
-                               .op_table(J[-1], J), J[-1]) for J in subs[n]]
-            fam = tuple([table[beta[j]] for table, j in reads[sid]])
-            row.append(R.total.id_of(n, (sid, fam)))
-        fwd.append(row)
-    bwd = []
-    for n in range(cap + 1):
-        fronts = [subs[n].index(tuple(range(i + 1))) for i in range(n + 1)]
-        bwd.append([L.total.id_of(n, (sid, tuple(map(fam.__getitem__,
-                                                     fronts))))
-                    for sid, fam in R.total.keys[n]])
-    f = SimplicialMap(L.total, R.total, fwd)
-    g = SimplicialMap(R.total, L.total, bwd)
+    # the simplex at J is the face J of beta at its last vertex
+    f = map_over_nerve(L.base_nerve, L.total, R.total, lambda n, k: [
+        (J[-1], F.values[chain_object_of_key(C, k, n, J[-1])]
+         .op_table(J[-1], J)) for J in subs[n]])
+    # beta_i is the simplex at the front segment {0..i}
+    fronts = [[(ss.index(tuple(range(i + 1))), None) for i in range(n + 1)]
+              for n, ss in enumerate(subs)]
+    g = map_over_nerve(R.base_nerve, R.total, L.total, lambda n, k: fronts[n])
     return f, g, L, R
 
 
@@ -427,18 +414,15 @@ def row_identification(S, F, t, ncap):
     target = lurie_grothendieck(G, ncap)
     row = S.bisset.rows[t]
 
-    def transpose(n, sid, coords, forward):
-        ps = S.spaces[n][sid]
-        return tuple([
-            (cache.transposed(E, t, V) if forward
-             else cache.transposed(V, j, E))[c]
-            for j, (E, V, c) in enumerate(zip(
-                ps.exps, [G.values[o] for o in ps.objects], coords))])
+    def reads(n, k, forward):
+        ps = S.spaces[n][S.base_nerve.id_of(n, k)]
+        return [(j, cache.transposed(E, t, V) if forward
+                 else cache.transposed(V, j, E))
+                for j, (E, V) in enumerate(zip(
+                    ps.exps, [G.values[o] for o in ps.objects]))]
 
-    fwd = [[target.total.id_of(n, (sid, transpose(n, sid, tup, True)))
-            for sid, tup in row.keys[n]] for n in range(ncap + 1)]
-    bwd = [[row.id_of(n, (sid, transpose(n, sid, gamma, False)))
-            for sid, gamma in target.total.keys[n]] for n in range(ncap + 1)]
-    f = SimplicialMap(row, target.total, fwd)
-    g = SimplicialMap(target.total, row, bwd)
+    f = map_over_nerve(S.base_nerve, row, target.total,
+                       lambda n, k: reads(n, k, True))
+    g = map_over_nerve(S.base_nerve, target.total, row,
+                       lambda n, k: reads(n, k, False))
     return f, g, target

@@ -160,7 +160,7 @@ def _category_line(ln, toks, objs, arrows, composes):
     return True
 
 
-def _parse_category_block(cur):
+def _parse_category_block(cur, name, head_ln):
     objs, arrows, composes = [], [], []
     while True:
         ln, toks = cur.take()
@@ -169,7 +169,19 @@ def _parse_category_block(cur):
         if not _category_line(ln, toks, objs, arrows, composes):
             raise SpecParseError("unknown directive %r in category block"
                                  % toks[0], ln)
-    return _build_category(objs, arrows, composes)
+    block = _build_category(objs, arrows, composes)
+    _require_category(block[0], "value %r" % name, head_ln)
+    return block
+
+
+def _require_category(C, what, ln=None):
+    """Refuse the first law that C breaks, with the morphisms of its
+    equation, the composite written g o f."""
+    bad = validate_category(C)
+    if bad:
+        raise SpecParseError("%s is not a category: %s %s" % (
+            what, bad[0][0], " o ".join(C.mor_names[m] for m in bad[0][1:])),
+            ln)
 
 
 def _once(defs, name, what, ln):
@@ -265,7 +277,7 @@ def parse_spec(text):
             if spec[0] in ("explicit", "category"):
                 block = _parse_sset_block(cur, cap, ln) \
                     if spec[0] == "explicit" \
-                    else _parse_category_block(cur)
+                    else _parse_category_block(cur, name, ln)
                 value_defs[name] = (spec[0], block, ln)
             else:
                 value_defs[name] = ("generator", spec, ln)
@@ -313,9 +325,7 @@ def parse_spec(text):
                 raise SpecParseError("%s of unknown %s %r"
                                      % (what, kind_of, name), ln)
     C = _build_category(objs, arrows, composes)[0]
-    bad = validate_category(C)
-    if bad:
-        raise SpecParseError("shape is not a category: %r" % (bad[0],))
+    _require_category(C, "shape")
     try:
         if kind == "cat":
             diagram = _assemble_cat(C, value_defs, map_defs, objs)

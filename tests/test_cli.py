@@ -317,7 +317,66 @@ def test_cli_mutated_specs_exit_cleanly(tmp_path, text, cap):
     spec.write_text(text)
     out = tmp_path / "out.txt"
     assert main(["build", "relnerve", "--input", str(spec), "--cap",
-                 str(cap), "--out", str(out)]) in (0, 1, 2, 3)
+                 str(cap), "--out", str(out)]) in (0, 2, 3)
+
+
+# the commands that take a cat spec
+_CAT_COMMANDS = [["build", "groth-classic"], ["compare", "--thomason"],
+                 ["verify", "fibration"]]
+
+# a cat spec whose value block declares a composite, so that one of its
+# mutants drops a compose line
+_CHAIN_CAT_SPEC = """diagram cat
+cap 3
+object a b
+arrow p a b
+value a category
+  object x y z
+  arrow u x y
+  arrow v y z
+  arrow w x z
+  compose v u w
+end
+value b category
+  object t
+end
+map p functor
+  obj x t
+  obj y t
+  obj z t
+  mor u id_t
+  mor v id_t
+  mor w id_t
+end
+"""
+
+
+@pytest.mark.parametrize("command", _CAT_COMMANDS)
+def test_cli_mutated_cat_specs_exit_cleanly(tmp_path, command):
+    # every mutant, at caps 2 and 3, where the fibration audit runs; a
+    # build has no verification to fail, so it never exits 1
+    spec = tmp_path / "mutant.rnspec"
+    allowed = (0, 2, 3) if command[0] == "build" else (0, 1, 2, 3)
+    for text in (open(fixture("span_cat.rnspec")).read(), _CHAIN_CAT_SPEC):
+        for mutant in _mutants(text):
+            spec.write_text("\n".join(mutant) + "\n")
+            for cap in ("2", "3"):
+                args = command + ["--input", str(spec), "--cap", cap]
+                args += ["--ncap", cap] if command[0] == "verify" else []
+                assert run(args, tmp_path)[0] in allowed, (mutant, cap)
+
+
+@pytest.mark.parametrize("command", _CAT_COMMANDS)
+def test_cli_refuses_a_value_block_that_is_not_a_category(tmp_path, capsys,
+                                                          command):
+    # the block declares no composite of q after p
+    spec = tmp_path / "missing.rnspec"
+    spec.write_text("diagram cat\ncap 3\nobject a\nvalue a category\n"
+                    "  object x y z\n  arrow p x y\n  arrow q y z\nend\n")
+    assert main(command + ["--input", str(spec), "--cap", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: value 'a' is not a category: missing-composite q o p "
+        "(line 4)\n")
 
 
 def test_cli_iota_audit_without_mono_maps(tmp_path):

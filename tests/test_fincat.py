@@ -1,3 +1,5 @@
+import itertools
+import os
 import random
 
 import pytest
@@ -10,16 +12,17 @@ from relnerve.fincat import (CatDiagram, CatFunctor, FinCategory,
                              chain_arrow, chain_category,
                              chain_object_of_key, corepresentable_diagram,
                              cyclic_group_category, identity_functor,
-                             indiscrete_groupoid, keyed_category, nerve,
-                             nerve_map,
+                             indiscrete_groupoid, keyed_category,
+                             map_over_nerve, nerve, nerve_map,
                              over_category, over_nerve, span_category,
                              terminal_category, under_category,
                              validate_category)
-from relnerve.hocolim import bar_hocolim
-from relnerve.pathspace import (lurie_grothendieck, relative_nerve_direct,
-                                simplicial_space)
+from relnerve.hocolim import bar_hocolim, iota
+from relnerve.pathspace import (compare_relnerve_iso, lurie_grothendieck,
+                                relative_nerve_direct, simplicial_space)
 from relnerve.randomgen import (SuiteBounds, random_cat_diagram,
                                 random_sset_diagram)
+from relnerve.specio import parse_spec
 from relnerve.sset import KeyedSSet, keyed_tables
 
 from conftest import span_diagram
@@ -338,3 +341,74 @@ def test_over_nerve_matches_the_per_key_construction(monkeypatch):
             ref, ref_proj = _reference_over_nerve(*args)
             _assert_same_keyed(total, ref)
             assert proj.comp == ref_proj
+
+
+# -- the per-key maps that map_over_nerve replaces, kept as references
+
+def _reference_iota(U, bar, rel):
+    """``iota`` one key at a time: (sigma, x) goes to the tuple of the front
+    faces of x, the i-th transported along sigma(0, i)."""
+    C, NC = U.shape, bar.base_nerve
+    comp = []
+    for n, keys in enumerate(bar.total.keys):
+        row = []
+        for sid, x in keys:
+            k = NC.keys[n][sid]
+            X = U.values[chain_object_of_key(C, k, n, 0)]
+            beta = tuple(U.maps[chain_arrow(C, k, n, 0, i)].comp[i][
+                X.op_table(n, tuple(range(i + 1)))[x]] for i in range(n + 1))
+            row.append(rel.total.id_of(n, (sid, beta)))
+        comp.append(row)
+    return comp
+
+
+def _reference_relnerve_iso(F, L, R):
+    """Both maps of ``compare_relnerve_iso`` one key at a time: forward
+    puts the face J of beta at its last vertex at each subposet J, backward
+    keeps the simplices at the front segments."""
+    C, NC = F.shape, L.base_nerve
+    fwd, bwd = [], []
+    for n, keys in enumerate(L.total.keys):
+        subs = [J for r in range(1, n + 2)
+                for J in itertools.combinations(range(n + 1), r)]
+        fwd.append([R.total.id_of(n, (sid, tuple(
+            F.values[chain_object_of_key(C, NC.keys[n][sid], n, J[-1])]
+            .op_table(J[-1], J)[beta[J[-1]]] for J in subs)))
+            for sid, beta in keys])
+        fronts = [subs.index(tuple(range(i + 1))) for i in range(n + 1)]
+        bwd.append([L.total.id_of(n, (sid, tuple(fam[p] for p in fronts)))
+                    for sid, fam in R.total.keys[n]])
+    return fwd, bwd
+
+
+def _fixture_and_random_diagrams():
+    """Each fixture at its cap, as a plain simplicial diagram, and 30 random
+    diagrams at caps 2-4."""
+    out = []
+    fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
+    for name in sorted(os.listdir(fixtures)):
+        with open(os.path.join(fixtures, name)) as fh:
+            spec = parse_spec(fh.read())
+        F = spec.diagram.nerve_diagram(spec.cap) if spec.kind == "cat" \
+            else spec.diagram.underlying()
+        out.append((F, spec.cap))
+    for s in range(30):
+        F = random_sset_diagram(random.Random(s), SuiteBounds())
+        out += [(F, cap) for cap in (2, 3, 4)]
+    return out
+
+
+def test_maps_over_the_nerve_match_the_per_key_maps():
+    for F, cap in _fixture_and_random_diagrams():
+        f, g, L, R = compare_relnerve_iso(F, cap)
+        assert (f.comp, g.comp) == _reference_relnerve_iso(F, L, R), cap
+        io, bar, rel = iota(F, cap, rel=L)
+        assert io.comp == _reference_iota(F, bar, rel), cap
+
+
+def test_a_read_that_leaves_the_target_fibre_is_a_key_error():
+    # over the point at a, the vertex 0 read one up is no vertex at all
+    L = lurie_grothendieck(span_diagram(3), 3)
+    with pytest.raises(KeyError):
+        map_over_nerve(L.base_nerve, L.total, L.total, lambda n, k: [
+            (0, range(1, 10))] + [(j, None) for j in range(1, n + 1)])
