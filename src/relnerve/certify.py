@@ -9,8 +9,7 @@ nothing beyond it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import itemgetter
+from itertools import chain, repeat
 from typing import Optional
 
 from .sset import SSetError, TruncationError
@@ -135,68 +134,88 @@ def check_bisimplicial(B, subject="bisset"):
 
 # -- horn machinery ----------------------------------------------------------
 
+def _with_edge(X, n, e):
+    """The degree-n simplices (n >= 1) whose 01-edge is ``e``: those whose
+    last face has it, so the 01-edge is ``d_2 .. d_n``, as in ``op_table``."""
+    found = [e]
+    for m in range(2, n + 1):
+        index = X.by_faces(m, (m,))
+        found = [y for z in found for y in index.get(z, ())]
+    return found
+
+
 def _horn_maps(X, n, skip, fixed_edge=None):
-    """All tuples (y_i)_{i != skip} of (n-1)-simplices gluing to a horn map,
-    in lexicographic order.
+    """All horn maps ``(y_i)_{i != skip}`` of (n-1)-simplices, as one id
+    column per facet ``i != skip``, in increasing ``i``: row r of the
+    columns is one horn, and the rows come in no set order.
 
     Compatibility: d_i(y_j) = d_{j-1}(y_i) for i < j, both != skip.  The
-    facets are chosen one at a time for all partial horns at once: 0 and n
-    first, each later one from the face index of one face the chosen
-    facets give it, checked against the others, and the last from
-    ``by_horn``, as they give all its faces but the one it shares with the
-    skipped facet.  When ``fixed_edge`` is given, every facet containing
-    the 01-edge (index >= 2) must restrict to it on vertices {0,1}, and
-    facet 2 is chosen first.
+    facets are joined one at a time for all partial horns at once, 0 and n
+    first: each new facet is looked up in the ``by_faces`` grouping keyed
+    by every face that the facets already chosen give it, and the columns
+    are re-indexed only where some partial horn has no extension or
+    several.  When ``fixed_edge`` is given, facet 2 comes first, from the
+    simplices with that 01-edge, and each later facet that contains the
+    01-edge (index >= 3) must restrict to it on vertices {0,1}.
     """
     faces = X.faces[n - 1]
     idxs = [i for i in range(n + 1) if i != skip]
-    first = [2] if fixed_edge is not None else [0, n]
-    order = first + [i for i in idxs if i not in first]
-    horns = [(y,) for y in X.simplices(n - 1)]
-    if fixed_edge is not None:
+    if fixed_edge is None:
+        order = [0, n] + idxs[1:-1]
+        cols = [list(X.simplices(n - 1))]
+    else:
+        order = [2] + [i for i in idxs if i != 2]
+        cols = [_with_edge(X, n - 1, fixed_edge)]
         edges = X.op_table(n - 1, (0, 1))
-        horns = [h for h in horns if edges[h[0]] == fixed_edge]
     for pos in range(1, n):
         j = order[pos]
         # (a, q, table): d_a(y_j) = table[y_c] for the chosen c = order[q],
         # as d_c(y_j) = d_{j-1}(y_c) for c < j and d_{c-1}(y_j) = d_j(y_c)
         given = sorted((c, q, faces[j - 1]) if c < j else (c - 1, q, faces[j])
                        for q, c in enumerate(order[:pos]))
-        wants = [map(t.__getitem__, map(itemgetter(q), horns))
-                 for _, q, t in given]
-        if pos < n - 1:
-            lookup, checks = X.face_index(n - 1)[given[0][0]], given[1:]
-            wants = wants[0]
-        else:
-            # y_j's face shared with the skipped facet is the one not given
-            lookup, checks = X.by_horn(n - 1, skip - (skip > j)), ()
-            wants = zip(*wants)
-        horns = [h + (y,) for h, ys in zip(horns, map(lookup.get, wants,
-                                                      repeat(())))
-                 for y in ys]
-        for a, q, t in checks:
-            horns = [h for h in horns if faces[a][h[pos]] == t[h[q]]]
-        if fixed_edge is not None and j >= 2:
-            horns = [h for h in horns if edges[h[pos]] == fixed_edge]
-    return sorted(map(itemgetter(*[order.index(i) for i in idxs]), horns))
+        wants = [map(t.__getitem__, cols[q]) for _, q, t in given]
+        found = list(map(X.by_faces(n - 1, [a for a, _, _ in given]).get,
+                         wants[0] if len(wants) == 1 else zip(*wants),
+                         repeat(())))
+        if fixed_edge is not None and j >= 3:
+            found = [[y for y in ys if edges[y] == fixed_edge]
+                     for ys in found]
+        new = [y for ys in found for y in ys]
+        if len(new) != len(cols[0]) or not all(found):
+            # some partial horn has no or several extensions
+            keep = [r for r, ys in enumerate(found) for _ in ys]
+            cols = [list(map(col.__getitem__, keep)) for col in cols]
+        cols.append(new)
+    return [cols[order.index(i)] for i in idxs]
 
 
-def _unlifted(p, n, k, horns):
-    """Count the (n, k) squares over ``horns``: ``(count, None)`` if each
-    has a lift, else ``(_, (horn, b))`` for the first that has none."""
-    lifts_of, bases_of = p.domain.by_horn(n, k), p.codomain.by_horn(n, k)
+def _unlifted(p, n, k, cols, tops=None):
+    """Decide the (n, k) squares of ``p`` over the horns in ``cols`` (see
+    ``_horn_maps``): each horn with each base of its image, from the
+    codomain's ``by_faces``.  They pass when all lie in the set of
+    ``(horn_k x, p x)`` over the n-simplices ``tops`` (all when None), and
+    ``(count, None)`` counts them.  Otherwise, and only then, the horns
+    are sorted and scanned in order, and ``(count, (horn, b))`` names the
+    first square with no lift, after the ``count`` that have one."""
+    X, idxs = p.domain, [i for i in range(n + 1) if i != k]
     top, below = p.comp[n], p.comp[n - 1]
-    idxs = [i for i in range(n + 1) if i != k]
+    bases_of = p.codomain.by_faces(n, idxs)
+    found = list(map(bases_of.get,
+                     zip(*[map(below.__getitem__, col) for col in cols]),
+                     repeat(())))
+    tops = X.simplices(n) if tops is None else tops
+    lifted = set(zip(zip(*[map(X.faces[n][i].__getitem__, tops)
+                           for i in idxs]), map(top.__getitem__, tops)))
+    # the squares: each horn zipped with each of its bases
+    if lifted.issuperset(chain.from_iterable(
+            map(zip, map(repeat, zip(*cols)), found))):
+        return sum(map(len, found)), None
     checked = 0
-    for h in horns:
-        bases = bases_of.get(tuple(map(below.__getitem__, h)), ())
-        if bases:
-            lifts = {top[x] for x in lifts_of.get(h, ())}
-            for b in bases:
-                if b not in lifts:
-                    return checked, (list(zip(idxs, h)), b)
-            checked += len(bases)
-    return checked, None
+    for h, bases in sorted(zip(zip(*cols), found)):
+        for b in bases:
+            if (h, b) not in lifted:
+                return checked, (list(zip(idxs, h)), b)
+        checked += len(bases)
 
 
 def inner_horn_lifts(p, ncap, subject="inner-fibration"):
@@ -218,7 +237,8 @@ def inner_horn_lifts(p, ncap, subject="inner-fibration"):
 
 def cocartesian_edge(p, e, ncap):
     """Left-horn lifting audit for one edge: for every n <= ncap, every
-    Lambda^0[n] square whose initial edge is e admits a lift."""
+    Lambda^0[n] square whose initial edge is e admits a lift.  Only the
+    simplices whose 01-edge is e are read, for the horns and the lifts."""
     if ncap > p.domain.cap:
         raise TruncationError("ncap=%d exceeds the truncation cap=%d"
                               % (ncap, p.domain.cap))
@@ -226,7 +246,8 @@ def cocartesian_edge(p, e, ncap):
         raise SSetError("edge %r is not a 1-simplex of the total space" % e)
     checked = 0
     for n in range(2, ncap + 1):
-        count, bad = _unlifted(p, n, 0, _horn_maps(p.domain, n, 0, e))
+        count, bad = _unlifted(p, n, 0, _horn_maps(p.domain, n, 0, e),
+                               _with_edge(p.domain, n, e))
         if bad:
             return Certificate("cocartesian-edge", "edge-%d" % e, "FAIL",
                                bound=n, witness=(n,) + bad)
@@ -242,7 +263,7 @@ def cocartesian_fibration(p, ncap, subject="fibration"):
     if not inner.ok:
         return inner
     X, S = p.domain, p.codomain
-    out_of = X.face_index(1)[1]
+    out_of = X.by_faces(1, (1,))
     for f in S.simplices(1):
         for xbar in X.simplices(0):
             if p.comp[0][xbar] == S.faces[1][1][f] and not any(

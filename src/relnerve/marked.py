@@ -74,7 +74,7 @@ def equivalences(X):
     """
     if X.cap < 2:
         raise MarkError("equivalence search needs cap >= 2")
-    by_d2 = X.face_index(2)[2]
+    by_d2 = X.by_faces(2, (2,))
     out = {}
     for y in X.simplices(1):
         a = X.faces[1][1][y]

@@ -263,7 +263,7 @@ def lurie_grothendieck(F, cap):
         tuples = [(b,) for b in Xs[0].simplices(0)]
         for i in range(1, n + 1):
             fmap = F.maps[k[i - 1]]
-            by_face = Xs[i].face_index(i)[i]
+            by_face = Xs[i].by_faces(i, (i,))
             tuples = [t + (y,)
                       for t in tuples
                       for y in by_face.get(fmap.comp[i - 1][t[-1]], ())]
@@ -323,7 +323,7 @@ def relative_nerve_direct(F, cap):
                 map(F.maps[chain_arrow(C, k, n, I[-1], j)]
                     .comp[len(I) - 1].__getitem__, cols[grow_index[n][I]])
                 for I in cofaces])
-            found = list(map(Xj.by_faces(r).get, profiles,
+            found = list(map(Xj.by_faces(r, range(r + 1)).get, profiles,
                              itertools.repeat(())))
             new = [y for ys in found for y in ys]
             if len(new) != size or not all(found):

@@ -44,8 +44,6 @@ class TruncSSet:
         self._nondeg_cache = {}
         self._degflag_cache = {}
         self._by_faces_cache = {}
-        self._face_index_cache = {}
-        self._by_horn_cache = {}
         self._op_cache = {}
         self._ez_cache = {}
         self._prism_cache = {}
@@ -84,27 +82,17 @@ class TruncSSet:
 
     # -- face lookups (cached: the tables must not change after first use) ---
 
-    def by_faces(self, n):
-        """Degree-n simplices (n >= 1) grouped by their whole boundary
-        ``(d_0 s, .., d_n s)``."""
-        if n not in self._by_faces_cache:
-            self._by_faces_cache[n] = _group(zip(*self.faces[n]))
-        return self._by_faces_cache[n]
-
-    def face_index(self, n):
-        """For each ``i``, the degree-n simplices (n >= 1) grouped by
-        ``d_i s``."""
-        if n not in self._face_index_cache:
-            self._face_index_cache[n] = [_group(t) for t in self.faces[n]]
-        return self._face_index_cache[n]
-
-    def by_horn(self, n, k):
-        """Degree-n simplices (n >= 1) grouped by their horn
-        ``(d_i s for i != k)``."""
-        if (n, k) not in self._by_horn_cache:
-            faces = self.faces[n][:k] + self.faces[n][k + 1:]
-            self._by_horn_cache[n, k] = _group(zip(*faces))
-        return self._by_horn_cache[n, k]
+    def by_faces(self, n, idxs):
+        """Degree-n simplices (n >= 1) grouped by their faces ``d_i s`` for
+        ``i`` in ``idxs``: keyed by the face itself when ``idxs`` has one
+        index, else by the tuple of the faces, so ``range(n + 1)`` keys them
+        by their whole boundary ``(d_0 s, .., d_n s)``."""
+        idxs = tuple(idxs)
+        if (n, idxs) not in self._by_faces_cache:
+            tables = [self.faces[n][i] for i in idxs]
+            self._by_faces_cache[n, idxs] = _group(
+                tables[0] if len(tables) == 1 else zip(*tables))
+        return self._by_faces_cache[n, idxs]
 
     def nondeg_dim(self):
         """Largest degree carrying a nondegenerate simplex."""
@@ -629,7 +617,7 @@ def _search(A, B, candidate_filter=None, limit=None):
     undoes the assignments on the trail.  A chosen simplex tries the
     simplices of ``B`` with its whole boundary when every face is fixed
     (``by_faces``), else those with one of its fixed faces, the one with
-    the fewest (``face_index``), and all of ``B_n`` when no face is fixed.
+    the fewest, and all of ``B_n`` when no face is fixed.
     The optional ``candidate_filter(n, s, b)`` restricts the value of every
     nondegenerate ``s``, chosen or propagated.  The EZ table and layout of
     ``A`` are cached on ``A``, so a prism ``X.prism(n)``, built once per
@@ -670,10 +658,10 @@ def _search(A, B, candidate_filter=None, limit=None):
         if not known:
             return range(B.counts[n])
         if len(known) == n + 1:
-            return B.by_faces(n).get(tuple(known[i] for i in range(n + 1)),
-                                     ())
-        index = B.face_index(n)
-        return min((index[i].get(v, ()) for i, v in known.items()), key=len)
+            return B.by_faces(n, range(n + 1)).get(
+                tuple(known[i] for i in range(n + 1)), ())
+        return min((B.by_faces(n, (i,)).get(v, ()) for i, v in known.items()),
+                   key=len)
 
     def choose(idx):
         if idx == len(order):

@@ -11,7 +11,8 @@ from relnerve.fincat import (CatDiagram, arrow_category,
                              cyclic_group_category, identity_functor, nerve)
 from relnerve.sset import (SimplicialMap, SSetError, TruncationError,
                            TruncSSet, boundary, constant_map, horn,
-                           identity_map, standard_simplex, walking_iso)
+                           identity_map, pushout, standard_simplex,
+                           walking_iso)
 
 
 def test_generated_objects_pass_audit():
@@ -221,8 +222,10 @@ def _reference_edge(p, e, ncap):
 def _differential_cases():
     """(name, p, ncap), freshly built, on small objects: the nerve of C2
     over itself and over a point, the horn Lambda^2_1 over Delta[1] and
-    over a point, and the relative nerve of the span diagram over
-    N(span)."""
+    over a point, the relative nerve of the span diagram over N(span), and
+    two copies of Delta[2] glued along their boundary, over itself and
+    over a point: the inner horn of the boundary has two fillers and, over
+    itself, two bases."""
     from relnerve.pathspace import lurie_grothendieck
     from conftest import span_diagram
     N = nerve(cyclic_group_category(2), 4)
@@ -233,11 +236,17 @@ def _differential_cases():
         [D1.id_of(n, tuple(vmap[v] for v in H.key_of(n, s)))
          for s in H.simplices(n)] for n in range(5)])
     R = lurie_grothendieck(span_diagram(3), 3)
+    B, D2 = boundary(2, 3), standard_simplex(2, 3)
+    inc = SimplicialMap(B, D2, [[D2.id_of(n, B.key_of(n, s))
+                                 for s in B.simplices(n)] for n in range(4)])
+    G = pushout(inc, inc)[0]
     return [("nerve-c2", identity_map(N), 4),
             ("nerve-c2-point", constant_map(N, standard_simplex(0, 4), 0), 4),
             ("horn", to_d1, 4),
             ("horn-point", constant_map(H, standard_simplex(0, 4), 0), 4),
-            ("span", R.proj, 3)]
+            ("span", R.proj, 3),
+            ("glued", identity_map(G), 3),
+            ("glued-point", constant_map(G, standard_simplex(0, 3), 0), 3)]
 
 
 def _corrupted(case, rng, count):
@@ -256,7 +265,7 @@ def _corrupted(case, rng, count):
         yield p
 
 
-@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("case", range(7))
 def test_horn_audits_match_brute_force(case):
     # verdict, bound and witness, the ("squares", n) count included, on the
     # object and on copies with one corrupted table entry each

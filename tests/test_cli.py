@@ -366,6 +366,20 @@ def test_cli_mutated_cat_specs_exit_cleanly(tmp_path, command):
                 assert run(args, tmp_path)[0] in allowed, (mutant, cap)
 
 
+@pytest.mark.parametrize("name", ["interval_sharp.rnspec",
+                                  "interval_diagram_sharp.rnspec"])
+def test_cli_mutated_marked_specs_verify_cleanly(tmp_path, name):
+    # the marked path of ``verify fibration``, whose FAIL witnesses come
+    # from the horn audits: every mutant at cap 3 and both horn bounds
+    spec = tmp_path / "mutant.rnspec"
+    for mutant in _mutants(open(fixture(name)).read()):
+        spec.write_text("\n".join(mutant) + "\n")
+        for ncap in ("2", "3"):
+            args = ["verify", "fibration", "--input", str(spec), "--cap",
+                    "3", "--ncap", ncap]
+            assert run(args, tmp_path)[0] in (0, 1, 2, 3), (mutant, ncap)
+
+
 @pytest.mark.parametrize("command", _CAT_COMMANDS)
 def test_cli_refuses_a_value_block_that_is_not_a_category(tmp_path, capsys,
                                                           command):
