@@ -226,7 +226,9 @@ class CatFunctor:
             if self.mor_map[C.identity[o]] != D.identity[self.obj_map[o]]:
                 bad.append(("identity", o))
         for (g, f), h in C.table.items():
-            if D.table[(self.mor_map[g], self.mor_map[f])] != self.mor_map[h]:
+            # images that are not composable (a typing defect) have none
+            if D.table.get((self.mor_map[g], self.mor_map[f])) != \
+                    self.mor_map[h]:
                 bad.append(("composition", g, f))
         return bad
 

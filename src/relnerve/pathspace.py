@@ -13,6 +13,7 @@ bisimplicial object is the total space of the relative nerve.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -279,83 +280,157 @@ def lurie_grothendieck(F, cap):
     return RelNerveObject(total, proj, NC, F)
 
 
-def _subsets(n):
-    """Nonempty subsets of {0..n} as sorted tuples, ordered by (size, lex)."""
+@functools.lru_cache(maxsize=None)
+def subposet_plans(cap):
+    """What the subposet-indexed construction reads below ``cap``, built
+    once per cap (do not modify): ``subs[n]``, the nonempty subposets of
+    [n] by (size, lex), the order of a family's entries; ``vertices[n][j]``,
+    the position of {0..j}, the reads ``(position, J)`` of the other
+    subposets J ending at j, and the checks ``(position of J, drop,
+    position of I, last vertex of I, dim J)`` of every I = J less one
+    vertex but {0..j-1}, which the extension of {0..j} meets; the reads of
+    each d_i, and the plan ``(position, dim, vertex map, last vertex)`` of
+    the image of each subposet under each s_i (see ``operator_tables``)."""
+    subs = [[J for r in range(1, n + 2)
+             for J in itertools.combinations(range(n + 1), r)]
+            for n in range(cap + 1)]
+    index = [{J: p for p, J in enumerate(ss)} for ss in subs]
+
+    def vertex(n, j):
+        front = tuple(range(j + 1))
+        ends = [J for J in subs[n] if J[-1] == j]
+        checks = [(index[n][J], drop, index[n][J[:drop] + J[drop + 1:]],
+                   J[-2] if drop == len(J) - 1 else j, len(J) - 1)
+                  for J in ends if len(J) > 1
+                  for drop in range(len(J) - (J == front))]
+        return (index[n][front], [(index[n][J], J) for J in ends
+                                  if J != front], checks)
+
+    def restriction(n, i, d):
+        vmap = (coface_tuple if d < 0 else codegen_tuple)(n, i)
+        images = [tuple(sorted(set(vmap[v] for v in J))) for J in subs[n + d]]
+        if d < 0:
+            # a coface maps each subposet isomorphically onto its image
+            return [(index[n][image], None) for image in images]
+        return [(index[n][image], len(image) - 1, tuple(
+            image.index(vmap[v]) for v in J), image[-1])
+            for J, image in zip(subs[n + d], images)]
+
+    faces, degens = operator_tables(cap, restriction)
+    return subs, [[vertex(n, j) for j in range(n + 1)]
+                  for n in range(cap + 1)], faces, degens
+
+
+def _chain_objects(C, key, n):
+    """The objects of C along a degree-n nerve simplex key."""
+    return key if n == 0 else (C.src[key[0]],) + tuple(map(C.tgt.__getitem__,
+                                                           key))
+
+
+def _transitions(C, tables, key, n):
+    """``[a][j]``: the entry of ``tables`` (one per arrow of C) at sigma(a,
+    j), for a <= j, of a degree-n nerve simplex key."""
+    objs = _chain_objects(C, key, n)
     out = []
-    for r in range(1, n + 2):
-        out.extend(itertools.combinations(range(n + 1), r))
+    for a in range(n + 1):
+        arrows = [C.identity[objs[a]]]
+        for j in range(a, n):
+            arrows.append(key[j] if j == a else C.table[key[j], arrows[-1]])
+        out.append([None] * a + [tables[m] for m in arrows])
     return out
+
+
+def _along(comp, r, col):
+    """``col``, of degree-r simplices, moved along the map with tables
+    ``comp``, or ``col`` itself where ``comp`` is None, the identity."""
+    return col if comp is None else list(map(comp[r].__getitem__, col))
+
+
+def _rows(cols, keep):
+    """The rows ``keep`` of each filled column."""
+    return [None if col is None else list(map(col.__getitem__, keep))
+            for col in cols]
 
 
 def relative_nerve_direct(F, cap):
     """The subposet-indexed construction: an n-simplex is a base chain plus a
-    compatible family of simplices, one for each nonempty subposet of [n]."""
+    compatible family of simplices, one for each nonempty subposet J of [n]
+    in the value at its last vertex, each face of the simplex at J the one
+    at J less that vertex, moved along the chain.
+
+    A family is found vertex by vertex, at output cost: the simplex at
+    {0..j} extends the one at {0..j-1}, moved along the chain, by its last
+    face; the other subposets ending at j are read off it as faces; then
+    every codimension-1 condition on them is checked a whole column at a
+    time, those that functoriality implies included, and only when two
+    columns differ are the failing rows found and dropped.  This is exact
+    for every diagram that sends identities to identities.
+    """
     C = F.shape
     F.require_cap(cap)
     NC = nerve(C, cap)
-    subs = [_subsets(n) for n in range(cap + 1)]
-    sub_index = [{J: p for p, J in enumerate(ss)} for ss in subs]
-    # families grow by (last vertex, size, lex), so the simplex at each
-    # subposet comes after all of its faces, and are then laid out by
-    # (size, lex), the order of ``subs``
-    grow = [sorted(ss, key=lambda J: (J[-1], len(J), J)) for ss in subs]
-    grow_index = [{J: p for p, J in enumerate(gs)} for gs in grow]
-    layout = [[grow_index[n][J] for J in subs[n]] for n in range(cap + 1)]
+    subs, vertices, faces, degens = subposet_plans(cap)
+    # the tables of F along each arrow, None where they are the identity
+    tables = [None if all(t == list(range(len(t))) for t in f.comp)
+              else f.comp for f in F.maps]
+    chains, degen_reads = {}, {}
+
+    def chain(n, objs):
+        # per vertex j: the value, its simplices by their last face, and
+        # the reads and checks with their tables, once per chain of objects
+        if (n, objs) not in chains:
+            chains[n, objs] = [
+                (X, X.by_faces(j, (j,)) if j else None, front,
+                 [(p, X.op_table(j, J)) for p, J in reads],
+                 [(p, X.faces[r][drop], q, a, r - 1)
+                  for p, drop, q, a, r in checks])
+                for j, (X, (front, reads, checks)) in enumerate(zip(
+                    [F.values[o] for o in objs], vertices[n]))]
+        return chains[n, objs]
 
     def families(n, k):
-        # column q lists the simplex at grow[n][q] of every partial family
-        objs = [chain_object_of_key(C, k, n, i) for i in range(n + 1)]
-        cols, size = [], 1
-        for J in grow[n]:
-            j = J[-1]
-            Xj = F.values[objs[j]]
-            r = len(J) - 1
-            if not r:
-                # a new vertex: every partial family times every vertex
-                m = Xj.counts[0]
-                cols = [[v for v in col for _ in range(m)] for col in cols]
-                cols.append(list(range(m)) * size)
-                size *= m
-                continue
-            # d_drop of the simplex at J sits at J minus its drop-th entry
-            cofaces = [J[:drop] + J[drop + 1:] for drop in range(r + 1)]
-            profiles = zip(*[
-                map(F.maps[chain_arrow(C, k, n, I[-1], j)]
-                    .comp[len(I) - 1].__getitem__, cols[grow_index[n][I]])
-                for I in cofaces])
-            found = list(map(Xj.by_faces(r, range(r + 1)).get, profiles,
-                             itertools.repeat(())))
-            new = [y for ys in found for y in ys]
-            if len(new) != size or not all(found):
-                # some partial family has no or several extensions
-                keep = [f for f, ys in enumerate(found) for _ in ys]
-                cols = [list(map(col.__getitem__, keep)) for col in cols]
-                size = len(keep)
-            cols.append(new)
-        return sorted(zip(*[cols[q] for q in layout[n]]))
-
-    def restriction(n_from, n_to, vmap):
-        """Per subposet J of [n_to]: its last vertex, the position of its
-        image under ``vmap`` among the subposets of [n_from], and the
-        vertex map from J onto that image."""
-        plan = []
-        for J in subs[n_to]:
-            image = tuple(sorted(set(vmap[v] for v in J)))
-            plan.append((J[-1], sub_index[n_from][image], len(image) - 1,
-                         tuple(image.index(vmap[v]) for v in J)))
-        return plan
-
-    face_plans, degen_plans = operator_tables(cap, lambda n, i, d: restriction(
-        n, n + d, (coface_tuple if d < 0 else codegen_tuple)(n, i)))
+        along = _transitions(C, tables, k, n)
+        # cols[p] lists the entry at subs[n][p] of every partial family
+        cols, last = [None] * len(subs[n]), None
+        for j, (X, by_last, front, reads, checks) in enumerate(
+                chain(n, _chain_objects(C, k, n))):
+            if not j:
+                cols[front] = list(range(X.counts[0]))
+            else:
+                found = list(map(by_last.get, _along(
+                    along[j - 1][j], j - 1, cols[last]), itertools.repeat(())))
+                new = [y for ys in found for y in ys]
+                if len(new) != len(found) or not all(found):
+                    # some partial family has no or several extensions
+                    cols = _rows(cols, [f for f, ys in enumerate(found)
+                                        for _ in ys])
+                cols[front] = new
+            last = front
+            for p, table in reads:
+                cols[p] = list(map(table.__getitem__, cols[front]))
+            bad = set()
+            for p, face, q, a, r in checks:
+                got = list(map(face.__getitem__, cols[p]))
+                want = _along(along[a][j], r, cols[q])
+                if got != want:
+                    bad.update(f for f, (x, y) in enumerate(zip(got, want))
+                               if x != y)
+            if bad:
+                cols = _rows(cols, [f for f in range(len(cols[front]))
+                                    if f not in bad])
+        return sorted(zip(*cols))
 
     def op(n, i, d, k, new_k):
-        # a coface maps each subposet isomorphically onto its image, so d_i
-        # keeps the simplex at the image of each subposet; s_i reads the
-        # operator tables of the values along new_k
+        # d_i keeps the entry at the image of each subposet; s_i reads the
+        # operator tables of the values along k, once per chain of objects
         if d < 0:
-            return [(p, None) for _, p, _, _ in face_plans[n][i]]
-        return [(p, F.values[chain_object_of_key(C, new_k, n + 1, j)]
-                 .op_table(r, u)) for j, p, r, u in degen_plans[n][i]]
+            return faces[n][i]
+        objs = _chain_objects(C, k, n)
+        if (n, i, objs) not in degen_reads:
+            degen_reads[n, i, objs] = [
+                (p, F.values[objs[a]].op_table(r, u))
+                for p, r, u, a in degens[n][i]]
+        return degen_reads[n, i, objs]
 
     total, proj = over_nerve(NC, cap, families, op)
     return RelNerveObject(total, proj, NC, F)
@@ -368,14 +443,21 @@ def compare_relnerve_iso(F, cap):
     L = lurie_grothendieck(F, cap)
     R = relative_nerve_direct(F, cap)
     C = F.shape
-    subs = [_subsets(n) for n in range(cap + 1)]
-    # the simplex at J is the face J of beta at its last vertex
-    f = map_over_nerve(L.base_nerve, L.total, R.total, lambda n, k: [
-        (J[-1], F.values[chain_object_of_key(C, k, n, J[-1])]
-         .op_table(J[-1], J)) for J in subs[n]])
+    subs, vertices = subposet_plans(cap)[:2]
+    forward = {}
+
+    def reads(n, k):
+        # the simplex at J is the face J of beta at its last vertex, read
+        # once per chain of objects
+        objs = _chain_objects(C, k, n)
+        if (n, objs) not in forward:
+            forward[n, objs] = [(J[-1], F.values[objs[J[-1]]].op_table(
+                J[-1], J)) for J in subs[n]]
+        return forward[n, objs]
+
+    f = map_over_nerve(L.base_nerve, L.total, R.total, reads)
     # beta_i is the simplex at the front segment {0..i}
-    fronts = [[(ss.index(tuple(range(i + 1))), None) for i in range(n + 1)]
-              for n, ss in enumerate(subs)]
+    fronts = [[(front, None) for front, _, _ in vs] for vs in vertices]
     g = map_over_nerve(R.base_nerve, R.total, L.total, lambda n, k: fronts[n])
     return f, g, L, R
 

@@ -335,10 +335,50 @@ def parse_spec(text):
                 diagram = _apply_markings(diagram, markings, marked_extra)
     except (CatError, MarkError, KeyError, IndexError) as exc:
         raise SpecParseError("invalid diagram data: %r" % (exc,))
-    bad = diagram.validate()
-    if bad:
-        raise SpecParseError("diagram is not functorial: %r" % (bad[0],))
+    _require_functorial(diagram, map_defs, composes, markings, marked_extra)
     return ParsedSpec(kind, cap, diagram, objs)
+
+
+def _require_functorial(diagram, map_defs, composes, markings, marked_extra):
+    """Refuse the first defect that ``validate`` finds, naming the arrow and
+    the line that defines it: a map that is not simplicial, or a functor
+    that breaks a law, by its ``map`` line; a broken composite g o f by its
+    ``compose`` line; and a marked edge sent to an unmarked one by the
+    target's ``marking`` line, else by the line that marks the edge."""
+    bad = diagram.validate()
+    if not bad:
+        return
+    C, (what, m, *rest) = diagram.shape, bad[0]
+    names = C.mor_names
+    if what == "not-simplicial":
+        kind, n, i, s = diagram.maps[m].validate()[0]
+        detail = "map %r is not simplicial: it breaks %s %d %d at simplex " \
+            "%d" % (names[m], kind, n, i, s)
+        ln = map_defs[names[m]][2]
+    elif what == "not-functorial-value":
+        law, *args = diagram.maps[m].validate()[0]
+        V = diagram.maps[m].domain
+        detail = "functor %r is not a functor: %s %s" % (
+            names[m], law, " o ".join((V.obj_names if law == "identity"
+                                       else V.mor_names)[x] for x in args))
+        ln = map_defs[names[m]][2]
+    elif what == "functoriality":
+        g, f = names[m], names[rest[0]]
+        detail = "map %r is not the composite %s o %s" % (
+            names[C.table[m, rest[0]]], g, f)
+        ln = next((ln for g2, f2, _, ln in composes if (g2, f2) == (g, f)),
+                  None)
+    elif what == "marking-not-preserved":
+        e, = rest
+        a, b = C.obj_names[C.src[m]], C.obj_names[C.tgt[m]]
+        detail = "map %r sends the marked edge %d of %r to the unmarked " \
+            "edge %d of %r" % (names[m], e, a, diagram.maps[m].comp[1][e], b)
+        ln = markings[b][1] if b in markings else next(
+            (ln for o, ids, ln in marked_extra if o == a and e in ids),
+            markings.get(a, (None, None))[1])
+    else:
+        detail, ln = repr(bad[0]), None
+    raise SpecParseError("diagram is not functorial: " + detail, ln)
 
 
 def _value_sset(defn, cap, name):

@@ -313,11 +313,15 @@ def _fuzz_specs():
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=st.sampled_from(_fuzz_specs()), cap=st.integers(0, 2))
 def test_cli_mutated_specs_exit_cleanly(tmp_path, text, cap):
+    # both relative nerves and the comparison between them; a build has no
+    # verification to fail, so it never exits 1
     spec = tmp_path / "mutant.rnspec"
     spec.write_text(text)
-    out = tmp_path / "out.txt"
-    assert main(["build", "relnerve", "--input", str(spec), "--cap",
-                 str(cap), "--out", str(out)]) in (0, 2, 3)
+    for command, allowed in ((["build", "relnerve"], (0, 2, 3)),
+                             (["build", "relnerve-direct"], (0, 2, 3)),
+                             (["verify", "c4-iso"], (0, 1, 2, 3))):
+        args = command + ["--input", str(spec), "--cap", str(cap)]
+        assert run(args, tmp_path)[0] in allowed, command
 
 
 # the commands that take a cat spec
@@ -391,6 +395,53 @@ def test_cli_refuses_a_value_block_that_is_not_a_category(tmp_path, capsys,
     assert capsys.readouterr().err == (
         "parse error: value 'a' is not a category: missing-composite q o p "
         "(line 4)\n")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("value b delta 1", "value b delta 5"),
+     "map 'f' is not simplicial: it breaks face 1 0 at simplex 2 (line 12)"),
+    (("marking b sharp\n", ""),
+     "map 'f' sends the marked edge 1 of 'a' to the unmarked edge 1 of 'b' "
+     "(line 14)")])
+def test_cli_names_the_map_that_is_not_functorial(tmp_path, capsys, edit,
+                                                  message):
+    spec = tmp_path / "mutant.rnspec"
+    text = open(fixture("interval_diagram_sharp.rnspec")).read()
+    assert edit[0] in text
+    spec.write_text(text.replace(*edit))
+    assert main(["verify", "fibration", "--input", str(spec), "--cap", "3",
+                 "--ncap", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "parse error: diagram is not functorial: %s\n" % message
+
+
+def test_cli_names_the_composite_that_breaks(tmp_path, capsys):
+    spec = tmp_path / "triangle.rnspec"
+    spec.write_text("diagram sset\ncap 2\nobject a b c\narrow f a b\n"
+                    "arrow g b c\narrow h a c\ncompose g f h\n"
+                    "value a delta 1\nvalue b delta 1\nvalue c delta 1\n"
+                    "map f identity\nmap g identity\nmap h constant 0\n")
+    assert main(["build", "relnerve-direct", "--input", str(spec), "--cap",
+                 "2"]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: diagram is not functorial: map 'h' is not the "
+        "composite g o f (line 7)\n")
+
+
+@pytest.mark.parametrize("command", _CAT_COMMANDS)
+def test_cli_names_the_functor_that_breaks_a_law(tmp_path, capsys, command):
+    # v: y -> z goes to e: s -> t, but y goes to t, and e o e, the image
+    # of v o u, does not exist
+    spec = tmp_path / "typing.rnspec"
+    spec.write_text(_CHAIN_CAT_SPEC.replace(
+        "  object t\n", "  object s t\n  arrow e s t\n").replace(
+        "obj x t", "obj x s").replace("mor u id_t", "mor u e").replace(
+        "mor v id_t", "mor v e"))
+    assert main(command + ["--input", str(spec), "--cap", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: diagram is not functorial: functor 'p' is not a "
+        "functor: typing v (line 16)\n")
 
 
 def test_cli_iota_audit_without_mono_maps(tmp_path):

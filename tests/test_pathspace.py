@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import os
 import random
 
 import pytest
@@ -8,7 +10,9 @@ from conftest import (arrow_diagram, identity_arrow_diagram, span_diagram,
 from relnerve.bisset import BiTruncSSet, box_product, i1_star
 from relnerve.certify import (check_bisimplicial, check_simplicial_identities,
                               verify_iso_map)
-from relnerve.fincat import (arrow_category, constant_diagram, nerve,
+from relnerve.fincat import (SSetDiagram, arrow_category, chain_arrow,
+                             chain_category, chain_object_of_key,
+                             constant_diagram, nerve, over_nerve,
                              span_category)
 from relnerve.homology import homology_table
 from relnerve.pathspace import (PathSpace, compare_relnerve_iso, fiber_at,
@@ -17,9 +21,12 @@ from relnerve.pathspace import (PathSpace, compare_relnerve_iso, fiber_at,
                                 row_identification, simplicial_space,
                                 space_projection_ok)
 from relnerve.randomgen import SuiteBounds, random_sset_diagram
+from relnerve.specio import parse_spec
 from relnerve.sset import (Exponential, SSetError, TruncationError, boundary,
-                           constant_map, discrete, shared_simplex,
-                           shared_vertex_map, standard_simplex)
+                           codegen_tuple, coface_tuple, constant_map,
+                           discrete, identity_map, operator_tables,
+                           shared_simplex, shared_vertex_map,
+                           standard_simplex)
 
 
 # -- path spaces ---------------------------------------------------------------
@@ -310,6 +317,104 @@ def test_direct_relative_nerve_matches(span3):
     R = lurie_grothendieck(span3, 3)
     assert Rd.total.counts == R.total.counts
     assert check_simplicial_identities(Rd.total).ok
+
+
+# -- the direct construction found by faces, kept as a reference
+
+def _reference_relative_nerve_direct(F, cap):
+    """The subposet-indexed construction with its families grown one
+    subposet at a time, each simplex looked up by its whole boundary, and
+    its restriction plans rebuilt on every call: the total and the
+    projection."""
+    C = F.shape
+    NC = nerve(C, cap)
+    subs = [[J for r in range(1, n + 2)
+             for J in itertools.combinations(range(n + 1), r)]
+            for n in range(cap + 1)]
+    sub_index = [{J: p for p, J in enumerate(ss)} for ss in subs]
+    grow = [sorted(ss, key=lambda J: (J[-1], len(J), J)) for ss in subs]
+    grow_index = [{J: p for p, J in enumerate(gs)} for gs in grow]
+    layout = [[grow_index[n][J] for J in subs[n]] for n in range(cap + 1)]
+
+    def families(n, k):
+        objs = [chain_object_of_key(C, k, n, i) for i in range(n + 1)]
+        cols, size = [], 1
+        for J in grow[n]:
+            j = J[-1]
+            Xj = F.values[objs[j]]
+            r = len(J) - 1
+            if not r:
+                m = Xj.counts[0]
+                cols = [[v for v in col for _ in range(m)] for col in cols]
+                cols.append(list(range(m)) * size)
+                size *= m
+                continue
+            cofaces = [J[:drop] + J[drop + 1:] for drop in range(r + 1)]
+            profiles = zip(*[
+                map(F.maps[chain_arrow(C, k, n, I[-1], j)]
+                    .comp[len(I) - 1].__getitem__, cols[grow_index[n][I]])
+                for I in cofaces])
+            found = list(map(Xj.by_faces(r, range(r + 1)).get, profiles,
+                             itertools.repeat(())))
+            new = [y for ys in found for y in ys]
+            if len(new) != size or not all(found):
+                keep = [f for f, ys in enumerate(found) for _ in ys]
+                cols = [list(map(col.__getitem__, keep)) for col in cols]
+                size = len(keep)
+            cols.append(new)
+        return sorted(zip(*[cols[q] for q in layout[n]]))
+
+    def restriction(n_from, n_to, vmap):
+        plan = []
+        for J in subs[n_to]:
+            image = tuple(sorted(set(vmap[v] for v in J)))
+            plan.append((J[-1], sub_index[n_from][image], len(image) - 1,
+                         tuple(image.index(vmap[v]) for v in J)))
+        return plan
+
+    face_plans, degen_plans = operator_tables(cap, lambda n, i, d: restriction(
+        n, n + d, (coface_tuple if d < 0 else codegen_tuple)(n, i)))
+
+    def op(n, i, d, k, new_k):
+        if d < 0:
+            return [(p, None) for _, p, _, _ in face_plans[n][i]]
+        return [(p, F.values[chain_object_of_key(C, new_k, n + 1, j)]
+                 .op_table(r, u)) for j, p, r, u in degen_plans[n][i]]
+
+    return over_nerve(NC, cap, families, op)
+
+
+def _corrupted_composite_diagram(cap):
+    """Delta[2] at each object of [2], the identity along 0 -> 1 and 1 -> 2,
+    and along their composite the constant map at vertex 0."""
+    C = chain_category(2)
+    X = standard_simplex(2, cap)
+    maps = [constant_map(X, X, 0) if (C.src[m], C.tgt[m]) == (0, 2)
+            else identity_map(X) for m in range(C.n_morphisms)]
+    return SSetDiagram(C, [X] * 3, maps)
+
+
+def _direct_cases():
+    for s in range(30):
+        F = random_sset_diagram(random.Random(s), SuiteBounds())
+        yield from ((F, cap) for cap in range(5))
+    with open(os.path.join(os.path.dirname(__file__), "fixtures",
+                           "span.rnspec")) as fh:
+        spec = parse_spec(fh.read())
+    yield spec.diagram, spec.cap
+    yield _corrupted_composite_diagram(3), 3
+
+
+def test_direct_relative_nerve_matches_the_reference():
+    # the corrupted composite makes the checks that functoriality implies
+    # drop families
+    for F, cap in _direct_cases():
+        R = relative_nerve_direct(F, cap)
+        total, proj = _reference_relative_nerve_direct(F, cap)
+        assert R.total.keys == total.keys, cap
+        assert (R.total.faces, R.total.degens) == \
+            (total.faces, total.degens), cap
+        assert R.proj.comp == proj.comp, cap
 
 
 def test_comparison_iso_roundtrip(span3):
