@@ -9,7 +9,7 @@ nothing beyond it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, filterfalse, repeat
 from typing import Optional
 
 from .sset import SSetError, TruncationError
@@ -134,39 +134,26 @@ def check_bisimplicial(B, subject="bisset"):
 
 # -- horn machinery ----------------------------------------------------------
 
-def _with_edge(X, n, e):
-    """The degree-n simplices (n >= 1) whose 01-edge is ``e``: those whose
-    last face has it, so the 01-edge is ``d_2 .. d_n``, as in ``op_table``."""
-    found = [e]
-    for m in range(2, n + 1):
-        index = X.by_faces(m, (m,))
-        found = [y for z in found for y in index.get(z, ())]
-    return found
-
-
-def _horn_maps(X, n, skip, fixed_edge=None):
+def _horn_maps(X, n, skip, first=None):
     """All horn maps ``(y_i)_{i != skip}`` of (n-1)-simplices, as one id
     column per facet ``i != skip``, in increasing ``i``: row r of the
     columns is one horn, and the rows come in no set order.
 
     Compatibility: d_i(y_j) = d_{j-1}(y_i) for i < j, both != skip.  The
-    facets are joined one at a time for all partial horns at once, 0 and n
-    first: each new facet is looked up in the ``by_faces`` grouping keyed
-    by every face that the facets already chosen give it, and the columns
-    are re-indexed only where some partial horn has no extension or
-    several.  When ``fixed_edge`` is given, facet 2 comes first, from the
-    simplices with that 01-edge, and each later facet that contains the
-    01-edge (index >= 3) must restrict to it on vertices {0,1}.
+    facets are joined one at a time for all partial horns at once: each new
+    facet is looked up in the ``by_faces`` grouping keyed by every face
+    that the facets already chosen give it, and the columns are re-indexed
+    only where some partial horn has no extension or several.  An inner
+    horn starts from facets 0 and n.  A Lambda^0 horn starts from facet 2,
+    taken from ``first`` (all of ``X_{n-1}`` when None), and a horn is
+    kept only when each later facet that contains the 01-edge (index >= 3)
+    restricts on vertices {0,1} to the 01-edge of facet 2.
     """
     faces = X.faces[n - 1]
     idxs = [i for i in range(n + 1) if i != skip]
-    if fixed_edge is None:
-        order = [0, n] + idxs[1:-1]
-        cols = [list(X.simplices(n - 1))]
-    else:
-        order = [2] + [i for i in idxs if i != 2]
-        cols = [_with_edge(X, n - 1, fixed_edge)]
-        edges = X.op_table(n - 1, (0, 1))
+    order = ([2] + [i for i in idxs if i != 2] if skip == 0
+             else [0, n] + idxs[1:-1])
+    cols = [list(X.simplices(n - 1)) if first is None else first]
     for pos in range(1, n):
         j = order[pos]
         # (a, q, table): d_a(y_j) = table[y_c] for the chosen c = order[q],
@@ -177,26 +164,33 @@ def _horn_maps(X, n, skip, fixed_edge=None):
         found = list(map(X.by_faces(n - 1, [a for a, _, _ in given]).get,
                          wants[0] if len(wants) == 1 else zip(*wants),
                          repeat(())))
-        if fixed_edge is not None and j >= 3:
-            found = [[y for y in ys if edges[y] == fixed_edge]
-                     for ys in found]
         new = [y for ys in found for y in ys]
         if len(new) != len(cols[0]) or not all(found):
             # some partial horn has no or several extensions
             keep = [r for r, ys in enumerate(found) for _ in ys]
             cols = [list(map(col.__getitem__, keep)) for col in cols]
         cols.append(new)
+    if skip == 0:
+        # facets 3.. contain the 01-edge too: whole columns are compared
+        # with facet 2's, and the rows are read only when one differs
+        edges = X.op_table(n - 1, (0, 1))
+        want = list(map(edges.__getitem__, cols[0]))
+        if any(list(map(edges.__getitem__, col)) != want for col in cols[2:]):
+            keep = [r for r, row in enumerate(zip(*cols[2:]))
+                    if all(edges[y] == want[r] for y in row)]
+            cols = [list(map(col.__getitem__, keep)) for col in cols]
     return [cols[order.index(i)] for i in idxs]
 
 
 def _unlifted(p, n, k, cols, tops=None):
     """Decide the (n, k) squares of ``p`` over the horns in ``cols`` (see
     ``_horn_maps``): each horn with each base of its image, from the
-    codomain's ``by_faces``.  They pass when all lie in the set of
-    ``(horn_k x, p x)`` over the n-simplices ``tops`` (all when None), and
-    ``(count, None)`` counts them.  Otherwise, and only then, the horns
-    are sorted and scanned in order, and ``(count, (horn, b))`` names the
-    first square with no lift, after the ``count`` that have one."""
+    codomain's ``by_faces``.  A square has a lift when it lies in the set
+    of ``(horn_k x, p x)`` over the n-simplices ``tops`` (all when None).
+    Returns the number of squares, the least square with no lift in the
+    order of (horn, base) as a witness ``(horn, b)`` or None, and the list
+    of every square with no lift, its horn a tuple of ids in increasing
+    facet order."""
     X, idxs = p.domain, [i for i in range(n + 1) if i != k]
     top, below = p.comp[n], p.comp[n - 1]
     bases_of = p.codomain.by_faces(n, idxs)
@@ -207,15 +201,12 @@ def _unlifted(p, n, k, cols, tops=None):
     lifted = set(zip(zip(*[map(X.faces[n][i].__getitem__, tops)
                            for i in idxs]), map(top.__getitem__, tops)))
     # the squares: each horn zipped with each of its bases
-    if lifted.issuperset(chain.from_iterable(
-            map(zip, map(repeat, zip(*cols)), found))):
-        return sum(map(len, found)), None
-    checked = 0
-    for h, bases in sorted(zip(zip(*cols), found)):
-        for b in bases:
-            if (h, b) not in lifted:
-                return checked, (list(zip(idxs, h)), b)
-        checked += len(bases)
+    missing = list(filterfalse(lifted.__contains__, chain.from_iterable(
+        map(zip, map(repeat, zip(*cols)), found))))
+    if not missing:
+        return sum(map(len, found)), None, missing
+    h, b = min(missing)
+    return sum(map(len, found)), (list(zip(idxs, h)), b), missing
 
 
 def inner_horn_lifts(p, ncap, subject="inner-fibration"):
@@ -226,7 +217,7 @@ def inner_horn_lifts(p, ncap, subject="inner-fibration"):
     checked = 0
     for n in range(2, ncap + 1):
         for k in range(1, n):
-            count, bad = _unlifted(p, n, k, _horn_maps(p.domain, n, k))
+            count, bad, _ = _unlifted(p, n, k, _horn_maps(p.domain, n, k))
             if bad:
                 return Certificate("inner-horn-lifts", subject, "FAIL",
                                    bound=ncap, witness=(n, k) + bad)
@@ -238,36 +229,47 @@ def inner_horn_lifts(p, ncap, subject="inner-fibration"):
 def cocartesian_edge(p, e, ncap):
     """Left-horn lifting audit for one edge: for every n <= ncap, every
     Lambda^0[n] square whose initial edge is e admits a lift.  Only the
-    simplices whose 01-edge is e are read, for the horns and the lifts."""
-    if ncap > p.domain.cap:
+    simplices whose 01-edge is e are read, for the horns and the lifts:
+    those of degree n are the ones whose last face is such a simplex of
+    degree n - 1, so the 01-edge is ``d_2 .. d_n``, as in ``op_table``."""
+    X = p.domain
+    if ncap > X.cap:
         raise TruncationError("ncap=%d exceeds the truncation cap=%d"
-                              % (ncap, p.domain.cap))
-    if not 0 <= e < p.domain.counts[1]:
+                              % (ncap, X.cap))
+    if not 0 <= e < X.counts[1]:
         raise SSetError("edge %r is not a 1-simplex of the total space" % e)
-    checked = 0
+    checked, below = 0, [e]
     for n in range(2, ncap + 1):
-        count, bad = _unlifted(p, n, 0, _horn_maps(p.domain, n, 0, e),
-                               _with_edge(p.domain, n, e))
+        tops = [y for z in below for y in X.by_faces(n, (n,)).get(z, ())]
+        count, bad, _ = _unlifted(p, n, 0, _horn_maps(X, n, 0, below), tops)
         if bad:
             return Certificate("cocartesian-edge", "edge-%d" % e, "FAIL",
                                bound=n, witness=(n,) + bad)
-        checked += count
+        checked, below = checked + count, tops
     return Certificate("cocartesian-edge", "edge-%d" % e, "PASS",
                        bound=ncap, witness=("squares", checked))
 
 
 def cocartesian_fibration(p, ncap, subject="fibration"):
     """Inner fibration plus, for every base edge f and vertex xbar over its
-    source, a coCartesian edge out of xbar over f; all up to ncap."""
+    source, a coCartesian edge out of xbar over f; all up to ncap.  Every
+    edge is decided at once: one Lambda^0[n] join over all of X_{n-1} per
+    degree n, and the edges that are not coCartesian are the 01-edges
+    (those of facet 2) of the squares with no lift."""
     inner = inner_horn_lifts(p, ncap, subject)
     if not inner.ok:
         return inner
     X, S = p.domain, p.codomain
+    bad = set()
+    for n in range(2, ncap + 1):
+        _, _, missing = _unlifted(p, n, 0, _horn_maps(X, n, 0))
+        bad.update(map(X.op_table(n - 1, (0, 1)).__getitem__,
+                       (h[1] for h, _ in missing)))
     out_of = X.by_faces(1, (1,))
     for f in S.simplices(1):
         for xbar in X.simplices(0):
             if p.comp[0][xbar] == S.faces[1][1][f] and not any(
-                    p.comp[1][ebar] == f and cocartesian_edge(p, ebar, ncap).ok
+                    p.comp[1][ebar] == f and ebar not in bad
                     for ebar in out_of.get(xbar, ())):
                 return Certificate("cocartesian-fibration", subject, "FAIL",
                                    bound=ncap, witness=("no-lift", f, xbar))

@@ -13,8 +13,8 @@ from .fincat import (CatFunctor, FinCategory, SSetDiagram,
 from .pathspace import lurie_grothendieck
 from .sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
                    TruncationError, TruncSSet, coequalize_disjoint, descend,
-                   first_map, identity_map, keyed_tables, sub_sset,
-                   walking_iso)
+                   first_map, identity_map, keyed_tables, operator_tables,
+                   shared_walking_iso, sub_sset)
 
 
 class MarkError(Exception):
@@ -131,22 +131,45 @@ def localize(M):
     the quotient of S + J + ... + J identifying the monotone simplices of the
     c-th J (the edge (0, 1), its faces and degeneracies) with those of the
     c-th glued edge.  Degenerate marked edges are already invertible and are
-    not glued, so flat objects localize to themselves."""
+    not glued, so flat objects localize to themselves.
+
+    No two simplices of S are identified, and each class's least member is
+    its simplex of S when it has one, so the quotient is built by attaching:
+    S, then the simplices of each J that are not monotone, copy by copy, in
+    J's order; a monotone one goes to its image in S."""
     S = M.sset
     cap = S.cap
     degflags = S.degenerate_flags(1)
     glued = sorted(e for e in M.marked if not degflags[e])
     if not glued:
         return Localization(S, identity_map(S), frozenset(M.marked), [], [])
-    J = walking_iso(cap)
-    monotone = [(n, S.op_table(1, key), j) for n in range(cap + 1)
-                for j, key in enumerate(J.keys[n]) if list(key) == sorted(key)]
-    total, legs = coequalize_disjoint(
-        [S] + [J] * len(glued), ((0, n, table[e], c, j)
-                                 for c, e in enumerate(glued, 1)
-                                 for n, table, j in monotone))
-    image = frozenset(legs[0].comp[1][e] for e in M.marked)
-    return Localization(total, legs[0], image, glued, legs[1:])
+    J = shared_walking_iso(cap)
+    # per degree, the table of u on the edges of S for each monotone u in
+    # J, None for each simplex of J that is attached
+    images = [[S.op_table(1, u) if list(u) == sorted(u) else None
+               for u in keys] for keys in J.keys]
+    attached = [[j for j, t in enumerate(row) if t is None] for row in images]
+    legs = []
+    for c, e in enumerate(glued):
+        leg = []
+        for n, row in enumerate(images):
+            new = itertools.count(S.counts[n] + c * len(attached[n]))
+            leg.append([next(new) if t is None else t[e] for t in row])
+        legs.append(leg)
+
+    def table(n, i, d):
+        op, out = J.operator(n, i, d), list(S.operator(n, i, d))
+        reads = [op[j] for j in attached[n]]
+        for leg in legs:
+            out += map(leg[n + d].__getitem__, reads)
+        return out
+    total = TruncSSet(cap, [S.counts[n] + len(glued) * len(attached[n])
+                            for n in range(cap + 1)],
+                      *operator_tables(cap, table))
+    proj = SimplicialMap(S, total, [list(S.simplices(n))
+                                    for n in range(cap + 1)])
+    return Localization(total, proj, frozenset(M.marked), glued,
+                        [SimplicialMap(J, total, leg) for leg in legs])
 
 
 def extend_along_J(S, y):
@@ -155,7 +178,7 @@ def extend_along_J(S, y):
     pinned.  Returns None when no extension exists below the cap (reported,
     not fatal: the extension claim is not constructive in general).
     """
-    J = walking_iso(S.cap)
+    J = shared_walking_iso(S.cap)
     pins = {(0, J.id_of(0, (0,))): S.faces[1][1][y],
             (0, J.id_of(0, (1,))): S.faces[1][0][y],
             (1, J.id_of(1, (0, 1))): y}

@@ -391,6 +391,13 @@ def walking_iso(cap):
                             for m in range(cap + 1)])
 
 
+@functools.lru_cache(maxsize=None)
+def shared_walking_iso(cap):
+    """``walking_iso(cap)`` built once per process, with what is cached on
+    it; do not modify."""
+    return walking_iso(cap)
+
+
 def build_generated(kind, cap, n=None, k=None):
     """Named standard objects: delta, boundary, horn, J, point, discrete."""
     if kind == "delta":

@@ -7,8 +7,9 @@ from relnerve.certify import (check_bisimplicial,
                               check_simplicial_identities, cocartesian_edge,
                               cocartesian_fibration, inner_horn_lifts,
                               verify_iso_map)
-from relnerve.fincat import (CatDiagram, arrow_category,
-                             cyclic_group_category, identity_functor, nerve)
+from relnerve.fincat import (CatDiagram, CatFunctor, arrow_category,
+                             cyclic_group_category, identity_functor, nerve,
+                             nerve_map, span_category)
 from relnerve.sset import (SimplicialMap, SSetError, TruncationError,
                            TruncSSet, boundary, constant_map, horn,
                            identity_map, pushout, standard_simplex,
@@ -85,7 +86,6 @@ def test_cocartesian_audit_agrees_with_categorical_criterion():
     # independent oracle: an arrow of the classical construction is
     # coCartesian iff its fiber component is invertible
     from relnerve.classic import classical_cocartesian, grothendieck_classic
-    from relnerve.fincat import nerve_map
     C = arrow_category()
     A = arrow_category()
     Fv = CatDiagram(C, [A, A], [identity_functor(A)] * 3)
@@ -101,7 +101,7 @@ def test_cocartesian_audit_agrees_with_categorical_criterion():
 
 def test_cocartesian_fibration_constant_diagram():
     from relnerve.pathspace import lurie_grothendieck
-    from relnerve.fincat import constant_diagram, span_category
+    from relnerve.fincat import constant_diagram
     C = span_category()
     F = constant_diagram(C, standard_simplex(0, 3))
     R = lurie_grothendieck(F, 3)
@@ -225,7 +225,8 @@ def _differential_cases():
     over a point, the relative nerve of the span diagram over N(span), and
     two copies of Delta[2] glued along their boundary, over itself and
     over a point: the inner horn of the boundary has two fillers and, over
-    itself, two bases."""
+    itself, two bases; and the nerve of the span a <- c -> b over N([1]),
+    c over 0: neither edge out of c over the arrow is coCartesian."""
     from relnerve.pathspace import lurie_grothendieck
     from conftest import span_diagram
     N = nerve(cyclic_group_category(2), 4)
@@ -240,13 +241,17 @@ def _differential_cases():
     inc = SimplicialMap(B, D2, [[D2.id_of(n, B.key_of(n, s))
                                  for s in B.simplices(n)] for n in range(4)])
     G = pushout(inc, inc)[0]
+    # id_a, id_b -> id_1; id_c -> id_0; p, q -> the arrow 0 -> 1
+    to_arrow = CatFunctor(span_category(), arrow_category(), [1, 1, 0],
+                          [2, 2, 0, 1, 1])
     return [("nerve-c2", identity_map(N), 4),
             ("nerve-c2-point", constant_map(N, standard_simplex(0, 4), 0), 4),
             ("horn", to_d1, 4),
             ("horn-point", constant_map(H, standard_simplex(0, 4), 0), 4),
             ("span", R.proj, 3),
             ("glued", identity_map(G), 3),
-            ("glued-point", constant_map(G, standard_simplex(0, 3), 0), 3)]
+            ("glued-point", constant_map(G, standard_simplex(0, 3), 0), 3),
+            ("span-over-arrow", nerve_map(to_arrow, 3), 3)]
 
 
 def _corrupted(case, rng, count):
@@ -265,7 +270,7 @@ def _corrupted(case, rng, count):
         yield p
 
 
-@pytest.mark.parametrize("case", range(7))
+@pytest.mark.parametrize("case", range(8))
 def test_horn_audits_match_brute_force(case):
     # verdict, bound and witness, the ("squares", n) count included, on the
     # object and on copies with one corrupted table entry each
@@ -281,3 +286,40 @@ def test_horn_audits_match_brute_force(case):
                 _reference_edge(p, e, ncap), (name, e)
             verdicts.add(c.verdict)
     assert verdicts == {"PASS", "FAIL"}, name
+
+
+def _reference_fibration(p, ncap):
+    """The fibration audit by brute force: the inner audit, then for each
+    base edge f and vertex xbar over its source, an edge out of xbar over f
+    that passes ``_reference_edge``."""
+    inner = _reference_inner(p, ncap)
+    if inner[0] == "FAIL":
+        return ("inner-horn-lifts",) + inner
+    X, S = p.domain, p.codomain
+    for f in S.simplices(1):
+        for xbar in X.simplices(0):
+            if p.comp[0][xbar] == S.faces[1][1][f] and not any(
+                    X.faces[1][1][e] == xbar and p.comp[1][e] == f
+                    and _reference_edge(p, e, ncap)[0] == "PASS"
+                    for e in X.simplices(1)):
+                return ("cocartesian-fibration", "FAIL", ncap,
+                        ("no-lift", f, xbar))
+    return "cocartesian-fibration", "PASS", ncap, None
+
+
+def test_fibration_audit_matches_brute_force():
+    # kind, verdict, bound and witness on every case and on copies with
+    # one corrupted table entry each; a PASS, an inner-horn FAIL and a
+    # no-lift FAIL all occur
+    seen = set()
+    for case in range(8):
+        name, p, ncap = _differential_cases()[case]
+        for p in [p] + list(_corrupted(case, random.Random(100 + case), 8)):
+            c = cocartesian_fibration(p, ncap)
+            got = (c.kind, c.verdict, c.bound, c.witness)
+            assert got == _reference_fibration(p, ncap), name
+            seen.add((c.kind, c.verdict))
+    # the only FAIL of the fibration's own kind is a no-lift
+    assert seen == {("cocartesian-fibration", "PASS"),
+                    ("inner-horn-lifts", "FAIL"),
+                    ("cocartesian-fibration", "FAIL")}

@@ -384,6 +384,30 @@ def test_cli_mutated_marked_specs_verify_cleanly(tmp_path, name):
             assert run(args, tmp_path)[0] in (0, 1, 2, 3), (mutant, ncap)
 
 
+# the commands that localize, each with its allowed exits and the fixtures
+# of the kinds it takes; a build has no verification to fail
+_LOCALIZING_COMMANDS = [
+    (["build", "hocolim"], (0, 2, 3), ["span.rnspec"]),
+    (["build", "localize"], (0, 2, 3),
+     ["interval_sharp.rnspec", "interval_diagram_sharp.rnspec"]),
+    (["compare", "--colimit"], (0, 1, 2, 3),
+     ["span.rnspec", "interval_sharp.rnspec",
+      "interval_diagram_sharp.rnspec"])]
+
+
+@pytest.mark.parametrize("command, allowed, names", _LOCALIZING_COMMANDS)
+def test_cli_mutated_specs_localize_cleanly(tmp_path, command, allowed,
+                                            names):
+    # every single-line mutant of each fixture, at caps 2 and 3
+    spec = tmp_path / "mutant.rnspec"
+    for name in names:
+        for mutant in _mutants(open(fixture(name)).read()):
+            spec.write_text("\n".join(mutant) + "\n")
+            for cap in ("2", "3"):
+                args = command + ["--input", str(spec), "--cap", cap]
+                assert run(args, tmp_path)[0] in allowed, (name, mutant, cap)
+
+
 @pytest.mark.parametrize("command", _CAT_COMMANDS)
 def test_cli_refuses_a_value_block_that_is_not_a_category(tmp_path, capsys,
                                                           command):

@@ -8,6 +8,7 @@ from relnerve.certify import (check_simplicial_identities, cocartesian_edge,
 from relnerve.fincat import (arrow_category, chain_category,
                              cyclic_group_category, indiscrete_groupoid,
                              nerve, span_category)
+from relnerve.hocolim import bar_hocolim
 from relnerve.homology import homology_table
 from relnerve.marked import (EquivalenceWitness, MarkError, MarkedSSet,
                              OverMarked, OverMappingSpace, _witness_ok,
@@ -15,7 +16,8 @@ from relnerve.marked import (EquivalenceWitness, MarkError, MarkedSSet,
                              localize, mark, mark_diagram, marked_rel_nerve,
                              rectify_right, under_nerve_sharp,
                              unstraighten_at, unstraighten_diagram)
-from relnerve.randomgen import SuiteBounds, random_sub_delta
+from relnerve.randomgen import (SuiteBounds, random_cat_diagram,
+                                 random_sub_delta)
 from relnerve.sset import (Exponential, SimplicialMap, classifying_map,
                            compose, constant_map, delta_map, disjoint_union,
                            identity_map, invert_bijection, pushout,
@@ -121,32 +123,46 @@ def _reference_localize(M, glued):
     return P, inj_s, image, [compose(inj_j, inj) for inj in c_injs]
 
 
-def test_localize_ids_match_the_pushout_construction():
+def _localized_values():
+    """Marked objects to localize: nerves and random subobjects of Delta[n]
+    at caps 3 and 4, sharp and naturally marked, and the naturally marked
+    bar constructions of random Cat-valued diagrams that ``hocolim_qcat``
+    localizes, some of whose glued edges are loops."""
     rng = random.Random(11)
     cats = [arrow_category(), chain_category(2), span_category(),
             cyclic_group_category(2), indiscrete_groupoid(2)]
-    checked = 0
     for cap in (3, 4):
         values = [nerve(C, cap) for C in cats] + [
             random_sub_delta(rng, SuiteBounds(), cap) for _ in range(6)]
         for X in values:
             for mode in ("sharp", "natural"):
-                M = mark(X, mode)
-                loc = localize(M)
-                if not loc.glued_edges:
-                    assert loc.total is X
-                    continue
-                P, proj, image, j_legs = _reference_localize(
-                    M, loc.glued_edges)
-                Q = loc.total
-                assert (Q.counts, Q.faces, Q.degens) == \
-                    (P.counts, P.faces, P.degens)
-                assert loc.proj.comp == proj.comp
-                assert loc.marked_image == image
-                assert [j.comp for j in loc.j_legs] == \
-                    [j.comp for j in j_legs]
-                checked += 1
-    assert checked >= 15
+                yield mark(X, mode)
+        for seed in (0, 5, 6, 7):
+            G = random_cat_diagram(random.Random(seed), SuiteBounds())
+            bar = bar_hocolim(mark_diagram(G.nerve_diagram(cap), "natural"),
+                              cap)
+            yield MarkedSSet(bar.total,
+                             bar.marked | degenerate_edges(bar.total))
+
+
+def test_localize_ids_match_the_pushout_construction():
+    checked = loops = 0
+    for M in _localized_values():
+        X = M.sset
+        loc = localize(M)
+        if not loc.glued_edges:
+            assert loc.total is X
+            continue
+        P, proj, image, j_legs = _reference_localize(M, loc.glued_edges)
+        Q = loc.total
+        assert (Q.counts, Q.faces, Q.degens) == (P.counts, P.faces, P.degens)
+        assert loc.proj.comp == proj.comp
+        assert loc.marked_image == image
+        assert [j.comp for j in loc.j_legs] == [j.comp for j in j_legs]
+        checked += 1
+        loops += sum(X.faces[1][0][e] == X.faces[1][1][e]
+                     for e in loc.glued_edges)
+    assert checked >= 20 and loops >= 5
 
 
 def test_localize_unit_is_mono_and_marks_image():
