@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .fincat import (CatError, CatFunctor, FinCategory, chain_arrow,
-                     chain_object_of_key, keyed_category, nerve,
-                     validate_category)
+from .fincat import (CatError, CatFunctor, FinCategory, chain_arrows,
+                     chain_objects, keyed_category, nerve, validate_category)
 from .pathspace import lurie_grothendieck
 from .sset import SimplicialMap
 
@@ -161,7 +160,11 @@ def classical_cocartesian(G, mi):
 
 def nerve_comparison(G, cap):
     """The mutually-inverse pair between N(total) and the relative nerve of
-    the nerve-composed diagram."""
+    the nerve-composed diagram.  A chain of arrows (f_i, (b0_i, phi_i)) of
+    the total goes to its base chain and the family gamma whose i-th entry
+    is the chain phi_1..phi_i, phi_j moved along sigma(j, i) into the value
+    at c_i, with x_0 before it (a vertex of a nerve is its object); back,
+    phi_i is the last arrow of gamma_i and b0_i the target of phi_{i-1}."""
     F = G.double.diagram
     D = F.shape
     NG = nerve(G.total, cap)
@@ -169,55 +172,32 @@ def nerve_comparison(G, cap):
     R = lurie_grothendieck(NF, cap)
     NC = R.base_nerve
 
-    fwd = []
-    for n in range(cap + 1):
-        row = []
-        for s in NG.simplices(n):
-            key = NG.key_of(n, s)
-            if n == 0:
-                c, x = G.objects[key[0]]
-                row.append(R.total.id_of(0, (NC.id_of(0, (c,)), (x,))))
-                continue
-            arrows = [G.morphisms[m] for m in key]
-            base_key = tuple(f for (f, _) in arrows)
-            sid = NC.id_of(n, base_key)
-            x0 = G.objects[G.total.src[key[0]]][1]
-            phis = [G.double.path_cats[f].objects[p][1] for (f, p) in arrows]
-            gamma = [NF.values[chain_object_of_key(D, base_key, n, 0)
-                               ].id_of(0, (x0,))]
-            for i in range(1, n + 1):
-                ci = chain_object_of_key(D, base_key, n, i)
-                chain = tuple(
-                    F.maps[chain_arrow(D, base_key, n, j, i)].mor_map[phis[j - 1]]
-                    for j in range(1, i + 1))
-                gamma.append(NF.values[ci].id_of(i, chain))
-            row.append(R.total.id_of(n, (sid, tuple(gamma))))
-        fwd.append(row)
+    def forward(n, key):
+        c, x = G.objects[chain_objects(G.total, key, n)[0]]
+        mors = [G.morphisms[m] for m in key] if n else []
+        base = tuple(f for f, _ in mors) if n else (c,)
+        phis = [G.double.path_cats[f].objects[p][1] for f, p in mors]
+        arrows = chain_arrows(D, base, n)
+        gamma = (x,) + tuple(NF.values[ci].id_of(i, tuple(
+            F.maps[arrows[j][i]].mor_map[phis[j - 1]]
+            for j in range(1, i + 1)))
+            for i, ci in enumerate(chain_objects(D, base, n)) if i)
+        return R.total.id_of(n, (NC.id_of(n, base), gamma))
 
-    bwd = []
-    for n in range(cap + 1):
-        row = []
-        for s in R.total.simplices(n):
-            sid, gamma = R.total.key_of(n, s)
-            base_key = NC.key_of(n, sid)
-            if n == 0:
-                c = base_key[0]
-                x = NF.values[c].key_of(0, gamma[0])[0]
-                row.append(NG.id_of(0, (G.obj_index[c, x],)))
-                continue
-            mors = []
-            prev_obj = NF.values[chain_object_of_key(D, base_key, n, 0)
-                                 ].key_of(0, gamma[0])[0]
-            for i in range(1, n + 1):
-                ci = chain_object_of_key(D, base_key, n, i)
-                chain = NF.values[ci].key_of(i, gamma[i])
-                phi = chain[-1]
-                f = base_key[i - 1]
-                p = G.double.path_cats[f].index[prev_obj, phi]
-                mors.append(G.mor_index[f, p])
-                prev_obj = F.values[ci].tgt[phi]
-            row.append(NG.id_of(n, tuple(mors)))
-        bwd.append(row)
-    f = SimplicialMap(NG, R.total, fwd)
-    g = SimplicialMap(R.total, NG, bwd)
+    def backward(n, sid, gamma):
+        base = NC.key_of(n, sid)
+        cs = chain_objects(D, base, n)
+        if not n:
+            return NG.id_of(0, (G.obj_index[cs[0], gamma[0]],))
+        phis = [NF.values[c].key_of(i, g)[-1]
+                for i, (c, g) in enumerate(zip(cs, gamma)) if i]
+        b0s = [gamma[0]] + [F.values[c].tgt[phi]
+                            for c, phi in zip(cs[1:], phis)]
+        return NG.id_of(n, tuple(G.mor_index[f, G.double.path_cats[f].index[
+            b0, phi]] for f, b0, phi in zip(base, b0s, phis)))
+
+    f = SimplicialMap(NG, R.total, [[forward(n, k) for k in NG.keys[n]]
+                                    for n in range(cap + 1)])
+    g = SimplicialMap(R.total, NG, [[backward(n, *k) for k in R.total.keys[n]]
+                                    for n in range(cap + 1)])
     return f, g, NG, R

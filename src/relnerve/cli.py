@@ -241,8 +241,7 @@ def run_random_suite(seed, count, bounds, rep):
     for item in range(count):
         F = random_sset_diagram(rng, bounds)
         t0 = time.perf_counter()
-        R = lurie_grothendieck(F, bounds.cap)
-        Rd = relative_nerve_direct(F, bounds.cap)
+        f, g, R, Rd = compare_relnerve_iso(F, bounds.cap)
         bar = bar_hocolim(F, bounds.cap)
         ncap2 = min(2, bounds.cap)
         S = simplicial_space(F, ncap2, min(2, bounds.cap - ncap2))
@@ -251,7 +250,6 @@ def run_random_suite(seed, count, bounds, rep):
                  check_simplicial_identities(bar.total, "bar"),
                  check_bisimplicial(S.bisset, "space")]
         t_identity += time.perf_counter() - t0
-        f, g, _, _ = compare_relnerve_iso(F, bounds.cap)
         certs.append(verify_iso_map(f, g, "relnerve-comparison"))
         for c in range(F.shape.n_objects):
             fib, inc, ff, gg = fiber_at(R, c)

@@ -307,11 +307,24 @@ def nerve(C, cap):
     return KeyedSSet(cap, keys, index, faces, degens[:cap])
 
 
-def chain_object_of_key(C, key, n, i):
-    """The i-th vertex (object of C) of a degree-n nerve simplex key."""
-    if n == 0:
-        return key[0]
-    return C.src[key[0]] if i == 0 else C.tgt[key[i - 1]]
+def chain_objects(C, key, n):
+    """The vertices c_0..c_n (objects of C) of a degree-n nerve simplex
+    key."""
+    return key if n == 0 else (C.src[key[0]],) + tuple(map(C.tgt.__getitem__,
+                                                           key))
+
+
+def chain_arrows(C, key, n):
+    """The composites of a degree-n nerve simplex key: ``[a][j]`` is
+    sigma(a, j) for a <= j, the identity at j = a, and None below the
+    diagonal."""
+    out = []
+    for a, c in enumerate(chain_objects(C, key, n)):
+        row = [None] * a + [C.identity[c]]
+        for j in range(a, n):
+            row.append(key[j] if j == a else C.table[key[j], row[-1]])
+        out.append(row)
+    return out
 
 
 def nerve_map(F, cap, NC=None, ND=None):
@@ -323,19 +336,6 @@ def nerve_map(F, cap, NC=None, ND=None):
         comp.append([ND.id_of(n, tuple(F.mor_map[m] for m in k))
                      for k in NC.keys[n]])
     return SimplicialMap(NC, ND, comp)
-
-
-def chain_arrow(C, key, n, i, j):
-    """The composite arrow sigma(i,j) of a degree-n nerve simplex key,
-    for 0 <= i <= j <= n."""
-    if n == 0:
-        return C.identity[key[0]]
-    if i == j:
-        return C.identity[chain_object_of_key(C, key, n, i)]
-    m = key[i]
-    for t in range(i + 1, j):
-        m = C.table[(key[t], m)]
-    return m
 
 
 # -- total spaces over the nerve ---------------------------------------------
@@ -373,9 +373,9 @@ def over_nerve(NC, cap, fiber, op):
     all the sorted keys.  The ids of the fibre over sid, a p -> id dict, are
     ``index[n].ids[sid]``.  d_i (``d = -1``) and s_i (``d = 1``) move sid by
     the operators of NC, the nerve rule, and p by the reads (see ``_read``)
-    that ``op(n, i, d, key, new_key)`` returns, given the chain keys before
-    and after.  So ``op`` is called once per base simplex and operator, and
-    each fibre is split into columns once per degree.
+    that ``op(n, i, d, key)`` returns, given the chain key of sid.  So
+    ``op`` is called once per base simplex and operator, and each fibre is
+    split into columns once per degree.
     """
     fibres, index = [], []
     for n in range(cap + 1):
@@ -393,7 +393,7 @@ def over_nerve(NC, cap, fiber, op):
     # the tables are laid out empty, then filled one degree at a time
     faces, degens = operator_tables(cap, lambda n, i, d: [])
     for n in range(cap + 1):
-        ops = [(i, d, NC.operator(n, i, d), NC.keys[n + d], index[n + d].ids,
+        ops = [(i, d, NC.operator(n, i, d), index[n + d].ids,
                 (faces if d < 0 else degens)[n][i])
                for d in (-1, 1) if 0 <= n + d <= cap for i in range(n + 1)]
         for sid, (key, fib) in enumerate(zip(NC.keys[n], fibres[n])):
@@ -401,10 +401,9 @@ def over_nerve(NC, cap, fiber, op):
                 continue
             tuples = isinstance(fib[0], tuple)
             cols = list(zip(*fib)) if tuples else [fib]
-            for i, d, targets, to, ids, row in ops:
-                t = targets[sid]
-                row += map(ids[t].__getitem__,
-                           _read(cols, op(n, i, d, key, to[t]), tuples))
+            for i, d, targets, ids, row in ops:
+                row += map(ids[targets[sid]].__getitem__,
+                           _read(cols, op(n, i, d, key), tuples))
 
     keys = [[(sid, p) for sid, fib in enumerate(fibs) for p in fib]
             for fibs in fibres]
@@ -496,8 +495,9 @@ def under_category(C, d):
 def over_category(C, d):
     """C/d: arrows g into d, the mirror image of ``under_category``; a
     morphism is keyed (gi, e), e an arrow into the source of the gi-th
-    object, from g o e to that object.  The dual slice used by the
-    unstraightening formula."""
+    object, from g o e to that object.  ``unstraighten_at`` pulls back
+    along the nerve of this slice without building it, pairing each simplex
+    with an arrow into d directly."""
     objs = [m for m in range(C.n_morphisms) if C.tgt[m] == d]
     position = {g: gi for gi, g in enumerate(objs)}
     keys = [(gi, e) for gi, g in enumerate(objs)

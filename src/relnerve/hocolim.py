@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certify import Certificate
-from .fincat import (RelNerveObject, chain_arrow, chain_object_of_key,
+from .fincat import (RelNerveObject, chain_arrows, chain_objects,
                      map_over_nerve, nerve, over_constant, over_nerve)
 from .marked import (MarkedSSet, Localization, OverMappingSpace,
                      colim_marked, degenerate_edges, extend_along_J,
@@ -27,19 +27,19 @@ def bar_hocolim(F, cap):
     C = U.shape
     U.require_cap(cap)
     NC = nerve(C, cap)
+    # the value at sigma(0) of each base simplex, listed once per simplex
+    values = [{k: U.values[chain_objects(C, k, n)[0]] for k in NC.keys[n]}
+              for n in range(cap + 1)]
 
-    def value(n, k):
-        return U.values[chain_object_of_key(C, k, n, 0)]
-
-    def op(n, i, d, k, nk):
-        table = value(n, k).operator(n, i, d)
+    def op(n, i, d, k):
+        table = values[n][k].operator(n, i, d)
         if d < 0 and not i:
             transport = U.maps[k[0]].comp[n - 1]
             table = list(map(transport.__getitem__, table))
         return [(0, table)]
 
     total, proj = over_nerve(
-        NC, cap, lambda n, k: value(n, k).simplices(n), op)
+        NC, cap, lambda n, k: values[n][k].simplices(n), op)
     marked = None if U is F else frozenset(
         s for s, (sid, x) in enumerate(total.keys[1])
         if x in F.values[C.src[NC.keys[1][sid][0]]].marked)
@@ -60,9 +60,8 @@ def iota(F, cap, bar=None, rel=None):
     def op(n, k):
         # entry i is the i-th front face, transported along sigma(0, i)
         return [(0, list(map(f.__getitem__, front))) for f, front in
-                _front_reads(U, U.values[chain_object_of_key(C, k, n, 0)],
-                             n, [chain_arrow(C, k, n, 0, i)
-                                 for i in range(n + 1)])]
+                _front_reads(U, U.values[chain_objects(C, k, n)[0]], n,
+                             chain_arrows(C, k, n)[0])]
 
     return (map_over_nerve(bar.base_nerve, bar.total, rel.total, op), bar,
             rel)
@@ -156,8 +155,8 @@ def eta_unit(FM, d, cap_out):
             slice_key = NU.key_of(m, chain)
             y = Xd.op_table(n, alpha)[x]
             beta = tuple([f[front[y]] for f, front in _front_reads(
-                U, Xd, m, [objs[chain_object_of_key(Ucat, slice_key, m, i)]
-                           for i in range(m + 1)])])
+                U, Xd, m, [objs[e] for e in chain_objects(Ucat, slice_key,
+                                                          m)])])
             return space.Y.sset.id_of(m, (forget[m][chain], beta))
         comp.append([space.sset.id_by_values(n, lambda m, s: value(x, m, s))
                      for x in Xd.simplices(n)])
@@ -176,43 +175,26 @@ def counit_w2(X, cap):
         raise SSetError("counit cap exceeds the rectified diagram")
     bar = bar_hocolim(RD, cap)
     C = X.shape
-    NC = X.base_nerve
     comp = []
     for n in range(cap + 1):
         row = []
-        for s in bar.total.simplices(n):
-            sid, x = bar.total.key_of(n, s)
-            k = NC.key_of(n, sid)
-            o0 = chain_object_of_key(C, k, n, 0)
+        for k, fib in zip(bar.base_nerve.keys[n], bar.total.index[n].ids):
+            o0 = chain_objects(C, k, n)[0]
             space = rect.spaces[o0]
-            Ucat, forget, objs, arrow_keys = rect.unders[o0]
-            # locate the n-simplex (canonical lift, id_n) in the prism
-            lift = _canonical_lift(Ucat, C, objs, arrow_keys, k, n)
+            objs, arrow_keys = rect.unders[o0][2:]
+            # the canonical lift of k to d/D starts at g_0 = id_d, so its
+            # legs are sigma(0, i); locate (lift, id_n) in the prism
+            legs = chain_arrows(C, k, n)[0]
+            lift = tuple([arrow_keys[objs.index(g), e]
+                          for g, e in zip(legs, k)]) if n else \
+                (objs.index(legs[0]),)
             NU = space.X.sset
-            lift_id = NU.id_of(n, lift)
-            delta_n = space.deltas[n]
-            idn = delta_n.id_of(n, tuple(range(n + 1)))
-            prism_id = idn * NU.counts[n] + lift_id
-            row.append(space.sset.value(n, x, n, prism_id))
+            prism_id = space.deltas[n].id_of(n, tuple(range(n + 1))) * \
+                NU.counts[n] + NU.id_of(n, lift)
+            row += [space.sset.value(n, x, n, prism_id) for x in fib]
         comp.append(row)
     target = X.sset if X.sset.cap == cap else restrict(X.sset, cap)
     return SimplicialMap(bar.total, target, comp), bar, rect
-
-
-def _canonical_lift(Ucat, C, objs, arrow_keys, base_key, n):
-    """The chain in d/D over a base chain starting at d with g_0 = id_d."""
-    if n == 0:
-        d = base_key[0]
-        return (objs.index(C.identity[d]),)
-    d = C.src[base_key[0]]
-    legs = [C.identity[d]]
-    for i in range(1, n + 1):
-        legs.append(C.table[(base_key[i - 1], legs[-1])])
-    key = []
-    for i in range(n):
-        gi = objs.index(legs[i])
-        key.append(arrow_keys[(gi, base_key[i])])
-    return tuple(key)
 
 
 # -- localized composites ------------------------------------------------------

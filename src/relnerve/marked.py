@@ -8,8 +8,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fincat import (CatFunctor, FinCategory, SSetDiagram,
-                     chain_object_of_key, nerve, nerve_map, under_category)
+from .fincat import (CatFunctor, FinCategory, SSetDiagram, chain_objects,
+                     nerve, nerve_map, under_category)
 from .pathspace import lurie_grothendieck
 from .sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
                    TruncationError, TruncSSet, coequalize_disjoint, descend,
@@ -365,7 +365,7 @@ def unstraighten_at(X, d):
         layer = []
         for x in X.sset.simplices(n):
             sid = X.proj.comp[n][x]
-            last = chain_object_of_key(C, NC.key_of(n, sid), n, n)
+            last = chain_objects(C, NC.key_of(n, sid), n)[n]
             for g in C.hom(last, d):
                 layer.append((x, g))
         keys.append(layer)

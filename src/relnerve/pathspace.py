@@ -18,9 +18,8 @@ import itertools
 from dataclasses import dataclass
 
 from .bisset import BiTruncSSet
-from .fincat import (RelNerveObject, SSetDiagram, chain_arrow,
-                     chain_object_of_key, fiber_onto_value, map_over_nerve,
-                     nerve, over_nerve)
+from .fincat import (RelNerveObject, SSetDiagram, chain_arrows, chain_objects,
+                     fiber_onto_value, map_over_nerve, nerve, over_nerve)
 from .sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
                    TruncationError, codegen_tuple, coface_tuple,
                    disjoint_union, keyed_tables, operator_tables,
@@ -81,9 +80,7 @@ class PathSpace:
         self.sigma_key = sigma_key
         self.n = n
         self.mcap = mcap
-        C = F.shape
-        self.objects = [chain_object_of_key(C, sigma_key, n, i)
-                        for i in range(n + 1)]
+        self.objects = chain_objects(F.shape, sigma_key, n)
         for o in self.objects:
             if F.values[o].cap < mcap + n:
                 raise TruncationError(
@@ -92,8 +89,6 @@ class PathSpace:
         self.cache = cache or _ExpCache(F.cap)
         self.exps = [self.cache.exp(F.values[o], i, mcap)
                      for i, o in enumerate(self.objects)]
-        self.arrows = [chain_arrow(C, sigma_key, n, i - 1, i)
-                       for i in range(1, n + 1)]
         keys = [self._tuples(m) for m in range(mcap + 1)]
 
         def op(m, j, d):
@@ -107,13 +102,14 @@ class PathSpace:
         tuples = [(e,) for e in exps[0].simplices(m)]
         for i in range(1, self.n + 1):
             # the i-th coordinates by the id of their restriction along d^i,
-            # met by the previous coordinate pushed along the diagram map
+            # met by the previous coordinate pushed along the diagram map of
+            # the i-th arrow of the chain
             by_restriction = {}
             for e, r in enumerate(cache.restriction(
                     exps[i], coface_tuple(i, i)).comp[m]):
                 by_restriction.setdefault(r, []).append(e)
             pushed = cache.postcomposition(
-                exps[i - 1], i - 1, self.F.maps[self.arrows[i - 1]]).comp[m]
+                exps[i - 1], i - 1, self.F.maps[self.sigma_key[i - 1]]).comp[m]
             tuples = [tup + (e,) for tup in tuples
                       for e in by_restriction.get(pushed[tup[-1]], ())]
         return tuples
@@ -168,12 +164,12 @@ def path_space_zigzag(F, sigma_key, n, mcap):
     fiber search used by ``PathSpace``.
     """
     cache = _ExpCache(F.cap)
-    C = F.shape
-    objects = [chain_object_of_key(C, sigma_key, n, i) for i in range(n + 1)]
-    exps = [cache.exp(F.values[o], i, mcap) for i, o in enumerate(objects)]
+    exps = [cache.exp(F.values[o], i, mcap)
+            for i, o in enumerate(chain_objects(F.shape, sigma_key, n))]
+    arrows = chain_arrows(F.shape, sigma_key, n)
     # b_{i-1} pushed along the diagram map meets b_i restricted along d^i
     links = [(cache.postcomposition(exps[i - 1], i - 1, F.maps[
-        chain_arrow(C, sigma_key, n, i - 1, i)]).comp,
+        arrows[i - 1][i]]).comp,
               cache.restriction(exps[i], coface_tuple(i, i)).comp)
              for i in range(1, n + 1)]
     return [sum(all(pushed[m][tup[i]] == restricted[m][tup[i + 1]]
@@ -209,8 +205,8 @@ def simplicial_space(F, ncap, mcap):
 
     def row(m):
         return over_nerve(NC, ncap, lambda n, k: space(n, k).sset.keys[m],
-                          lambda n, i, d, k, nk: _transport(space(n, k), m,
-                                                            i, d))
+                          lambda n, i, d, k: _transport(space(n, k), m, i,
+                                                        d))
 
     rows, projs = zip(*[row(m) for m in range(mcap + 1)])
     # the fibre of a row over sigma lists its path space in id order
@@ -255,9 +251,8 @@ def lurie_grothendieck(F, cap):
     NC = nerve(C, cap)
 
     # the values along each base simplex, listed once per simplex
-    values = [{k: [F.values[chain_object_of_key(C, k, n, j)]
-                   for j in range(n + 1)] for k in NC.keys[n]}
-              for n in range(cap + 1)]
+    values = [{k: [F.values[o] for o in chain_objects(C, k, n)]
+               for k in NC.keys[n]} for n in range(cap + 1)]
 
     def fiber(n, k):
         Xs = values[n][k]
@@ -270,7 +265,7 @@ def lurie_grothendieck(F, cap):
                       for y in by_face.get(fmap.comp[i - 1][t[-1]], ())]
         return tuples
 
-    def op(n, i, d, k, nk):
+    def op(n, i, d, k):
         # beta_j for j > i is d_i beta_{j+1} or s_i beta_{j-1}
         Xs = values[n][k]
         return [(j, None) for j in range(i + (d > 0))] + [
@@ -319,25 +314,6 @@ def subposet_plans(cap):
     faces, degens = operator_tables(cap, restriction)
     return subs, [[vertex(n, j) for j in range(n + 1)]
                   for n in range(cap + 1)], faces, degens
-
-
-def _chain_objects(C, key, n):
-    """The objects of C along a degree-n nerve simplex key."""
-    return key if n == 0 else (C.src[key[0]],) + tuple(map(C.tgt.__getitem__,
-                                                           key))
-
-
-def _transitions(C, tables, key, n):
-    """``[a][j]``: the entry of ``tables`` (one per arrow of C) at sigma(a,
-    j), for a <= j, of a degree-n nerve simplex key."""
-    objs = _chain_objects(C, key, n)
-    out = []
-    for a in range(n + 1):
-        arrows = [C.identity[objs[a]]]
-        for j in range(a, n):
-            arrows.append(key[j] if j == a else C.table[key[j], arrows[-1]])
-        out.append([None] * a + [tables[m] for m in arrows])
-    return out
 
 
 def _along(comp, r, col):
@@ -389,11 +365,13 @@ def relative_nerve_direct(F, cap):
         return chains[n, objs]
 
     def families(n, k):
-        along = _transitions(C, tables, k, n)
+        # along[a][j]: the tables of F along sigma(a, j), for a <= j
+        along = [[None] * a + list(map(tables.__getitem__, row[a:]))
+                 for a, row in enumerate(chain_arrows(C, k, n))]
         # cols[p] lists the entry at subs[n][p] of every partial family
         cols, last = [None] * len(subs[n]), None
         for j, (X, by_last, front, reads, checks) in enumerate(
-                chain(n, _chain_objects(C, k, n))):
+                chain(n, chain_objects(C, k, n))):
             if not j:
                 cols[front] = list(range(X.counts[0]))
             else:
@@ -420,12 +398,12 @@ def relative_nerve_direct(F, cap):
                                     if f not in bad])
         return sorted(zip(*cols))
 
-    def op(n, i, d, k, new_k):
+    def op(n, i, d, k):
         # d_i keeps the entry at the image of each subposet; s_i reads the
         # operator tables of the values along k, once per chain of objects
         if d < 0:
             return faces[n][i]
-        objs = _chain_objects(C, k, n)
+        objs = chain_objects(C, k, n)
         if (n, i, objs) not in degen_reads:
             degen_reads[n, i, objs] = [
                 (p, F.values[objs[a]].op_table(r, u))
@@ -449,7 +427,7 @@ def compare_relnerve_iso(F, cap):
     def reads(n, k):
         # the simplex at J is the face J of beta at its last vertex, read
         # once per chain of objects
-        objs = _chain_objects(C, k, n)
+        objs = chain_objects(C, k, n)
         if (n, objs) not in forward:
             forward[n, objs] = [(J[-1], F.values[objs[J[-1]]].op_table(
                 J[-1], J)) for J in subs[n]]

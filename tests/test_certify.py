@@ -10,6 +10,8 @@ from relnerve.certify import (check_bisimplicial,
 from relnerve.fincat import (CatDiagram, CatFunctor, arrow_category,
                              cyclic_group_category, identity_functor, nerve,
                              nerve_map, span_category)
+from relnerve.marked import mark_diagram, marked_rel_nerve
+from relnerve.randomgen import SuiteBounds, random_cat_diagram
 from relnerve.sset import (SimplicialMap, SSetError, TruncationError,
                            TruncSSet, boundary, constant_map, horn,
                            identity_map, pushout, standard_simplex,
@@ -288,20 +290,23 @@ def test_horn_audits_match_brute_force(case):
     assert verdicts == {"PASS", "FAIL"}, name
 
 
-def _reference_fibration(p, ncap):
+def _reference_fibration(p, ncap, inner=None, cocartesian=None):
     """The fibration audit by brute force: the inner audit, then for each
     base edge f and vertex xbar over its source, an edge out of xbar over f
-    that passes ``_reference_edge``."""
-    inner = _reference_inner(p, ncap)
+    that is coCartesian.  ``inner``, a (verdict, bound, witness) triple, and
+    the predicate ``cocartesian(e)`` stand in for ``_reference_inner`` and
+    ``_reference_edge`` where given."""
+    inner = inner or _reference_inner(p, ncap)
     if inner[0] == "FAIL":
         return ("inner-horn-lifts",) + inner
+    cocartesian = cocartesian or (
+        lambda e: _reference_edge(p, e, ncap)[0] == "PASS")
     X, S = p.domain, p.codomain
     for f in S.simplices(1):
         for xbar in X.simplices(0):
             if p.comp[0][xbar] == S.faces[1][1][f] and not any(
                     X.faces[1][1][e] == xbar and p.comp[1][e] == f
-                    and _reference_edge(p, e, ncap)[0] == "PASS"
-                    for e in X.simplices(1)):
+                    and cocartesian(e) for e in X.simplices(1)):
                 return ("cocartesian-fibration", "FAIL", ncap,
                         ("no-lift", f, xbar))
     return "cocartesian-fibration", "PASS", ncap, None
@@ -323,3 +328,23 @@ def test_fibration_audit_matches_brute_force():
     assert seen == {("cocartesian-fibration", "PASS"),
                     ("inner-horn-lifts", "FAIL"),
                     ("cocartesian-fibration", "FAIL")}
+
+
+def test_fibration_audit_blames_the_edges_the_edge_audit_fails():
+    # on the naturally marked relative nerves of random Cat diagrams the
+    # edges that pass the edge audit are the marked ones, and the fibration
+    # audit is the one read off them; blaming the 01-edge of the wrong
+    # facet of an unlifted square changes some of its verdicts
+    for s in range(30):
+        G = random_cat_diagram(random.Random(s), SuiteBounds())
+        OM, _ = marked_rel_nerve(mark_diagram(G.nerve_diagram(4), "natural"),
+                                 4)
+        p = OM.proj
+        for ncap in (2, 3):
+            good = {e for e in p.domain.simplices(1)
+                    if cocartesian_edge(p, e, ncap).ok}
+            assert good == OM.marked.marked, (s, ncap)
+            c, i = cocartesian_fibration(p, ncap), inner_horn_lifts(p, ncap)
+            assert (c.kind, c.verdict, c.bound, c.witness) == \
+                _reference_fibration(p, ncap, (i.verdict, i.bound, i.witness),
+                                     good.__contains__), (s, ncap)

@@ -1,3 +1,6 @@
+import os
+import random
+
 from relnerve.certify import verify_iso_map
 from relnerve.classic import (audit_double_category, classical_cocartesian,
                               double_category, grothendieck_classic,
@@ -7,6 +10,8 @@ from relnerve.fincat import (CatDiagram, CatFunctor, FinCategory,
                              identity_functor, indiscrete_groupoid,
                              span_category, terminal_category,
                              validate_category)
+from relnerve.randomgen import SuiteBounds, random_cat_diagram
+from relnerve.specio import parse_spec
 
 
 def discrete_category(k):
@@ -125,6 +130,19 @@ def test_nerve_comparison_group_diagram():
     G = grothendieck_classic(F)
     f, g, NG, R = nerve_comparison(G, 3)
     assert verify_iso_map(f, g).ok
+
+
+def test_nerve_comparison_is_an_iso_on_random_diagrams_and_at_scale():
+    # 30 random Cat diagrams and the triangle of chain categories [5]
+    diagrams = [random_cat_diagram(random.Random(s), SuiteBounds())
+                for s in range(30)]
+    with open(os.path.join(os.path.dirname(__file__), "scale",
+                           "triangle_chain5.rnspec")) as fh:
+        diagrams.append(parse_spec(fh.read()).diagram)
+    for G in diagrams:
+        f, g, NG, R = nerve_comparison(grothendieck_classic(G), 4)
+        cert = verify_iso_map(f, g)
+        assert (cert.verdict, cert.bound) == ("PASS", 4)
 
 
 def test_classical_cocartesian_flags():

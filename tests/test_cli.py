@@ -324,6 +324,30 @@ def test_cli_mutated_specs_exit_cleanly(tmp_path, text, cap):
         assert run(args, tmp_path)[0] in allowed, command
 
 
+# the other commands, each with its allowed exits
+_OTHER_COMMANDS = [(["verify", "identities"], (0, 1, 2, 3)),
+                   (["verify", "fibers"], (0, 1, 2, 3)),
+                   (["verify", "iota"], (0, 1, 2, 3)),
+                   (["compare", "--homology"], (0, 1, 2, 3)),
+                   (["compare", "--pi0"], (0, 1, 2, 3)),
+                   (["build", "marked-relnerve"], (0, 2, 3))]
+
+
+@pytest.mark.parametrize("command, allowed", _OTHER_COMMANDS)
+def test_cli_mutated_specs_run_every_command_cleanly(tmp_path, command,
+                                                     allowed):
+    # every single-line mutant of the fixtures and of the README spec, at
+    # caps 2 and 3; some of them run through
+    spec, codes = tmp_path / "mutant.rnspec", set()
+    for text in _fuzz_specs():
+        spec.write_text(text)
+        for cap in ("2", "3"):
+            args = command + ["--input", str(spec), "--cap", cap]
+            codes.add(run(args, tmp_path)[0])
+            assert codes <= set(allowed), (text, cap)
+    assert 0 in codes
+
+
 # the commands that take a cat spec
 _CAT_COMMANDS = [["build", "groth-classic"], ["compare", "--thomason"],
                  ["verify", "fibration"]]

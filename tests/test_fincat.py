@@ -9,8 +9,8 @@ import relnerve.pathspace
 from relnerve.certify import check_simplicial_identities
 from relnerve.fincat import (CatDiagram, CatFunctor, FinCategory,
                              arrow_category, category_from_generators,
-                             chain_arrow, chain_category,
-                             chain_object_of_key, corepresentable_diagram,
+                             chain_arrows, chain_category, chain_objects,
+                             corepresentable_diagram,
                              cyclic_group_category, identity_functor,
                              indiscrete_groupoid, keyed_category,
                              map_over_nerve, nerve, nerve_map,
@@ -189,10 +189,28 @@ def test_chain_arrow_composites():
     N = nerve(C, 3)
     # chain c -p-> a -id-> a
     key = (3, 0)
-    assert chain_arrow(C, key, 2, 0, 1) == 3
-    assert chain_arrow(C, key, 2, 0, 2) == 3
-    assert chain_arrow(C, key, 2, 1, 1) == 0
-    assert chain_arrow(C, key, 2, 0, 0) == 2
+    arrows = chain_arrows(C, key, 2)
+    assert arrows[0][1] == 3
+    assert arrows[0][2] == 3
+    assert arrows[1][1] == 0
+    assert arrows[0][0] == 2
+
+
+def test_chain_readers_match_the_nerve_operators():
+    # vertex j is the simplex's restriction to {j}, sigma(a, j) its
+    # restriction to {a, j}; the diagonal holds identities, below it None
+    for C in _catalog_and_random_categories():
+        NC = nerve(C, 4)
+        for n in range(5):
+            for sid, key in enumerate(NC.keys[n]):
+                objs = chain_objects(C, key, n)
+                arrows = chain_arrows(C, key, n)
+                assert list(objs) == [NC.key_of(0, NC.op_table(n, (j,))[sid])
+                                      [0] for j in range(n + 1)]
+                for a in range(n + 1):
+                    assert arrows[a] == [None] * a + [C.identity[objs[a]]] + [
+                        NC.key_of(1, NC.op_table(n, (a, j))[sid])[0]
+                        for j in range(a + 1, n + 1)]
 
 
 def test_diagram_validation_catches_broken_functoriality():
@@ -251,7 +269,7 @@ def _reference_nerve(C, cap):
     def degen_key(n, i, key):
         if n == 0:
             return (C.identity[key[0]],)
-        obj = chain_object_of_key(C, key, n, i)
+        obj = C.src[key[0]] if i == 0 else C.tgt[key[i - 1]]
         return key[:i] + (C.identity[obj],) + key[i:]
 
     return KeyedSSet(cap, *keyed_tables(cap, keys, _per_key(face_key,
@@ -277,8 +295,7 @@ def _reference_over_nerve(NC, cap, fiber, op):
         tid = NC.operator(n, i, d)[sid]
         coords = p if isinstance(p, tuple) else (p,)
         new = tuple(coords[k] if table is None else table[coords[k]]
-                    for k, table in op(n, i, d, NC.keys[n][sid],
-                                       NC.keys[n + d][tid]))
+                    for k, table in op(n, i, d, NC.keys[n][sid]))
         return tid, new if isinstance(p, tuple) else new[0]
 
     total = KeyedSSet(cap, *keyed_tables(cap, keys, lambda n, i, d: (
@@ -354,9 +371,9 @@ def _reference_iota(U, bar, rel):
         row = []
         for sid, x in keys:
             k = NC.keys[n][sid]
-            X = U.values[chain_object_of_key(C, k, n, 0)]
-            beta = tuple(U.maps[chain_arrow(C, k, n, 0, i)].comp[i][
-                X.op_table(n, tuple(range(i + 1)))[x]] for i in range(n + 1))
+            X = U.values[chain_objects(C, k, n)[0]]
+            beta = tuple(U.maps[a].comp[i][X.op_table(n, tuple(range(
+                i + 1)))[x]] for i, a in enumerate(chain_arrows(C, k, n)[0]))
             row.append(rel.total.id_of(n, (sid, beta)))
         comp.append(row)
     return comp
@@ -372,7 +389,7 @@ def _reference_relnerve_iso(F, L, R):
         subs = [J for r in range(1, n + 2)
                 for J in itertools.combinations(range(n + 1), r)]
         fwd.append([R.total.id_of(n, (sid, tuple(
-            F.values[chain_object_of_key(C, NC.keys[n][sid], n, J[-1])]
+            F.values[chain_objects(C, NC.keys[n][sid], n)[J[-1]]]
             .op_table(J[-1], J)[beta[J[-1]]] for J in subs)))
             for sid, beta in keys])
         fronts = [subs.index(tuple(range(i + 1))) for i in range(n + 1)]

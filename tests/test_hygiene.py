@@ -1,9 +1,10 @@
 """Source hygiene: every name a module of the package imports is used
 (``__init__.py`` is exempt; its imports are the package's re-exports),
-every function, class and method it defines is named somewhere, no import
-sits inside a function, the compact-key format of mapping objects and the
-layout of the face and degeneracy tables stay inside ``sset``, and only
-``fincat`` and ``specio`` call ``FinCategory`` directly."""
+every function, class and method it defines is named somewhere, every
+``def`` reads each parameter it declares, no import sits inside a function,
+the compact-key format of mapping objects and the layout of the face and
+degeneracy tables stay inside ``sset``, and only ``fincat`` and ``specio``
+call ``FinCategory`` directly."""
 
 import ast
 import functools
@@ -103,6 +104,47 @@ def test_unreferenced_definition_is_found():
               "    def method(self):\n        pass\n")
     assert unreferenced(source, named(source) | {"K"}) == [(5, "dead"),
                                                            (13, "method")]
+
+
+def unread_parameters(source):
+    """The parameters that a ``def`` of ``source`` declares and its body,
+    nested functions included, never reads, with the line and name of the
+    ``def``.  Lambdas are exempt: they fill a fixed protocol."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p]
+            read = {node.id for node in ast.walk(fn)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)}
+            found += [(fn.lineno, fn.name, p.arg) for p in params
+                      if p.arg not in read]
+    return found
+
+
+# ``generated_size`` takes the same ``**sizes`` as ``build_generated``
+UNREAD_ALLOWED = {"sset.py": [("generated_size", "k")]}
+
+
+@pytest.mark.parametrize("name", sorted(
+    n for n in os.listdir(SRC) if n.endswith(".py")))
+def test_every_parameter_is_read(name):
+    with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+        assert [(fn, arg) for _, fn, arg in unread_parameters(fh.read())] \
+            == UNREAD_ALLOWED.get(name, [])
+
+
+def test_unread_parameter_is_found():
+    source = ("def op(n, i, d, key, new_key):\n    return key[n:i + d]\n\n\n"
+              "def outer(a, b, *rest, c=1, **kw):\n    b = 2\n"
+              "    def inner(x):\n        return a + kw[x]\n"
+              "    return inner, lambda y, z: y\n")
+    assert unread_parameters(source) == [(1, "op", "new_key"),
+                                         (5, "outer", "b"),
+                                         (5, "outer", "c"),
+                                         (5, "outer", "rest")]
 
 
 # the names that read or build compact keys (see ``sset.Exponential``)

@@ -225,7 +225,7 @@ def test_over_nerve_refuses_a_fibre_listed_out_of_order():
     # backwards must be refused, not numbered by it
     X, NC = standard_simplex(1, 2), nerve(arrow_category(), 2)
 
-    def op(n, i, d, k, nk):
+    def op(n, i, d, k):
         return [(0, X.operator(n, i, d))]
 
     def fiber(wrap, backwards):

@@ -10,10 +10,9 @@ from conftest import (arrow_diagram, identity_arrow_diagram, span_diagram,
 from relnerve.bisset import BiTruncSSet, box_product, i1_star
 from relnerve.certify import (check_bisimplicial, check_simplicial_identities,
                               verify_iso_map)
-from relnerve.fincat import (SSetDiagram, arrow_category, chain_arrow,
-                             chain_category, chain_object_of_key,
-                             constant_diagram, nerve, over_nerve,
-                             span_category)
+from relnerve.fincat import (SSetDiagram, arrow_category, chain_arrows,
+                             chain_category, chain_objects, constant_diagram,
+                             nerve, over_nerve, span_category)
 from relnerve.homology import homology_table
 from relnerve.pathspace import (PathSpace, compare_relnerve_iso, fiber_at,
                                 lurie_grothendieck, path_space_zigzag,
@@ -337,7 +336,7 @@ def _reference_relative_nerve_direct(F, cap):
     layout = [[grow_index[n][J] for J in subs[n]] for n in range(cap + 1)]
 
     def families(n, k):
-        objs = [chain_object_of_key(C, k, n, i) for i in range(n + 1)]
+        objs, arrows = chain_objects(C, k, n), chain_arrows(C, k, n)
         cols, size = [], 1
         for J in grow[n]:
             j = J[-1]
@@ -351,7 +350,7 @@ def _reference_relative_nerve_direct(F, cap):
                 continue
             cofaces = [J[:drop] + J[drop + 1:] for drop in range(r + 1)]
             profiles = zip(*[
-                map(F.maps[chain_arrow(C, k, n, I[-1], j)]
+                map(F.maps[arrows[I[-1]][j]]
                     .comp[len(I) - 1].__getitem__, cols[grow_index[n][I]])
                 for I in cofaces])
             found = list(map(Xj.by_faces(r, range(r + 1)).get, profiles,
@@ -375,11 +374,13 @@ def _reference_relative_nerve_direct(F, cap):
     face_plans, degen_plans = operator_tables(cap, lambda n, i, d: restriction(
         n, n + d, (coface_tuple if d < 0 else codegen_tuple)(n, i)))
 
-    def op(n, i, d, k, new_k):
+    def op(n, i, d, k):
         if d < 0:
             return [(p, None) for _, p, _, _ in face_plans[n][i]]
-        return [(p, F.values[chain_object_of_key(C, new_k, n + 1, j)]
-                 .op_table(r, u)) for j, p, r, u in degen_plans[n][i]]
+        # vertex j of s_i k is vertex j - [j > i] of k
+        objs = chain_objects(C, k, n)
+        return [(p, F.values[objs[j - (j > i)]].op_table(r, u))
+                for j, p, r, u in degen_plans[n][i]]
 
     return over_nerve(NC, cap, families, op)
 
