@@ -16,8 +16,7 @@ from .marked import (MarkedDiagram, MarkedSSet, equivalences, extend_along_J,
                      localize, mark, marked_rel_nerve, rectify_right,
                      unstraighten_at)
 from .pathspace import (compare_relnerve_iso, fiber_at, lurie_grothendieck,
-                        path_structure_map, relative_nerve_direct,
-                        simplicial_space)
+                        relative_nerve_direct, simplicial_space)
 from .sset import SimplicialMap, TruncSSet, build_generated, product, pushout
 
 __version__ = "0.1.0"
@@ -33,7 +32,6 @@ __all__ = [
     "normalized_chains", "pi0", "MarkedDiagram", "MarkedSSet",
     "equivalences", "extend_along_J", "localize", "mark", "marked_rel_nerve",
     "rectify_right", "unstraighten_at", "compare_relnerve_iso", "fiber_at",
-    "lurie_grothendieck", "path_structure_map", "relative_nerve_direct",
-    "simplicial_space", "SimplicialMap", "TruncSSet", "build_generated",
-    "product", "pushout",
+    "lurie_grothendieck", "relative_nerve_direct", "simplicial_space",
+    "SimplicialMap", "TruncSSet", "build_generated", "product", "pushout",
 ]

@@ -23,7 +23,6 @@ class MappingPathCategory:
     cat: FinCategory
     objects: list          # (b0, b1) pairs
     morphisms: list        # (src_local, tgt_local, f0, f1)
-    arrow: int             # the base arrow f
     index: dict            # object -> its position in ``objects``
 
 
@@ -51,13 +50,12 @@ def mapping_path_category(F, f):
                    B.identity[B.tgt[objects[i][1]]]),
         lambda g, h: (h[0], g[1], A.table[g[2], h[2]],
                       B.table[g[3], h[3]]))[0]
-    return MappingPathCategory(cat, objects, morphisms, f,
+    return MappingPathCategory(cat, objects, morphisms,
                                {o: i for i, o in enumerate(objects)})
 
 
 @dataclass
 class DoubleCategoryData:
-    object_parts: list     # FinCategory per base object
     path_cats: list        # MappingPathCategory per base arrow
     diagram: object
 
@@ -96,9 +94,7 @@ class DoubleCategoryData:
 
 def double_category(F):
     return DoubleCategoryData(
-        list(F.values),
-        [mapping_path_category(F, f) for f in range(F.shape.n_morphisms)],
-        F)
+        [mapping_path_category(F, f) for f in range(F.shape.n_morphisms)], F)
 
 
 def horizontal_category(dd):

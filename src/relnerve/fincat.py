@@ -35,12 +35,6 @@ class FinCategory:
     def n_morphisms(self):
         return len(self.src)
 
-    def compose(self, g, f):
-        """g after f; defined exactly when tgt(f) = src(g)."""
-        if self.tgt[f] != self.src[g]:
-            raise CatError("non-composable pair (%d, %d)" % (g, f))
-        return self.table[(g, f)]
-
     def hom(self, a, b):
         return [m for m in range(self.n_morphisms)
                 if self.src[m] == a and self.tgt[m] == b]
@@ -151,7 +145,6 @@ def category_from_generators(n_objects, generators):
                        lambda g, f: (f[0], g[1], f[2] + g[2]),
                        mor_names=mor_names)[0]
     C.gen_paths = all_paths
-    C.generators = list(generators)
     return C
 
 

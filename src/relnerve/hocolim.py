@@ -203,7 +203,6 @@ def counit_w2(X, cap):
 class HocolimResult:
     total: TruncSSet
     localization: Localization
-    bar: RelNerveObject
 
 
 def hocolim_qcat(F, cap):
@@ -218,7 +217,7 @@ def hocolim_qcat(F, cap):
     bar = bar_hocolim(FM, cap)
     M = MarkedSSet(bar.total, bar.marked | degenerate_edges(bar.total))
     loc = localize(M)
-    return HocolimResult(loc.total, loc, bar)
+    return HocolimResult(loc.total, loc)
 
 
 @dataclass

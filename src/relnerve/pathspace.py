@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from .bisset import BiTruncSSet
 from .fincat import (RelNerveObject, SSetDiagram, chain_arrows, chain_objects,
                      fiber_onto_value, map_over_nerve, nerve, over_nerve)
-from .sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
-                   TruncationError, codegen_tuple, coface_tuple,
-                   disjoint_union, keyed_tables, operator_tables,
+from .sset import (Exponential, KeyedSSet, SimplicialMap, TruncationError,
+                   codegen_tuple, coface_tuple, discrete, disjoint_union,
+                   group_positions, keyed_tables, operator_tables,
                    shared_simplex, shared_vertex_map)
 
 
@@ -79,7 +79,6 @@ class PathSpace:
         self.F = F
         self.sigma_key = sigma_key
         self.n = n
-        self.mcap = mcap
         self.objects = chain_objects(F.shape, sigma_key, n)
         for o in self.objects:
             if F.values[o].cap < mcap + n:
@@ -98,61 +97,36 @@ class PathSpace:
         self.sset = KeyedSSet(mcap, *keyed_tables(mcap, keys, op))
 
     def _tuples(self, m):
+        # b_i by the id of its restriction along d^i, met by b_{i-1} pushed
+        # along the diagram map of the i-th arrow of the chain
         exps, cache = self.exps, self.cache
-        tuples = [(e,) for e in exps[0].simplices(m)]
-        for i in range(1, self.n + 1):
-            # the i-th coordinates by the id of their restriction along d^i,
-            # met by the previous coordinate pushed along the diagram map of
-            # the i-th arrow of the chain
-            by_restriction = {}
-            for e, r in enumerate(cache.restriction(
-                    exps[i], coface_tuple(i, i)).comp[m]):
-                by_restriction.setdefault(r, []).append(e)
-            pushed = cache.postcomposition(
-                exps[i - 1], i - 1, self.F.maps[self.sigma_key[i - 1]]).comp[m]
-            tuples = [tup + (e,) for tup in tuples
-                      for e in by_restriction.get(pushed[tup[-1]], ())]
-        return tuples
+        return _chain_join(exps[0].simplices(m), (
+            (group_positions(cache.restriction(
+                exps[i], coface_tuple(i, i)).comp[m]),
+             cache.postcomposition(exps[i - 1], i - 1, self.F.maps[
+                 self.sigma_key[i - 1]]).comp[m])
+            for i in range(1, self.n + 1)))
 
 
-def path_structure_map(F, sigma_key, n, i, kind, mcap):
-    """Face (kind='face') or degeneracy (kind='degeneracy') operator of the
-    path-space tower at index i, as a SimplicialMap."""
-    cache = _ExpCache(F.cap)
-    src = PathSpace(F, sigma_key, n, mcap, cache)
-    NC = nerve(F.shape, n + 1)
-    shift = -1 if kind == "face" else 1 if kind == "degeneracy" else None
-    if shift is None:
-        raise SSetError("unknown operator kind %r" % (kind,))
-    if not 0 <= i <= n or n + shift < 0:
-        raise SSetError("%s index out of range" % kind)
-    tgt = PathSpace(F, NC.key_of(n + shift, NC.operator(n, i, shift)[
-        NC.id_of(n, sigma_key)]), n + shift, mcap, cache)
-    comp = []
-    for m in range(mcap + 1):
-        reads = _transport(src, m, i, shift)
-        comp.append([tgt.sset.id_of(m, tuple([
-            tup[k] if ids is None else ids[tup[k]] for k, ids in reads]))
-            for tup in src.sset.keys[m]])
-    return SimplicialMap(src.sset, tgt.sset, comp), src, tgt
+def _chain_join(first, steps):
+    """The tuples (b_0, .., b_n) with b_0 in ``first`` and each b_i in
+    ``groups.get(pushed[b_{i-1}])`` for the i-th step ``(groups,
+    pushed)``: each coordinate met by the one before it, moved along the
+    chain.  Sorted when ``first`` and every group are."""
+    tuples = [(b,) for b in first]
+    for groups, pushed in steps:
+        tuples = [t + (b,) for t in tuples
+                  for b in groups.get(pushed[t[-1]], ())]
+    return tuples
 
 
-def _transport(src, m, i, d):
+def _coordinate_reads(n, i, d, table):
     """The reads (see ``over_nerve``) of d_i (``d = -1``) or s_i (``d =
-    1``) on the degree-m tuples of ``src``: the coordinates before i are
-    kept, with their ids, as the path spaces of one construction share
-    their cache; the others are restricted from the neighbouring coordinate
-    along a coface/codegeneracy."""
-    reads = []
-    for j in range(src.n + 1 + d):
-        if j < i or (j == i and d > 0):
-            reads.append((j, None))
-        else:
-            k = j - d
-            vmap = coface_tuple(k, i) if d < 0 else codegen_tuple(k, i)
-            reads.append((k, src.cache.restriction(src.exps[k],
-                                                   vmap).comp[m]))
-    return reads
+    1``) on the chains of n + 1 coordinates: the coordinates before i, and
+    the i-th under s_i, are kept; every other is ``table(k)`` of its
+    neighbour k, the coordinate it moves from."""
+    return [(j, None) for j in range(i + (d > 0))] + [
+        (j - d, table(j - d)) for j in range(i + (d > 0), n + 1 + d)]
 
 
 def path_space_zigzag(F, sigma_key, n, mcap):
@@ -204,9 +178,15 @@ def simplicial_space(F, ncap, mcap):
         return spaces[n][NC.id_of(n, k)]
 
     def row(m):
+        # the kept coordinates keep their ids, as the path spaces share a
+        # cache; the others restrict along a coface or codegeneracy
+        def op(n, i, d, k):
+            ps, vmap = space(n, k), coface_tuple if d < 0 else codegen_tuple
+            return _coordinate_reads(n, i, d, lambda j: cache.restriction(
+                ps.exps[j], vmap(j, i)).comp[m])
+
         return over_nerve(NC, ncap, lambda n, k: space(n, k).sset.keys[m],
-                          lambda n, i, d, k: _transport(space(n, k), m, i,
-                                                        d))
+                          op)
 
     rows, projs = zip(*[row(m) for m in range(mcap + 1)])
     # the fibre of a row over sigma lists its path space in id order
@@ -219,25 +199,14 @@ def simplicial_space(F, ncap, mcap):
 
 def space_projection_ok(S):
     """The map to Delta[0] box N(D) commutes with all four operator families:
-    a horizontal operator moves the base simplex by the nerve's, a vertical
-    one keeps it."""
+    each row projects simplicially onto N(D), and each column onto the
+    discrete base simplices, as a vertical operator keeps the base simplex."""
     B, NC, P = S.bisset, S.base_nerve, S.proj
-    for n in range(B.hcap + 1):
-        for m in range(B.vcap + 1):
-            for d in (-1, 1):
-                hs = range(n + 1) if 0 <= n + d <= B.hcap else ()
-                vs = range(m + 1) if 0 <= m + d <= B.vcap else ()
-                for i in hs:
-                    base, to = NC.operator(n, i, d), P[n + d][m]
-                    if any(to[t] != base[b] for t, b in zip(
-                            B.rows[m].operator(n, i, d), P[n][m])):
-                        return False
-                for j in vs:
-                    to = P[n][m + d]
-                    if any(to[t] != b for t, b in zip(
-                            B.columns[n].operator(m, j, d), P[n][m])):
-                        return False
-    return True
+    maps = [SimplicialMap(row, NC, [P[n][m] for n in range(B.hcap + 1)])
+            for m, row in enumerate(B.rows)] + [
+        SimplicialMap(col, discrete(NC.counts[n], B.vcap), P[n])
+        for n, col in enumerate(B.columns)]
+    return not any(f.validate() for f in maps)
 
 
 # -- the relative nerve (two constructions) ----------------------------------
@@ -256,20 +225,14 @@ def lurie_grothendieck(F, cap):
 
     def fiber(n, k):
         Xs = values[n][k]
-        tuples = [(b,) for b in Xs[0].simplices(0)]
-        for i in range(1, n + 1):
-            fmap = F.maps[k[i - 1]]
-            by_face = Xs[i].by_faces(i, (i,))
-            tuples = [t + (y,)
-                      for t in tuples
-                      for y in by_face.get(fmap.comp[i - 1][t[-1]], ())]
-        return tuples
+        return _chain_join(Xs[0].simplices(0), (
+            (Xs[i].by_faces(i, (i,)), F.maps[k[i - 1]].comp[i - 1])
+            for i in range(1, n + 1)))
 
     def op(n, i, d, k):
         # beta_j for j > i is d_i beta_{j+1} or s_i beta_{j-1}
         Xs = values[n][k]
-        return [(j, None) for j in range(i + (d > 0))] + [
-            (j, Xs[j].operator(j, i, d)) for j in range(i + (d < 0), n + 1)]
+        return _coordinate_reads(n, i, d, lambda j: Xs[j].operator(j, i, d))
 
     total, proj = over_nerve(NC, cap, fiber, op)
     return RelNerveObject(total, proj, NC, F)
@@ -450,17 +413,6 @@ def fiber_at(R, c):
                            for i in range(n + 1)))
 
 
-def row_cotensor_diagram(F, t, cap_out):
-    """The diagram d -> [Delta[t] => F(d)], with postcomposition action."""
-    cache = _ExpCache(F.cap)
-    values = [cache.exp(F.values[o], t, cap_out)
-              for o in range(F.shape.n_objects)]
-    maps = [values[F.shape.src[m]].postcompose(F.maps[m],
-                                               values[F.shape.tgt[m]])
-            for m in range(F.shape.n_morphisms)]
-    return SSetDiagram(F.shape, values, maps), cache
-
-
 def row_identification(S, F, t, ncap):
     """Rem-style identification of the vertical-degree-t row of the
     simplicial space with the relative nerve of the cotensor diagram.
@@ -470,7 +422,13 @@ def row_identification(S, F, t, ncap):
     a degree-t simplex of ``[Delta[j] => Y]``, is transposed to a degree-j
     simplex of ``[Delta[t] => Y]`` and back.
     """
-    G, cache = row_cotensor_diagram(F, t, ncap)
+    # the cotensor diagram d -> [Delta[t] => F(d)], by postcomposition
+    cache = _ExpCache(F.cap)
+    values = [cache.exp(F.values[o], t, ncap)
+              for o in range(F.shape.n_objects)]
+    G = SSetDiagram(F.shape, values, [
+        values[F.shape.src[m]].postcompose(F.maps[m], values[F.shape.tgt[m]])
+        for m in range(F.shape.n_morphisms)])
     target = lurie_grothendieck(G, ncap)
     row = S.bisset.rows[t]
 

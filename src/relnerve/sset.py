@@ -90,7 +90,7 @@ class TruncSSet:
         idxs = tuple(idxs)
         if (n, idxs) not in self._by_faces_cache:
             tables = [self.faces[n][i] for i in idxs]
-            self._by_faces_cache[n, idxs] = _group(
+            self._by_faces_cache[n, idxs] = group_positions(
                 tables[0] if len(tables) == 1 else zip(*tables))
         return self._by_faces_cache[n, idxs]
 
@@ -204,7 +204,7 @@ class TruncSSet:
         return self._layout
 
 
-def _group(keys):
+def group_positions(keys):
     """Positions grouped by their key, each group in increasing order."""
     out = {}
     for s, key in enumerate(keys):
@@ -221,9 +221,6 @@ class SimplicialMap:
         self.domain = domain
         self.codomain = codomain
         self.comp = comp  # comp[n][s]
-
-    def __call__(self, n, s):
-        return self.comp[n][s]
 
     def validate(self):
         """Return the list of commutation violations (empty iff simplicial)."""

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import relnerve.cli
 from relnerve.cli import main
+from relnerve.fincat import constant_diagram
 from relnerve.specio import (CAP_BOUND, VALUE_BUDGET, SpecParseError,
                              parse_spec)
-from relnerve.sset import generated_size
+from relnerve.sset import discrete, generated_size
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -639,6 +641,24 @@ def test_cli_compare_pi0_and_colimit(tmp_path):
     code, text = run(["compare", "--colimit", "--input",
                       fixture("span.rnspec"), "--cap", "3"], tmp_path)
     assert code == 0 and "PASS colimit-composite" in text
+
+
+@pytest.mark.parametrize("mode,spec,points", [
+    ("homology", "span.rnspec", 1), ("thomason", "span_cat.rnspec", 1),
+    ("pi0", "span.rnspec", 2)])
+def test_cli_agreement_fails_on_a_wrong_bar_construction(
+        tmp_path, monkeypatch, mode, spec, points):
+    # the span's Grothendieck constructions are circles; the bar
+    # construction of a constant point is contractible, and that of a
+    # constant two-point diagram has two components
+    bar_hocolim = relnerve.cli.bar_hocolim
+    monkeypatch.setattr(relnerve.cli, "bar_hocolim", lambda F, cap:
+                        bar_hocolim(constant_diagram(
+                            F.shape, discrete(points, cap)), cap))
+    code, text = run(["compare", "--" + mode, "--input", fixture(spec),
+                      "--cap", "3"], tmp_path)
+    assert code == 1
+    assert "FAIL %s-agreement" % mode in text
 
 
 def test_cli_colimit_retraction_at_any_cap(tmp_path, capsys):

@@ -1,10 +1,10 @@
 """Reports and dumps that must stay byte-identical: the quotient reports
 (localization, homotopy colimit, colimit comparison, pi0) on the fixtures,
 the classical Grothendieck construction and its Thomason comparison,
-a short random suite, which runs the simplicial space and its
-bisimplicial audit, the relative nerves with their dumps, and the
-verification reports on every input that each accepts.  The files under
-tests/golden/ are the reference outputs."""
+a short random suite and the suite at its defaults for seeds 0-3, which
+run the simplicial space and its bisimplicial audit, the relative nerves
+with their dumps, and the verification reports on every input that each
+accepts.  The files under tests/golden/ are the reference outputs."""
 
 import os
 
@@ -41,6 +41,9 @@ CASES = [
                    os.path.join(GOLDEN, "one_object_j.rnspec")], False, 0),
     ("random_suite_seed0", ["random-suite", "--seed", "0", "--count", "3",
                             "--cap", "4"], False, 0),
+] + [
+    ("random_suite_defaults_seed%d" % seed,
+     ["random-suite", "--seed", str(seed)], False, 0) for seed in range(4)
 ] + [
     ("compare_%s_%s" % (mode, name),
      ["compare", "--" + mode, "--input", fixture(name)], False, 0)

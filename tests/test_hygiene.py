@@ -1,10 +1,11 @@
 """Source hygiene: every name a module of the package imports is used
 (``__init__.py`` is exempt; its imports are the package's re-exports),
-every function, class and method it defines is named somewhere, every
-``def`` reads each parameter it declares, no import sits inside a function,
-the compact-key format of mapping objects and the layout of the face and
-degeneracy tables stay inside ``sset``, and only ``fincat`` and ``specio``
-call ``FinCategory`` directly."""
+every function, class and method it defines is named somewhere, and from
+``src/`` itself but for an allowlist, every ``def`` reads each parameter
+it declares, no import sits inside a function, the compact-key format of
+mapping objects and the layout of the face and degeneracy tables stay
+inside ``sset``, and only ``fincat`` and ``specio`` call ``FinCategory``
+directly."""
 
 import ast
 import functools
@@ -76,11 +77,11 @@ def unreferenced(source, names):
 
 
 @functools.lru_cache(maxsize=None)
-def _project_names():
-    """Every name read in src/, tests/, demos/ and bench/, except by the
-    package's ``__init__.py``, whose imports and ``__all__`` re-export."""
+def _names_read(tops=("src", "tests", "demos", "bench")):
+    """Every name read under the folders ``tops``, except by the package's
+    ``__init__.py``, whose imports and ``__all__`` re-export."""
     out = set()
-    for top in ("src", "tests", "demos", "bench"):
+    for top in tops:
         for folder, _, files in os.walk(os.path.join(ROOT, top)):
             for f in files:
                 path = os.path.join(folder, f)
@@ -95,7 +96,7 @@ def _project_names():
     n for n in os.listdir(SRC) if n.endswith(".py")))
 def test_every_definition_is_referenced(name):
     with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-        assert unreferenced(fh.read(), _project_names()) == []
+        assert unreferenced(fh.read(), _names_read()) == []
 
 
 def test_unreferenced_definition_is_found():
@@ -104,6 +105,51 @@ def test_unreferenced_definition_is_found():
               "    def method(self):\n        pass\n")
     assert unreferenced(source, named(source) | {"K"}) == [(5, "dead"),
                                                            (13, "method")]
+
+
+# the definitions in src/ that no code in src/ names, by why each stays
+NAMED_ONLY_OUTSIDE_SRC = {
+    "the benchmark binds it": [
+        ("hocolim.py", "counit_w2"), ("hocolim.py", "eta_unit"),
+        ("hocolim.py", "iota_fiber_bijective"),
+        ("sset.py", "apply_vertex_map"), ("sset.py", "enumerate_maps")],
+    "a fixture builder of the tests and demos": [
+        ("bisset.py", "box_product"), ("fincat.py", "arrow_category"),
+        ("fincat.py", "chain_category"), ("fincat.py", "constant_diagram"),
+        ("fincat.py", "corepresentable_diagram"),
+        ("fincat.py", "span_category"), ("fincat.py", "terminal_category")],
+    "a reference of the tests": [
+        ("classic.py", "classical_cocartesian"),
+        ("fincat.py", "over_category"),
+        ("pathspace.py", "path_space_zigzag")],
+    "kernel API that the README documents": [
+        ("homology.py", "homology_groups"),
+        ("homology.py", "normalized_chains"), ("sset.py", "classifying_map"),
+        ("sset.py", "invert_bijection"), ("sset.py", "pushout")],
+    "a paper construction awaiting a command (ROADMAP item 8)": [
+        ("bisset.py", "i1_star"), ("classic.py", "audit_double_category"),
+        ("classic.py", "nerve_comparison"),
+        ("marked.py", "unstraighten_diagram"),
+        ("pathspace.py", "row_identification")],
+}
+
+
+def test_every_definition_is_named_from_src():
+    found = []
+    for name in sorted(n for n in os.listdir(SRC) if n.endswith(".py")):
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            found += [(name, d) for _, d in unreferenced(
+                fh.read(), _names_read(("src",)))]
+    assert sorted(found) == sorted(
+        d for ds in NAMED_ONLY_OUTSIDE_SRC.values() for d in ds)
+
+
+def test_definition_named_only_outside_src_is_found():
+    module = "def builder():\n    pass\n\n\ndef helper():\n    pass\n"
+    caller, test = "from .m import helper\nhelper()\n", "builder()\n"
+    src = named(module) | named(caller)
+    assert unreferenced(module, src) == [(1, "builder")]
+    assert unreferenced(module, src | named(test)) == []
 
 
 def unread_parameters(source):

@@ -24,13 +24,15 @@ from relnerve.hocolim import (colim_via_marked, hocolim_qcat, iota,
 from relnerve.marked import (extend_along_J, localization_mediator, localize,
                              mark)
 from relnerve.pathspace import (compare_relnerve_iso, fiber_at,
-                                lurie_grothendieck)
+                                lurie_grothendieck, simplicial_space,
+                                space_projection_ok)
 from relnerve.randomgen import SuiteBounds, random_cat_diagram
-from relnerve.sset import (Exponential, SimplicialMap, SSetError, TruncSSet,
-                           constant_map, descend, enumerate_maps, identity_map,
-                           standard_simplex, walking_iso)
+from relnerve.sset import (Exponential, SimplicialMap, SSetError,
+                           TruncationError, TruncSSet, constant_map, descend,
+                           enumerate_maps, identity_map, standard_simplex,
+                           walking_iso)
 
-from conftest import span_diagram
+from conftest import identity_arrow_diagram, span_diagram
 
 
 def _circle():
@@ -260,3 +262,83 @@ def test_mapping_object_refuses_a_corrupted_degenerate_entry():
                 table[d][p] = (table[d][p] + 1) % Y.counts[d]
                 with pytest.raises(KeyError):
                     E.id_of(n, table)
+
+
+# -- the FAIL branches that no other test reaches ----------------------------
+
+def test_identity_audit_fails_on_corrupted_degeneracy():
+    # s_0 s_0 = s_1 s_0 on the vertex breaks first
+    N = nerve(cyclic_group_category(2), 3)
+    N.degens[1][0][0] = (N.degens[1][0][0] + 1) % N.counts[2]
+    cert = check_simplicial_identities(N)
+    assert not cert.ok and cert.witness[0] == "ss"
+
+
+def test_iso_audit_fails_at_each_check():
+    X, J = standard_simplex(1, 2), walking_iso(2)
+    # an equal copy of X is not X
+    cert = verify_iso_map(identity_map(X),
+                          identity_map(standard_simplex(1, 2)))
+    assert not cert.ok and cert.witness == "endpoint mismatch"
+    cert = verify_iso_map(identity_map(J), _swap(J))
+    assert not cert.ok and cert.witness[0] == "gf"
+    # Delta[0] -> Delta[1] -> Delta[0] is the identity one way only
+    P = standard_simplex(0, 2)
+    cert = verify_iso_map(constant_map(P, X, 0), constant_map(X, P, 0))
+    assert not cert.ok and cert.witness[0] == "fg"
+
+
+def test_bisimplicial_audit_fails_on_a_row():
+    B = box_product(standard_simplex(1, 2), standard_simplex(1, 2))
+    R = B.rows[0]
+    R.faces[2][0][0] = (R.faces[2][0][0] + 1) % R.counts[1]
+    cert = check_bisimplicial(B)
+    assert not cert.ok and cert.subject == "bisset-row0"
+
+
+def test_inner_horn_audit_refuses_ncap_above_the_cap():
+    N = nerve(cyclic_group_category(2), 3)
+    with pytest.raises(TruncationError):
+        inner_horn_lifts(constant_map(N, standard_simplex(0, 3), 0), 4)
+
+
+def test_iota_audit_fails_over_the_base_and_on_a_fiber():
+    F = span_diagram(3)
+    io, bar, rel = iota(F, 3)
+    bar.proj.comp[0][0] = (bar.proj.comp[0][0] + 1) % 3
+    cert = iota_audit(io, bar, rel, F)
+    assert not cert.ok and cert.witness == ("over-base", 0, 0)
+    io, bar, rel = iota(F, 3)
+    fibre = rel.total.index[0].ids[0]
+    p = next(iter(fibre))
+    fibre[p] += 1
+    cert = iota_audit(io, bar, rel, F)
+    assert not cert.ok and cert.witness == ("fiber-bijective", 0, 0)
+
+
+def test_iota_audit_fails_when_a_mono_diagram_is_not_injective():
+    # two parallel edges 2 and 3 from vertex 0 to vertex 1, at cap 1,
+    # along the identity; the bar simplex of edge 3 over the arrow is sent
+    # where that of edge 2 goes, which keeps iota simplicial and fibrewise
+    X = TruncSSet(1, [2, 4], [None, [[0, 1, 1, 1], [0, 1, 0, 0]]],
+                  [[[0, 1]]])
+    F = identity_arrow_diagram(X, 1)
+    io, bar, rel = iota(F, 1)
+    sid = bar.base_nerve.id_of(1, (1,))
+    io.comp[1][bar.total.id_of(1, (sid, 3))] = \
+        io.comp[1][bar.total.id_of(1, (sid, 2))]
+    cert = iota_audit(io, bar, rel, F)
+    assert not cert.ok and cert.witness == ("injective", 1)
+
+
+def test_space_projection_fails_on_each_corrupted_entry():
+    S = simplicial_space(span_diagram(3), 2, 1)
+    assert space_projection_ok(S)
+    entries = [(n, m, s) for n, row in enumerate(S.proj)
+               for m, col in enumerate(row) for s in range(len(col))]
+    assert len(entries) == 48
+    for n, m, s in entries:
+        old = S.proj[n][m][s]
+        S.proj[n][m][s] = (old + 1) % S.base_nerve.counts[n]
+        assert not space_projection_ok(S), (n, m, s)
+        S.proj[n][m][s] = old

@@ -12,13 +12,12 @@ from relnerve.certify import (check_bisimplicial, check_simplicial_identities,
                               verify_iso_map)
 from relnerve.fincat import (SSetDiagram, arrow_category, chain_arrows,
                              chain_category, chain_objects, constant_diagram,
-                             nerve, over_nerve, span_category)
+                             map_over_nerve, nerve, over_nerve, span_category)
 from relnerve.homology import homology_table
 from relnerve.pathspace import (PathSpace, compare_relnerve_iso, fiber_at,
                                 lurie_grothendieck, path_space_zigzag,
-                                path_structure_map, relative_nerve_direct,
-                                row_identification, simplicial_space,
-                                space_projection_ok)
+                                relative_nerve_direct, row_identification,
+                                simplicial_space, space_projection_ok)
 from relnerve.randomgen import SuiteBounds, random_sset_diagram
 from relnerve.specio import parse_spec
 from relnerve.sset import (Exponential, SSetError, TruncationError, boundary,
@@ -87,42 +86,28 @@ def test_path_space_demand_check():
         PathSpace(F, (0, 0), 2, 2)      # needs dimension 4 > 2
 
 
-def test_structure_maps_land_correctly(span3):
-    fmap, src, tgt = path_structure_map(span3, (3,), 1, 1, "face", 1)
-    assert not fmap.validate()
-    smap, src2, tgt2 = path_structure_map(span3, (3,), 1, 0, "degeneracy", 1)
-    assert not smap.validate()
-    # degeneracy then face at the same index is the identity on tuples
-    back, _, _ = path_structure_map(span3, tgt2.sigma_key, 2, 0, "face", 1)
-    for m in range(2):
-        for s in src2.sset.simplices(m):
-            assert back.comp[m][smap.comp[m][s]] == s
-
-
 def test_paper_extreme_face_formulas():
     # the n-th face drops the last coordinate; the zeroth face
     # restricts every remaining coordinate along its initial coface
     F = span_diagram(4)
-    fmap, src, tgt = path_structure_map(F, (2, 3), 2, 2, "face", 1)
+    S = simplicial_space(F, 2, 1)
+    sid = S.base_nerve.id_of(2, (2, 3))
     for m in range(2):
-        for s in src.sset.simplices(m):
-            tup = src.sset.key_of(m, s)
-            img = tgt.sset.key_of(m, fmap.comp[m][s])
-            assert img == tup[:2]
+        R = S.bisset.rows[m]
+        for tup, s in R.index[2].ids[sid].items():
+            assert R.key_of(1, R.faces[2][2][s])[1] == tup[:2]
     # zeroth face at the vertex level: honest d_0 on every later coordinate
-    zmap, zsrc, ztgt = path_structure_map(F, (2, 3), 2, 0, "face", 0)
-    for s in zsrc.sset.simplices(0):
-        tup = zsrc.sset.key_of(0, s)
-        img = ztgt.sset.key_of(0, zmap.comp[0][s])
+    R = S.bisset.rows[0]
+    for tup, s in R.index[2].ids[sid].items():
+        tsid, img = R.key_of(1, R.faces[2][0][s])
+        src, tgt = S.spaces[2][sid], S.spaces[1][tsid]
         for j in range(2):
-            x = zsrc.exps[j + 1].table(0, tup[j + 1])
-            want = ztgt.exps[j].table(0, img[j])
-            # the image table is the source table restricted along d^0
-            Vj = F.values[zsrc.objects[j + 1]]
-            got = _vertex_level_simplex(zsrc.exps[j + 1], 0, tup[j + 1],
+            # the image simplex is the source simplex restricted along d^0
+            Vj = F.values[src.objects[j + 1]]
+            got = _vertex_level_simplex(src.exps[j + 1], 0, tup[j + 1],
                                         j + 1)
             face = Vj.faces[j + 1][0][got]
-            assert _vertex_level_simplex(ztgt.exps[j], 0, img[j], j) == face
+            assert _vertex_level_simplex(tgt.exps[j], 0, img[j], j) == face
 
 
 def _vertex_level_simplex(E, m, e, i):
@@ -138,10 +123,11 @@ def _vertex_level_simplex(E, m, e, i):
 def test_paper_degeneracy_formula_vertex_level():
     # S_i at the vertex level: coordinates j > i are s_i of the previous one
     F = span_diagram(4)
-    smap, src, tgt = path_structure_map(F, (3,), 1, 0, "degeneracy", 0)
-    for s in src.sset.simplices(0):
-        tup = src.sset.key_of(0, s)
-        img = tgt.sset.key_of(0, smap.comp[0][s])
+    S = simplicial_space(F, 2, 0)
+    R, sid = S.bisset.rows[0], S.base_nerve.id_of(1, (3,))
+    for tup, s in R.index[1].ids[sid].items():
+        tsid, img = R.key_of(2, R.degens[1][0][s])
+        src, tgt = S.spaces[1][sid], S.spaces[2][tsid]
         # coordinates 0..i are copied
         assert _vertex_level_simplex(tgt.exps[0], 0, img[0], 0) == \
             _vertex_level_simplex(src.exps[0], 0, tup[0], 0)
@@ -156,13 +142,43 @@ def test_simplicial_space_audit_and_projection(span3):
     assert space_projection_ok(S)
 
 
+def _zeroth_row_onto_relative_nerve(F, S):
+    """The pair between row 0 of the simplicial space S of F and Lurie's
+    relative nerve: the j-th coordinate, a map Delta[j] -> F(sigma(j)), is
+    read as its value at the top simplex of its prism Delta[0] x Delta[j],
+    the j-simplex it classifies, and back."""
+    L = lurie_grothendieck(F, S.bisset.hcap)
+    row, NC = i1_star(S.bisset), S.base_nerve
+    forward, backward = {}, {}
+    for E in {id(E): E for ps in itertools.chain(*S.spaces)
+              for E in ps.exps}.values():
+        j = E.arg.counts[0] - 1
+        top = E.arg.id_of(j, tuple(range(j + 1)))
+        table = [E.value(0, e, j, top) for e in E.simplices(0)]
+        inverse = [None] * E.target.counts[j]
+        for e, x in enumerate(table):
+            inverse[x] = e
+        forward[id(E)], backward[id(E)] = table, inverse
+
+    def reads(tables):
+        return lambda n, k: [(j, tables[id(E)]) for j, E in enumerate(
+            S.spaces[n][NC.id_of(n, k)].exps)]
+
+    return (map_over_nerve(NC, row, L.total, reads(forward)),
+            map_over_nerve(NC, L.total, row, reads(backward)))
+
+
 def test_zeroth_row_is_relative_nerve(span3):
-    S = simplicial_space(span3, 2, 1)
-    row0 = i1_star(S.bisset)
-    R = lurie_grothendieck(span3, 2)
-    assert row0.counts == R.total.counts
-    # elementwise: the vertex-level tuples coincide with the beta tuples
-    assert check_simplicial_identities(row0).ok
+    # simplicial, and certified isomorphic by the same pair whatever the
+    # internal cap
+    cases = [(span3, 2, 1), (span_diagram(3), 3, 0)] + [
+        (random_sset_diagram(random.Random(s), SuiteBounds()), 4, 0)
+        for s in range(30)]
+    for F, ncap, mcap in cases:
+        f, g = _zeroth_row_onto_relative_nerve(
+            F, simplicial_space(F, ncap, mcap))
+        assert check_simplicial_identities(f.domain).ok
+        assert verify_iso_map(f, g).ok
 
 
 def test_row_identification_with_cotensor(span3):
