@@ -5,8 +5,7 @@ certification engine for the comparison maps between them."""
 from .certify import (Certificate, check_bisimplicial,
                       check_simplicial_identities, cocartesian_edge,
                       cocartesian_fibration, inner_horn_lifts, verify_iso_map)
-from .classic import (double_category, grothendieck_classic,
-                      mapping_path_category, nerve_comparison)
+from .classic import double_category, grothendieck_classic, nerve_comparison
 from .fincat import (CatDiagram, CatFunctor, FinCategory, SSetDiagram, nerve,
                      over_category, under_category, validate_category)
 from .hocolim import (bar_hocolim, colim_via_marked, counit_w2, eta_unit,
@@ -25,8 +24,8 @@ __all__ = [
     "Certificate", "check_bisimplicial", "check_simplicial_identities",
     "cocartesian_edge", "cocartesian_fibration", "inner_horn_lifts",
     "verify_iso_map", "double_category", "grothendieck_classic",
-    "mapping_path_category", "nerve_comparison", "CatDiagram", "CatFunctor",
-    "FinCategory", "SSetDiagram", "nerve", "over_category", "under_category",
+    "nerve_comparison", "CatDiagram", "CatFunctor", "FinCategory",
+    "SSetDiagram", "nerve", "over_category", "under_category",
     "validate_category", "bar_hocolim", "colim_via_marked", "counit_w2",
     "eta_unit", "hocolim_qcat", "iota", "homology_groups",
     "normalized_chains", "pi0", "MarkedDiagram", "MarkedSSet",

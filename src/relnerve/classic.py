@@ -4,13 +4,13 @@ as the horizontal structure of a double category of mapping path categories.
 For an arrow f of the base, the mapping path category has objects
 (b0, b1) with b0 an object of the source value, b1 a morphism of the target
 value starting at the transported b0; the total category's morphisms over f
-are exactly these objects.
+are exactly these objects.  The horizontal structure reads nothing else of
+the mapping path categories, so only their objects are built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .fincat import (CatError, CatFunctor, FinCategory, chain_arrows,
                      chain_objects, keyed_category, nerve, validate_category)
@@ -19,44 +19,16 @@ from .sset import SimplicialMap
 
 
 @dataclass
-class MappingPathCategory:
-    cat: FinCategory
+class PathObjects:
+    """The objects of the mapping path category P^1 of F(f), all that the
+    horizontal structure reads of it."""
     objects: list          # (b0, b1) pairs
-    morphisms: list        # (src_local, tgt_local, f0, f1)
     index: dict            # object -> its position in ``objects``
-
-
-def mapping_path_category(F, f):
-    """P^1 of the functor F(f), as an explicit finite category."""
-    D = F.shape
-    A = F.values[D.src[f]]
-    B = F.values[D.tgt[f]]
-    Ff = F.maps[f]
-    objects = [(b0, b1) for b0 in range(A.n_objects)
-               for b1 in range(B.n_morphisms)
-               if B.src[b1] == Ff.obj_map[b0]]
-    morphisms = []
-    for si, (b0, b1) in enumerate(objects):
-        for ti, (c0, c1) in enumerate(objects):
-            for f0 in A.hom(b0, c0):
-                for f1 in B.hom(B.tgt[b1], B.tgt[c1]):
-                    # commuting square: c1 o F(f)(f0) = f1 o b1
-                    if B.table[(c1, Ff.mor_map[f0])] == B.table[(f1, b1)]:
-                        morphisms.append((si, ti, f0, f1))
-    # morphisms compose componentwise; ids are positions in ``objects``
-    cat = keyed_category(
-        range(len(objects)), morphisms, itemgetter(0), itemgetter(1),
-        lambda i: (i, i, A.identity[objects[i][0]],
-                   B.identity[B.tgt[objects[i][1]]]),
-        lambda g, h: (h[0], g[1], A.table[g[2], h[2]],
-                      B.table[g[3], h[3]]))[0]
-    return MappingPathCategory(cat, objects, morphisms,
-                               {o: i for i, o in enumerate(objects)})
 
 
 @dataclass
 class DoubleCategoryData:
-    path_cats: list        # MappingPathCategory per base arrow
+    path_cats: list        # PathObjects per base arrow
     diagram: object
 
     def source_of(self, f, local):
@@ -93,8 +65,21 @@ class DoubleCategoryData:
 
 
 def double_category(F):
-    return DoubleCategoryData(
-        [mapping_path_category(F, f) for f in range(F.shape.n_morphisms)], F)
+    """The objects of the mapping path category over each base arrow,
+    ordered by b0 and then by b1."""
+    out_of = []
+    for B in F.values:
+        arrows = [[] for _ in range(B.n_objects)]
+        for b1, o in enumerate(B.src):
+            arrows[o].append(b1)
+        out_of.append(arrows)
+    path_cats = []
+    for f, c in enumerate(F.shape.tgt):
+        objects = [(b0, b1) for b0, o in enumerate(F.maps[f].obj_map)
+                   for b1 in out_of[c][o]]
+        path_cats.append(PathObjects(objects, {o: i for i, o in
+                                               enumerate(objects)}))
+    return DoubleCategoryData(path_cats, F)
 
 
 def horizontal_category(dd):

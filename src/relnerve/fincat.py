@@ -8,7 +8,9 @@ symbol table used only for reports.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .sset import (KeyedSSet, SimplicialMap, SSetError, TruncationError,
@@ -321,13 +323,17 @@ def chain_arrows(C, key, n):
 
 
 def nerve_map(F, cap, NC=None, ND=None):
-    """N(F): the simplicial map between nerves induced by a functor."""
+    """N(F): the simplicial map between nerves induced by a functor.  Each
+    degree maps the key columns of N(domain) through F and looks the
+    mapped keys up in N(codomain) in one pass; a string that F does not
+    send to a composable one is a KeyError."""
     NC = NC if NC is not None else nerve(F.domain, cap)
     ND = ND if ND is not None else nerve(F.codomain, cap)
-    comp = [[ND.id_of(0, (F.obj_map[k[0]],)) for k in NC.keys[0]]]
-    for n in range(1, cap + 1):
-        comp.append([ND.id_of(n, tuple(F.mor_map[m] for m in k))
-                     for k in NC.keys[n]])
+    comp = []
+    for n in range(cap + 1):
+        table = F.mor_map if n else F.obj_map
+        cols = [map(table.__getitem__, col) for col in zip(*NC.keys[n])]
+        comp.append(list(map(ND.index[n].__getitem__, zip(*cols))))
     return SimplicialMap(NC, ND, comp)
 
 
@@ -345,8 +351,8 @@ class RelNerveObject:
 
 
 class _FibreIndex:
-    """The ids of one degree of an ``over_nerve`` total, one dict per
-    fibre: the key (sid, p) has id ``ids[sid][p]``."""
+    """The ids of one degree of an ``over_nerve`` total, one dict (or
+    ``_WholeFibre``) per fibre: the key (sid, p) has id ``ids[sid][p]``."""
 
     def __init__(self, ids):
         self.ids = ids
@@ -354,6 +360,28 @@ class _FibreIndex:
     def __getitem__(self, key):
         sid, p = key
         return self.ids[sid][p]
+
+
+class _WholeFibre(Mapping):
+    """The p -> id dict of a fibre listed as ``range(count)``, a whole
+    value, kept as its first id: p has id ``offset + p``."""
+
+    def __init__(self, offset, count):
+        self.offset, self.span = offset, range(count)
+
+    def __getitem__(self, p):
+        if p in self.span:
+            return self.offset + p
+        raise KeyError(p)
+
+    def __iter__(self):
+        return iter(self.span)
+
+    def __len__(self):
+        return len(self.span)
+
+    def values(self):
+        return range(self.offset, self.offset + len(self.span))
 
 
 def over_nerve(NC, cap, fiber, op):
@@ -369,34 +397,71 @@ def over_nerve(NC, cap, fiber, op):
     that ``op(n, i, d, key)`` returns, given the chain key of sid.  So
     ``op`` is called once per base simplex and operator, and each fibre is
     split into columns once per degree.
+
+    A fibre listed as ``range(count)`` is a whole value, as in the bar
+    construction: p has id offset + p, so no dict is built (its ids still
+    read as one, see ``_WholeFibre``).  Its one read, a list that lists the
+    new data, lands in another whole fibre as that list plus the target's
+    offset, once its entries are known to lie in the target: the smallest
+    and largest entries of each table are taken once per build, kept by
+    the table's id, and a read that leaves the target is a KeyError, as
+    from a dict.
     """
     fibres, index = [], []
     for n in range(cap + 1):
         fibs = [fiber(n, k) for k in NC.keys[n]]
         ids, offset = [], 0
         for sid, fib in enumerate(fibs):
-            if not all(map(operator.lt, fib, fib[1:])):
+            if type(fib) is range and fib == range(len(fib)):
+                ids.append(_WholeFibre(offset, len(fib)))
+            elif all(map(operator.lt, fib, fib[1:])):
+                ids.append({p: offset + j for j, p in enumerate(fib)})
+            else:
                 raise SSetError("the fibre over base simplex %d in degree %d"
                                 " is not listed in sorted order" % (sid, n))
-            ids.append({p: offset + j for j, p in enumerate(fib)})
             offset += len(fib)
         fibres.append(fibs)
         index.append(_FibreIndex(ids))
 
     # the tables are laid out empty, then filled one degree at a time
     faces, degens = operator_tables(cap, lambda n, i, d: [])
+    # id(table) -> (its largest entry, or inf if one is negative, and the
+    # table, kept so that no id is reused within the build)
+    highest = {}
     for n in range(cap + 1):
         ops = [(i, d, NC.operator(n, i, d), index[n + d].ids,
                 (faces if d < 0 else degens)[n][i])
                for d in (-1, 1) if 0 <= n + d <= cap for i in range(n + 1)]
-        for sid, (key, fib) in enumerate(zip(NC.keys[n], fibres[n])):
+        for sid, (key, fib, own) in enumerate(zip(
+                NC.keys[n], fibres[n], index[n].ids)):
             if not fib:
                 continue
-            tuples = isinstance(fib[0], tuple)
-            cols = list(zip(*fib)) if tuples else [fib]
+            if type(own) is not _WholeFibre:
+                tuples = isinstance(fib[0], tuple)
+                cols = list(zip(*fib)) if tuples else [fib]
+                for i, d, targets, ids, row in ops:
+                    row += map(ids[targets[sid]].__getitem__,
+                               _read(cols, op(n, i, d, key), tuples))
+                continue
             for i, d, targets, ids, row in ops:
-                row += map(ids[targets[sid]].__getitem__,
-                           _read(cols, op(n, i, d, key), tuples))
+                (_, table), = op(n, i, d, key)
+                if table is None:
+                    table = fib
+                elif type(table) is not list or len(table) != len(fib):
+                    table = list(map(table.__getitem__, fib))
+                to = ids[targets[sid]]
+                if type(to) is not _WholeFibre:
+                    row += map(to.__getitem__, table)
+                    continue
+                top = highest.get(id(table))
+                if top is None:
+                    top = highest[id(table)] = (
+                        max(table) if min(table) >= 0 else math.inf, table)
+                if top[0] >= len(to.span):
+                    raise KeyError("a read leaves the fibre over base "
+                                   "simplex %d in degree %d"
+                                   % (targets[sid], n + d))
+                row += map(to.offset.__add__, table)
 
     keys = [[(sid, p) for sid, fib in enumerate(fibs) for p in fib]
             for fibs in fibres]

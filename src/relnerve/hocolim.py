@@ -27,19 +27,24 @@ def bar_hocolim(F, cap):
     C = U.shape
     U.require_cap(cap)
     NC = nerve(C, cap)
-    # the value at sigma(0) of each base simplex, listed once per simplex
-    values = [{k: U.values[chain_objects(C, k, n)[0]] for k in NC.keys[n]}
-              for n in range(cap + 1)]
+    # the value at sigma(0) of a base simplex, by the first entry of its
+    # chain key: an object in degree 0, an arrow above
+    at = [U.values] + [[U.values[c] for c in C.src]] * cap
+    # d_0 transports along the first arrow: one table per degree and arrow
+    transported = [None] + [[None] * C.n_morphisms for _ in range(cap)]
 
     def op(n, i, d, k):
-        table = values[n][k].operator(n, i, d)
-        if d < 0 and not i:
-            transport = U.maps[k[0]].comp[n - 1]
-            table = list(map(transport.__getitem__, table))
+        if d > 0 or i:
+            return [(0, at[n][k[0]].operator(n, i, d))]
+        table = transported[n][k[0]]
+        if table is None:
+            table = transported[n][k[0]] = list(map(
+                U.maps[k[0]].comp[n - 1].__getitem__,
+                at[n][k[0]].operator(n, 0, -1)))
         return [(0, table)]
 
-    total, proj = over_nerve(
-        NC, cap, lambda n, k: values[n][k].simplices(n), op)
+    total, proj = over_nerve(NC, cap, lambda n, k: at[n][k[0]].simplices(n),
+                             op)
     marked = None if U is F else frozenset(
         s for s, (sid, x) in enumerate(total.keys[1])
         if x in F.values[C.src[NC.keys[1][sid][0]]].marked)

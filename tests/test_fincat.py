@@ -21,7 +21,7 @@ from relnerve.hocolim import bar_hocolim, iota
 from relnerve.pathspace import (compare_relnerve_iso, lurie_grothendieck,
                                 relative_nerve_direct, simplicial_space)
 from relnerve.randomgen import (SuiteBounds, random_cat_diagram,
-                                random_sset_diagram)
+                                random_functor, random_sset_diagram)
 from relnerve.specio import parse_spec
 from relnerve.sset import KeyedSSet, keyed_tables
 
@@ -82,6 +82,49 @@ def test_nerve_functoriality():
     NGF = nerve_map(compose_functors(G, F), 2, NF.domain, NF.codomain)
     assert [[NG.comp[n][NF.comp[n][s]] for s in range(NF.domain.counts[n])]
             for n in range(3)] == NGF.comp
+
+
+def nerve_map_per_simplex(F, NC, ND):
+    """The reference of ``nerve_map``: each simplex's key mapped through F
+    and looked up by ``id_of``."""
+    comp = [[ND.id_of(0, (F.obj_map[k[0]],)) for k in NC.keys[0]]]
+    for n in range(1, NC.cap + 1):
+        comp.append([ND.id_of(n, tuple(F.mor_map[m] for m in k))
+                     for k in NC.keys[n]])
+    return comp
+
+
+def test_nerve_map_matches_the_per_simplex_reference():
+    rng = random.Random(11)
+    catalogue = [terminal_category(), arrow_category(), span_category(),
+                 chain_category(2), cyclic_group_category(2),
+                 indiscrete_groupoid(2),
+                 category_from_generators(2, [(0, 1), (0, 1)]),
+                 category_from_generators(3, [(0, 1), (1, 2), (0, 2)])]
+    empty = FinCategory(0, [], [], [], {})
+    cases = [(random_functor(rng, rng.choice(catalogue),
+                             rng.choice(catalogue)), 4) for _ in range(30)]
+    cases += [(CatFunctor(empty, C, [], []), cap) for C in catalogue[:3]
+              for cap in (0, 1, 4)]
+    cases += [(F, cap) for F, _ in cases[:10] for cap in (0, 1)]
+    for F, cap in cases:
+        assert F.validate() == []
+        NF = nerve_map(F, cap)
+        assert NF.comp == nerve_map_per_simplex(F, NF.domain, NF.codomain)
+        assert NF.validate() == []
+
+
+def test_nerve_map_refuses_a_non_functor():
+    # g0 and g1 compose in the domain, their images 0 -> 1 and 2 -> 3 do
+    # not; C's morphisms are id_0, g0, g1 g0, id_1, g1, id_2 and D's are
+    # id_0, g0, id_1, id_2, g1, id_3
+    C = category_from_generators(3, [(0, 1), (1, 2)])
+    D = category_from_generators(4, [(0, 1), (2, 3)])
+    F = CatFunctor(C, D, [0, 1, 2], [0, 1, 1, 2, 4, 3])
+    assert F.validate()
+    nerve_map(F, 1)
+    with pytest.raises(KeyError):
+        nerve_map(F, 2)
 
 
 def test_under_categories_of_the_arrow():

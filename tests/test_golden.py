@@ -70,7 +70,12 @@ CASES = [
      args + ["--input", fixture("span_cat"), "--cap", str(cap)], False, 0)
     for name, args in (("build_groth-classic", ["build", "groth-classic"]),
                        ("compare_thomason", ["compare", "--thomason"]))
-    for cap in (3, 4)]
+    for cap in (3, 4)] + [
+    # torsion 2 in H_1 to H_4 on both sides of the comparison
+    ("%s_z2_loop_cat_cap5" % name,
+     args + ["--input", fixture("z2_loop_cat"), "--cap", "5"], False, 0)
+    for name, args in (("build_groth-classic", ["build", "groth-classic"]),
+                       ("compare_thomason", ["compare", "--thomason"]))]
 
 
 def read(path):

@@ -223,8 +223,9 @@ def test_descend_fails_on_a_quotient_that_is_not_covered():
 
 def test_over_nerve_refuses_a_fibre_listed_out_of_order():
     # Delta[1] x N(C), with Delta[1] the fibre over every base simplex, its
-    # simplices listed as scalars and as 1-tuples; listing one fibre
-    # backwards must be refused, not numbered by it
+    # simplices listed as scalars, as 1-tuples, as a range, the whole value,
+    # and as a range in degree 1 only (3 simplices) and scalars in degrees 0
+    # and 2; listing one fibre backwards must be refused, not numbered by it
     X, NC = standard_simplex(1, 2), nerve(arrow_category(), 2)
 
     def op(n, i, d, k):
@@ -232,19 +233,45 @@ def test_over_nerve_refuses_a_fibre_listed_out_of_order():
 
     def fiber(wrap, backwards):
         def listed(n, k):
-            fib = list(map(wrap, X.simplices(n)))
+            fib = wrap(X.simplices(n))
             return fib[::-1] if (n, k) == backwards else fib
         return listed
 
     totals = []
-    for wrap in (int, lambda x: (x,)):
+    for wrap in (list, lambda xs: [(x,) for x in xs], lambda xs: xs,
+                 lambda xs: xs if len(xs) == 3 else list(xs)):
         total, _ = over_nerve(NC, 2, fiber(wrap, None), op)
         assert check_simplicial_identities(total).ok
         totals.append(total)
         with pytest.raises(SSetError, match="base simplex 2 in degree 1"):
             over_nerve(NC, 2, fiber(wrap, (1, NC.key_of(1, 2))), op)
-    assert totals[0].faces == totals[1].faces
-    assert totals[0].degens == totals[1].degens
+    assert isinstance(fiber(lambda xs: xs, None)(0, (0,)), range)
+    for other in totals[1:]:
+        assert totals[0].faces == other.faces
+        assert totals[0].degens == other.degens
+    # the ids of a whole fibre read as the p -> id dict of a listed one
+    for n in range(3):
+        assert [dict(ids) for ids in totals[2].index[n].ids] == \
+            totals[0].index[n].ids
+    # a whole fibre read through tables that are dicts, not lists
+    total, _ = over_nerve(
+        NC, 2, fiber(lambda xs: xs, None),
+        lambda n, i, d, k: [(0, dict(enumerate(X.operator(n, i, d))))])
+    assert (total.faces, total.degens) == (totals[0].faces, totals[0].degens)
+
+    # a read that leaves a whole fibre: d_0 of an edge read as its vertex
+    # plus 1 (2 on the edge from 0 to 1) or less 1 (-1 on the degenerate
+    # edge at 0), outside Delta[1]_0 either way
+    def leaves(shift):
+        def read(n, i, d, k):
+            table = X.operator(n, i, d)
+            return [(0, [x + shift for x in table] if (n, i, d) == (1, 0, -1)
+                     else table)]
+        return read
+
+    for shift in (1, -1):
+        with pytest.raises(KeyError):
+            over_nerve(NC, 2, fiber(lambda xs: xs, None), leaves(shift))
 
 
 def test_mapping_object_refuses_a_corrupted_degenerate_entry():
