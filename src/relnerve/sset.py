@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 
 
 class SSetError(Exception):
@@ -46,9 +47,11 @@ class TruncSSet:
         self._by_faces_cache = {}
         self._op_cache = {}
         self._ez_cache = {}
+        self._closure_cache = {}
         self._prism_cache = {}
         self._prism_plan_cache = {}
         self._layout = None
+        self._search_plan = None
 
     # -- basic access ------------------------------------------------------
 
@@ -123,13 +126,35 @@ class TruncSSet:
             self._ez_cache[n] = table
         return self._ez_cache[n]
 
-    def apply_word(self, m, y, word):
-        """Apply a decreasing degeneracy word (as in ``ez_table``)."""
-        cur, d = y, m
-        for j in reversed(word):
-            cur = self.degens[d][j][cur]
-            d += 1
-        return cur
+    def closure(self, n, s):
+        """The closure plan of the nondegenerate degree-n simplex ``s``
+        (cached): the entries ``(m, y, u)``, one per nondegenerate ``y``
+        under ``s`` and injective vertex tuple ``u: [m] -> [n]`` with ``y =
+        X(u)(s)``, ``s`` itself first and then, depth first, those under
+        each face in turn; and the checks ``(v, w)``, one per degenerate
+        face ``X(v)(s) = X(w)(s)`` of an entry, ``v`` injective and ``w``
+        the vertex tuple of its EZ decomposition (``word_tuple`` after the
+        root's ``u``).  A map with value ``b`` at ``s`` has the value
+        ``B(u)(b)`` at each entry, and is simplicial on the closure iff
+        these agree at each ``y`` and ``B(v)(b) == B(w)(b)`` at each check.
+        """
+        if (n, s) not in self._closure_cache:
+            entries, checks = {(n, s, tuple(range(n + 1))): None}, {}
+            for i in range(n + 1 if n else 0):
+                word, m, y = self.ez_table(n - 1)[self.faces[n][i][s]]
+                v = u = coface_tuple(n, i)
+                for j in word:
+                    u = u[:j] + u[j + 1:]
+                if word:
+                    checks[v] = tuple(map(u.__getitem__, word_tuple(m, word)))
+                below, below_checks = self.closure(m, y)
+                for k, z, t in below:
+                    entries[k, z, tuple(map(u.__getitem__, t))] = None
+                for a, c in below_checks:
+                    checks[tuple(map(u.__getitem__, a))] = tuple(
+                        map(u.__getitem__, c))
+            self._closure_cache[n, s] = list(entries), list(checks.items())
+        return self._closure_cache[n, s]
 
     def op_table(self, n, u):
         """``X(u)`` on every degree-n simplex (cached; do not modify), for
@@ -202,6 +227,34 @@ class TruncSSet:
                    for s in self.nondegenerate(n) if (n, s) not in roots]
             self._layout = order, where, fill, top
         return self._layout
+
+    def search_plan(self):
+        """The plan of the map search out of this object (cached): the
+        vertex tuples ``(n, u)`` whose tables it reads, and for each maximal
+        simplex of ``compact_layout``, in its order, its degree, its faces
+        and its closure plan, with key positions for simplices and indices
+        into the first list for vertex tuples: each face as the position of
+        its EZ root and the tuple of its EZ word (None when empty), each
+        entry ``(m, y, u)`` as ``(where[m][y], u)`` and each check as a
+        pair."""
+        if self._search_plan is None:
+            _, where, _, top = self.compact_layout()
+            maps, plans = {}, []
+            for n, s in top:
+                entries, checks = self.closure(n, s)
+                faces = []
+                for i in range(n + 1 if n else 0):
+                    word, m, y = self.ez_table(n - 1)[self.faces[n][i][s]]
+                    faces.append((where[m][y], maps.setdefault(
+                        (m, word_tuple(m, word)), len(maps)) if word
+                        else None))
+                plans.append((n, faces, [
+                    (where[m][y], maps.setdefault((n, u), len(maps)))
+                    for m, y, u in entries], [
+                    tuple(maps.setdefault((n, u), len(maps)) for u in check)
+                    for check in checks]))
+            self._search_plan = list(maps), plans
+        return self._search_plan
 
 
 def group_positions(keys):
@@ -608,57 +661,57 @@ def restrict(X, cap):
 
 def _search(A, B, candidate_filter=None, limit=None):
     """Depth-first search for the simplicial maps A -> B, as compact keys
-    (see ``compact_layout``); it stops once ``limit`` keys are found.
+    (see ``compact_layout``), in lexicographic order of the values of the
+    chosen simplices; it stops once ``limit`` keys are found.
 
     A map is determined by its values on the nondegenerate simplices of A.
     Only the maximal ones (see ``compact_layout``) are chosen, from the top
-    degree down, in id order within a degree; each other one is fixed with
-    a higher simplex whose face it roots.  Assigning ``b`` to ``s`` fixes
-    the value of every face of ``s`` at once: a nondegenerate face takes
-    ``d_i b`` and passes it on to its own faces; a degenerate face ``s_w
-    y`` (its EZ word ``w``) fixes ``y`` to ``d_i b`` stripped of ``w`` by
-    the matching faces, provided ``w`` gives ``d_i b`` back.  A conflict
-    undoes the assignments on the trail.  A chosen simplex tries the
-    simplices of ``B`` with its whole boundary when every face is fixed
-    (``by_faces``), else those with one of its fixed faces, the one with
-    the fewest, and all of ``B_n`` when no face is fixed.
-    The optional ``candidate_filter(n, s, b)`` restricts the value of every
-    nondegenerate ``s``, chosen or propagated.  The EZ table and layout of
-    ``A`` are cached on ``A``, so a prism ``X.prism(n)``, built once per
-    ``X``, is decomposed once for every search out of it.
+    degree down, in id order within a degree; every other one lies in the
+    closure of a chosen one.  Assigning ``b`` to a chosen ``s`` of degree n
+    fixes its whole closure at once (``A.closure``): each entry ``(m, y,
+    u)`` reads ``B.op_table(n, u)`` at ``b`` and takes that value, or
+    compares it with the value ``y`` already has, and each degenerate face
+    compares its two reads.  A conflict undoes the assignments on the
+    trail.  A chosen simplex tries the simplices of ``B`` with its whole
+    boundary when every face is fixed (``by_faces``), else those with one
+    of its fixed faces, the one with the fewest, and all of ``B_n`` when no
+    face is fixed.  The optional ``candidate_filter(n, s, b)`` restricts
+    the value of every nondegenerate ``s``, chosen or in a closure.  The
+    closure plans, EZ table and layout of ``A`` are cached on ``A``, so a
+    prism ``X.prism(n)``, built once per ``X``, is planned once for every
+    search out of it.
     """
-    cap = A.cap
-    ez = [A.ez_table(n) for n in range(cap + 1)]
-    val = [[None] * A.counts[n] for n in range(cap + 1)]
-    layout, _, _, order = A.compact_layout()
-    trail, results = [], []
+    layout = A.compact_layout()[0]
+    maps, plan = A.search_plan()
+    tables = [B.op_table(n, u) for n, u in maps]
+    plans = [(n, [(p, None if k is None else tables[k]) for p, k in faces],
+              [(p, tables[k]) for p, k in entries],
+              [(tables[k], tables[j]) for k, j in checks])
+             for n, faces, entries, checks in plan]
+    val, trail, results = [None] * len(layout), [], []
 
-    def fix(n, s, b):
-        """Assign b to the nondegenerate s and propagate; False on a
-        conflict."""
-        if val[n][s] is not None:
-            return val[n][s] == b
-        if candidate_filter is not None and not candidate_filter(n, s, b):
-            return False
-        val[n][s] = b
-        trail.append((n, s))
-        for i in range(n + 1 if n else 0):
-            word, m, y = ez[n - 1][A.faces[n][i][s]]
-            z = face = B.faces[n][i][b]
-            for d, j in enumerate(word):
-                z = B.faces[n - 1 - d][j][z]
-            if word and B.apply_word(m, z, word) != face:
+    def fix(b, entries, checks):
+        """Assign b and its closure; False on a conflict."""
+        for v, w in checks:
+            if v[b] != w[b]:
                 return False
-            if not fix(m, y, z):
+        for p, table in entries:
+            z = table[b]
+            if val[p] is None:
+                if candidate_filter is not None and \
+                        not candidate_filter(*layout[p], z):
+                    return False
+                val[p] = z
+                trail.append(p)
+            elif val[p] != z:
                 return False
         return True
 
-    def candidates(n, s):
+    def candidates(n, faces):
         known = {}
-        for i in range(n + 1 if n else 0):
-            word, m, y = ez[n - 1][A.faces[n][i][s]]
-            if val[m][y] is not None:
-                known[i] = B.apply_word(m, val[m][y], word)
+        for i, (p, read) in enumerate(faces):
+            if val[p] is not None:
+                known[i] = val[p] if read is None else read[val[p]]
         if not known:
             return range(B.counts[n])
         if len(known) == n + 1:
@@ -668,17 +721,17 @@ def _search(A, B, candidate_filter=None, limit=None):
                    key=len)
 
     def choose(idx):
-        if idx == len(order):
-            results.append(tuple([val[n][s] for n, s in layout]))
+        if idx == len(plans):
+            results.append(tuple(val))
             return len(results) == limit
-        n, s = order[idx]
-        for b in candidates(n, s):
+        n, faces, entries, checks = plans[idx]
+        for b in candidates(n, faces):
             mark = len(trail)
-            if fix(n, s, b) and choose(idx + 1):
+            if fix(b, entries, checks) and choose(idx + 1):
                 return True
-            while len(trail) > mark:
-                m, y = trail.pop()
-                val[m][y] = None
+            for p in trail[mark:]:
+                val[p] = None
+            del trail[mark:]
         return False
 
     choose(0)
@@ -716,29 +769,48 @@ def compact_plan(P, Q, image):
     P and a map ``g: Q -> P`` with ``g(t) = image(n, t)``: for each
     nondegenerate ``t`` of Q, in key order, the position in f's key of the
     nondegenerate simplex under ``g(t)`` and the EZ word that gives ``g(t)``
-    back.  Returned as the positions and the ``(i, m, word)`` of the
-    entries with a nonempty word; see ``apply_plan``."""
+    back.  Returned as the positions and, per degree m and nonempty word,
+    ``(m, word_tuple(m, word))`` with the entries that take it; see
+    ``plan_ids``."""
     where = P.compact_layout()[1]
     ez = [P.ez_table(n) for n in range(P.cap + 1)]
-    positions, words = [], []
+    positions, words = [], {}
     for n, t in Q.compact_layout()[0]:
         word, m, y = ez[n][image(n, t)]
         if word:
-            words.append((len(positions), m, word))
+            words.setdefault((m, word_tuple(m, word)), []).append(
+                len(positions))
         positions.append(where[m][y])
-    return positions, words
+    return positions, list(words.items())
 
 
-def apply_plan(plan, key, Y):
-    """The compact key of ``f o g`` from that of ``f: P -> Y`` by a plan of
-    ``compact_plan``."""
+def plan_ids(plan, keys, Y, index):
+    """The ids in ``index`` of the compact keys of ``f o g`` for the compact
+    keys ``keys`` of maps ``f`` into ``Y`` of one degree, by a plan of
+    ``compact_plan``: the entries with an EZ word read their columns
+    through one ``Y.op_table`` per degree and word; see ``column_ids``."""
     positions, words = plan
-    if not words:
-        return tuple(map(key.__getitem__, positions))
-    out = list(map(key.__getitem__, positions))
-    for i, m, word in words:
-        out[i] = Y.apply_word(m, out[i], word)
-    return tuple(out)
+    reads = [None] * len(positions)
+    for (m, u), entries in words:
+        read = Y.op_table(m, u)
+        for i in entries:
+            reads[i] = read
+    return column_ids(keys, positions, reads, index)
+
+
+def column_ids(keys, positions, reads, index):
+    """The ids in ``index`` of the keys whose entry i is entry
+    ``positions[i]`` of each key in ``keys``, read through the table
+    ``reads[i]`` unless it is None: built a column at a time, the columns
+    zipped into the keys as they are looked up, so none is kept."""
+    if len(positions) > 1 and reads.count(None) == len(reads):
+        return list(map(index.__getitem__,
+                        map(operator.itemgetter(*positions), keys)))
+    columns = [map(operator.itemgetter(p), keys) if read is None else
+               map(read.__getitem__, map(operator.itemgetter(p), keys))
+               for p, read in zip(positions, reads)]
+    return list(map(index.__getitem__,
+                    zip(*columns) if columns else [()] * len(keys)))
 
 
 class Exponential(KeyedSSet):
@@ -755,7 +827,8 @@ class Exponential(KeyedSSet):
     the nondegenerate simplices.  The faces and degeneracies precompose by
     the plans ``X.prism_plan``, cached on X with its prisms, and so does
     ``precompose``; with ``postcompose`` and ``transposed`` it gives the
-    maps to other mapping objects.
+    maps to other mapping objects.  Each applies its plan to all the keys
+    of a degree at once, a column at a time (``plan_ids``).
 
     ``admissible(prism, m, s, b)``, when given, keeps only the maps whose
     value at every nondegenerate degree-m simplex ``s`` of the prism is a
@@ -783,10 +856,11 @@ class Exponential(KeyedSSet):
             filt = None if admissible is None else \
                 functools.partial(admissible, prism)
             keys.append(sorted(_search(prism[0], Y, filt)))
-        super().__init__(cap_out, *keyed_tables(
-            cap_out, keys, lambda n, i, d: functools.partial(
-                apply_plan, X.prism_plan(n, (coface_tuple if d < 0 else
-                                             codegen_tuple)(n, i)), Y=Y)))
+        index = [dict(zip(ks, range(len(ks)))) for ks in keys]
+        super().__init__(cap_out, keys, index, *operator_tables(
+            cap_out, lambda n, i, d: plan_ids(X.prism_plan(n, (
+                coface_tuple if d < 0 else codegen_tuple)(n, i)), keys[n],
+                Y, index[n + d])))
 
     def table(self, n, s):
         """The full value table of the map ``s``, a tuple per degree."""
@@ -798,8 +872,8 @@ class Exponential(KeyedSSet):
         prism."""
         P = self.prisms[n][0]
         word, m, y = P.ez_table(d)[p]
-        return self.target.apply_word(
-            m, self.keys[n][s][P.compact_layout()[1][m][y]], word)
+        return self.target.op_table(m, word_tuple(m, word))[
+            self.keys[n][s][P.compact_layout()[1][m][y]]]
 
     def id_by_values(self, n, value):
         """The id of the map whose value at each nondegenerate degree-d
@@ -819,13 +893,9 @@ class Exponential(KeyedSSet):
     def precompose(self, g, E):
         """The map ``[X => Y] -> E = [X' => Y]`` along ``id x g``, for
         ``g: X' -> X``; its plans are cached on X per g."""
-        comp = []
-        for n in range(self.cap + 1):
-            plan = self.arg.prism_plan(n, tuple(range(n + 1)), g)
-            index = E.index[n]
-            comp.append([index[apply_plan(plan, key, self.target)]
-                         for key in self.keys[n]])
-        return SimplicialMap(self, E, comp)
+        return SimplicialMap(self, E, [plan_ids(
+            self.arg.prism_plan(n, tuple(range(n + 1)), g), self.keys[n],
+            self.target, E.index[n]) for n in range(self.cap + 1)])
 
     def postcompose(self, f, E):
         """The map ``[X => Y] -> E = [X => Y']`` along ``f: Y -> Y'``, which
@@ -833,9 +903,8 @@ class Exponential(KeyedSSet):
         comp = []
         for n in range(self.cap + 1):
             order = self.prisms[n][0].compact_layout()[0]
-            rows, index = [f.comp[d] for d, _ in order], E.index[n]
-            comp.append([index[tuple([row[v] for row, v in zip(rows, key)])]
-                         for key in self.keys[n]])
+            comp.append(column_ids(self.keys[n], range(len(order)),
+                                   [f.comp[d] for d, _ in order], E.index[n]))
         return SimplicialMap(self, E, comp)
 
     def transposed(self, m, V):
@@ -847,8 +916,17 @@ class Exponential(KeyedSSet):
         (P, _, _), (Q, q1, q2) = self.prisms[m], V.prisms[n]
         plan = compact_plan(P, Q, lambda d, t: q2.comp[d][t]
                             * self.arg.counts[d] + q1.comp[d][t])
-        return [V.index[n][apply_plan(plan, key, self.target)]
-                for key in self.keys[m]]
+        return plan_ids(plan, self.keys[m], self.target, V.index[n])
+
+
+def word_tuple(m, word):
+    """The degeneracy ``s_{word[0]} .. s_{word[-1]}`` (innermost last, as in
+    ``ez_table``) on degree m as a vertex tuple ``[m + len(word)] -> [m]``:
+    ``s_j`` repeats the vertex at position j."""
+    u = tuple(range(m + 1))
+    for j in reversed(word):
+        u = u[:j + 1] + u[j:]
+    return u
 
 
 def coface_tuple(n, i):

@@ -194,7 +194,8 @@ def test_unread_parameter_is_found():
 
 
 # the names that read or build compact keys (see ``sset.Exponential``)
-KEY_FORMAT = ("compact_plan", "product_plan", "apply_plan", "compact_layout")
+KEY_FORMAT = ("compact_plan", "product_plan", "plan_ids", "column_ids",
+              "compact_layout", "search_plan")
 
 
 @pytest.mark.parametrize("name", sorted(

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import math
 import os
 import random
 
@@ -11,10 +12,11 @@ from relnerve.fincat import cyclic_group_category, nerve
 from relnerve.randomgen import (SuiteBounds, random_sub_delta,
                                 random_sub_delta_map)
 from relnerve.sset import (Exponential, KeyedSSet, SimplicialMap, SSetError,
-                           TruncationError, TruncSSet, boundary,
+                           TruncationError, TruncSSet, _search, boundary,
                            build_generated, classes, classifying_map,
                            codegen_tuple, coface_tuple, constant_map,
-                           delta_map, discrete, enumerate_maps, first_map,
+                           delta_map, discrete, enumerate_maps,
+                           expand_key, first_map,
                            generated_size, horn,
                            identity_map, invert_bijection, keyed_tables,
                            operator_tables, product, pushout, restrict,
@@ -186,6 +188,15 @@ def test_ez_table_unique_and_normalized():
     assert D.ez_table(1)[e] == ([], 1, e)
 
 
+def _apply_word(X, m, y, word):
+    """``s_{word[0]} .. s_{word[-1]}`` (innermost last, as in ``ez_table``)
+    applied to the degree-m simplex y, one degeneracy table at a time."""
+    for j in reversed(word):
+        y = X.degens[m][j][y]
+        m += 1
+    return y
+
+
 def test_ez_table_is_the_eilenberg_zilber_decomposition():
     # the table is built degree by degree from the one below; each entry
     # (word, m, y) must give s back from a nondegenerate y by a strictly
@@ -202,7 +213,7 @@ def test_ez_table_is_the_eilenberg_zilber_decomposition():
         nondeg = [set(X.nondegenerate(m)) for m in range(X.cap + 1)]
         for n in range(X.cap + 1):
             for s, (word, m, y) in enumerate(X.ez_table(n)):
-                assert X.apply_word(m, y, word) == s
+                assert _apply_word(X, m, y, word) == s
                 assert y in nondeg[m]
                 assert all(a > b for a, b in zip(word, word[1:]))
 
@@ -429,7 +440,7 @@ def _brute_force_maps(A, B, keep=None):
             for s in A.simplices(n):
                 word, m, y = A.ez_table(n)[s]
                 if word:
-                    comp[n][s] = B.apply_word(m, comp[m][y], word)
+                    comp[n][s] = _apply_word(B, m, comp[m][y], word)
         if SimplicialMap(A, B, comp).validate() == []:
             found.add(tuple(map(tuple, comp)))
     return found
@@ -455,6 +466,159 @@ def _search_pairs(cap, most):
                 tries *= B.counts[n] ** len(A.nondegenerate(n))
             if tries <= most:
                 yield A, B
+
+
+def _recursive_search(A, B, candidate_filter=None, limit=None):
+    """The reference for ``sset._search``: the same depth-first search, the
+    same choices and candidates, with each face fixed by its own recursive
+    call.  Assigning ``b`` to ``s`` fixes the value of every face of ``s``:
+    a nondegenerate face takes ``d_i b`` and passes it on to its own faces;
+    a degenerate face ``s_w y`` (its EZ word ``w``) fixes ``y`` to ``d_i b``
+    stripped of ``w`` by the matching faces, provided ``w`` gives ``d_i b``
+    back.  A conflict undoes the assignments on the trail."""
+    cap = A.cap
+    ez = [A.ez_table(n) for n in range(cap + 1)]
+    val = [[None] * A.counts[n] for n in range(cap + 1)]
+    layout, _, _, order = A.compact_layout()
+    trail, results = [], []
+
+    def fix(n, s, b):
+        if val[n][s] is not None:
+            return val[n][s] == b
+        if candidate_filter is not None and not candidate_filter(n, s, b):
+            return False
+        val[n][s] = b
+        trail.append((n, s))
+        for i in range(n + 1 if n else 0):
+            word, m, y = ez[n - 1][A.faces[n][i][s]]
+            z = face = B.faces[n][i][b]
+            for d, j in enumerate(word):
+                z = B.faces[n - 1 - d][j][z]
+            if word and _apply_word(B, m, z, word) != face:
+                return False
+            if not fix(m, y, z):
+                return False
+        return True
+
+    def candidates(n, s):
+        known = {}
+        for i in range(n + 1 if n else 0):
+            word, m, y = ez[n - 1][A.faces[n][i][s]]
+            if val[m][y] is not None:
+                known[i] = _apply_word(B, m, val[m][y], word)
+        if not known:
+            return range(B.counts[n])
+        if len(known) == n + 1:
+            return B.by_faces(n, range(n + 1)).get(
+                tuple(known[i] for i in range(n + 1)), ())
+        return min((B.by_faces(n, (i,)).get(v, ()) for i, v in known.items()),
+                   key=len)
+
+    def choose(idx):
+        if idx == len(order):
+            results.append(tuple([val[n][s] for n, s in layout]))
+            return len(results) == limit
+        n, s = order[idx]
+        for b in candidates(n, s):
+            mark = len(trail)
+            if fix(n, s, b) and choose(idx + 1):
+                return True
+            while len(trail) > mark:
+                m, y = trail.pop()
+                val[m][y] = None
+        return False
+
+    choose(0)
+    return results
+
+
+def assert_search_matches_reference(A, B, keep=None):
+    """``_search``, ``enumerate_maps`` and ``first_map`` list what the
+    recursive reference lists, in its order."""
+    want = _recursive_search(A, B, keep)
+    assert _search(A, B, keep) == want
+    assert enumerate_maps(A, B, keep) == [expand_key(A, B, k) for k in want]
+    assert first_map(A, B, keep) == (expand_key(A, B, want[0]) if want
+                                     else None)
+    return want
+
+
+def test_search_matches_the_recursive_reference_in_order():
+    # every pair of _search_pairs at caps 2 and 3, with and without a
+    # seeded random filter refusing 20% of the (degree, simplex, value)
+    # triples
+    pairs = found = 0
+    for cap in (2, 3):
+        for A, B in _search_pairs(cap, math.inf):
+            rng = random.Random(pairs)
+            refused = {(n, s, b) for n in range(cap + 1)
+                       for s in A.simplices(n) for b in B.simplices(n)
+                       if rng.random() < 0.2}
+            for keep in (None, lambda n, s, b: (n, s, b) not in refused):
+                found += len(assert_search_matches_reference(A, B, keep))
+            pairs += 1
+    assert pairs == 180 and found >= 1000
+
+
+def test_exponential_keys_are_the_recursive_searches_out_of_prisms():
+    # the prisms Delta[n] x Delta[i] (n, i <= 2) into seeded random
+    # subcomplexes of simplices: each degree's keys are the reference's
+    # maps, sorted
+    cap = 4
+    rng = random.Random(21)
+    targets = [random_sub_delta(rng, SuiteBounds(max_nondeg=10), cap)
+               for _ in range(6)]
+    for Y in targets:
+        for i in range(3):
+            E = Exponential(Y, standard_simplex(i, cap), 2)
+            for n, (P, _, _) in enumerate(E.prisms):
+                assert E.keys[n] == sorted(
+                    assert_search_matches_reference(P, Y))
+
+
+def test_extension_along_J_is_the_first_pinned_reference_map():
+    from relnerve.fincat import indiscrete_groupoid
+    from relnerve.hocolim import hocolim_qcat
+    from relnerve.marked import extend_along_J
+    from relnerve.randomgen import random_cat_diagram
+    G = random_cat_diagram(random.Random(5), SuiteBounds())
+    objects = [standard_simplex(1, 2), walking_iso(3),
+               nerve(cyclic_group_category(2), 3),
+               nerve(indiscrete_groupoid(2), 3),
+               hocolim_qcat(G.nerve_diagram(3), 3).total]
+    found = 0
+    for S in objects:
+        J = walking_iso(S.cap)
+        for y in S.simplices(1):
+            pins = {(0, J.id_of(0, (0,))): S.faces[1][1][y],
+                    (0, J.id_of(0, (1,))): S.faces[1][0][y],
+                    (1, J.id_of(1, (0, 1))): y}
+            want = _recursive_search(
+                J, S, lambda n, s, b: pins.get((n, s), b) == b, limit=1)
+            ext = extend_along_J(S, y)
+            assert (ext is None) == (not want)
+            if want:
+                assert ext.comp == expand_key(J, S, want[0])
+                found += 1
+    assert found > 0
+
+
+def test_a_face_reached_along_two_vertex_maps_is_two_constraints():
+    # the circle, Delta[1] with its two vertices identified, has one edge
+    # whose two faces are the same vertex: its maps into Delta[1] are the
+    # two constant ones, not one per edge of Delta[1]
+    cap = 2
+    D0, D1, dD = (standard_simplex(0, cap), standard_simplex(1, cap),
+                  boundary(1, cap))
+    circle, _, _ = pushout(delta_map(dD, D1, (0, 1)),
+                           delta_map(dD, D0, (0, 0)))
+    e = circle.nondegenerate(1)
+    assert len(e) == 1 and circle.faces[1][0][e[0]] == \
+        circle.faces[1][1][e[0]]
+    maps = enumerate_maps(circle, D1)
+    assert maps == [constant_map(circle, D1, v).comp
+                    for v in D1.simplices(0)]
+    assert first_map(circle, D1) == maps[0]
 
 
 def test_search_matches_brute_force():
